@@ -46,6 +46,9 @@ class RunConfig:
     def __post_init__(self):
         if self.eps_max is not None and not 0 <= self.eps_max <= 64:
             raise ParseError(f"--eps-max must be in 0..64, got {self.eps_max}")
+        if not 0 <= self.brute_cap <= BRUTE_CAP:
+            raise ParseError(
+                f"--brute-cap must be in 0..{BRUTE_CAP}, got {self.brute_cap}")
 
 
 def parse_spec(text: str):
@@ -238,7 +241,9 @@ def main(argv=None) -> int:
             p.add_argument("--eps-max", dest="eps_max", type=int, default=None)
         if name == "verify":
             p.add_argument("--brute-cap", dest="brute_cap", type=int,
-                           default=BRUTE_CAP)
+                           default=BRUTE_CAP,
+                           help=f"largest |Gamma| for the brute cross-check, "
+                                f"at most {BRUTE_CAP}")
             p.add_argument("--seed", dest="seed", type=int, default=0)
 
     args = parser.parse_args(argv)

@@ -21,7 +21,6 @@ from .errors import BruteCapExceeded
 from .galois_model import CMType, UnitaryGaloisModel, act
 from .group_algebra import (
     BRUTE_CAP,
-    AlgebraElement,
     ClassFunction,
     class_project,
     convolve,
@@ -29,9 +28,9 @@ from .group_algebra import (
     reflex,
 )
 
-DOUBLE_LOOP_CAP = 2_000_000  # |G| * h limit for the literal double loop
 SAMPLE_EXHAUSTIVE_LIMIT = 500  # enumerate all size-eps subsets up to this count
 SAMPLE_SIZE = 100  # seeded sample size above the limit
+MEMBERS_PER_CLASS = 10  # cm0 re-evaluates a class at up to this many members
 
 
 @dataclass
@@ -53,93 +52,75 @@ class IdentityReport:
         return out
 
 
-def trace_element(model: UnitaryGaloisModel) -> AlgebraElement:
+def trace_element(model: UnitaryGaloisModel) -> np.ndarray:
     """Formal sum of all (g, 0): the trace of the big field over the
     imaginary quadratic subfield, as a group-algebra element."""
-    return AlgebraElement(model.group,
-                          {(g, 0): 1 for g in range(model.group.order)})
+    out = np.zeros((2, model.group.order), dtype=np.int64)
+    out[0] = 1
+    return out
 
 
-def cm_type_element(phi: CMType, model: UnitaryGaloisModel) -> AlgebraElement:
+def cm_type_element(phi: CMType, model: UnitaryGaloisModel) -> np.ndarray:
     """Indicator of the CM type on Gamma: bit 1 on the cosets in the subset,
     bit 0 elsewhere; total mass hn."""
-    members = set(phi.indices)
-    coset_of = model.cosets.coset_of
-    return AlgebraElement(
-        model.group,
-        {(g, 1 if int(coset_of[g]) in members else 0): 1
-         for g in range(model.group.order)})
+    in_phi = np.zeros(model.n, dtype=bool)
+    in_phi[list(phi.indices)] = True
+    flipped = in_phi[model.cosets.coset_of]
+    return np.stack([~flipped, flipped]).astype(np.int64)
+
+
+def _brute_allowed(model: UnitaryGaloisModel, brute_cap: int) -> bool:
+    return model.gamma_order <= min(brute_cap, BRUTE_CAP)
+
+
+def _require_brute(model: UnitaryGaloisModel, brute_cap: int) -> None:
+    if not _brute_allowed(model, brute_cap):
+        raise BruteCapExceeded(f"|Gamma| = {model.gamma_order} exceeds brute "
+                               f"cap {min(brute_cap, BRUTE_CAP)}")
 
 
 def reflex_convolution(phi: CMType, model: UnitaryGaloisModel,
-                       brute_cap: int = BRUTE_CAP) -> AlgebraElement:
-    """Normalized convolution of the CM type with its reflex (brute path)."""
-    if model.gamma_order > brute_cap:
-        raise BruteCapExceeded(
-            f"|Gamma| = {model.gamma_order} exceeds brute cap {brute_cap}")
+                       brute_cap: int = BRUTE_CAP) -> np.ndarray:
+    """Convolution of the CM type with its reflex (brute path), before the
+    1/|Gamma| normalization."""
+    _require_brute(model, brute_cap)
     elt = cm_type_element(phi, model)
-    return convolve(elt, reflex(elt)).scale(Fraction(1, model.gamma_order))
+    return convolve(elt, reflex(elt, model.group), model.group)
 
 
 def cm_class_function_brute(phi: CMType, model: UnitaryGaloisModel,
                             brute_cap: int = BRUTE_CAP) -> ClassFunction:
-    """Class projection of the reflex convolution (definition-level path)."""
-    return class_project(reflex_convolution(phi, model, brute_cap), model.classes)
+    """Class means of the normalized reflex convolution (definition-level
+    path)."""
+    raw = reflex_convolution(phi, model, brute_cap)
+    return class_project(raw, model.classes).scale(Fraction(1, model.gamma_order))
 
 
 def permutation_character(model: UnitaryGaloisModel) -> ClassFunction:
     """Fixed-coset counts of the coset action, on the bit-0 classes."""
-    if "perm_char" not in model._cache:
+    if model.perm_char is None:
         vals = []
         for rep in model.classes.class_reps:
             row = model.action[rep]
             fixed = int(sum(1 for i in range(model.n) if row[i] == i))
-            vals.append([Fraction(fixed), Fraction(0)])
-        model._cache["perm_char"] = ClassFunction(model.group, model.classes, vals)
-    return model._cache["perm_char"]
+            vals.append([fixed, 0])
+        model.perm_char = ClassFunction(model.classes, vals)
+    return model.perm_char
 
 
-def conjugate_subgroup_sum(model: UnitaryGaloisModel,
-                           double_loop_cap: int = DOUBLE_LOOP_CAP) -> ClassFunction:
-    """The function g -> #{x in G : g in x H x^-1}, computed from the raw
-    definition (never through fixed-point counts), on the bit-0 classes.
+def conjugate_subgroup_sum(model: UnitaryGaloisModel) -> ClassFunction:
+    """The function g -> #{x in G : g in x H x^-1} on the bit-0 classes,
+    read from the class partition and H only (never from fixed points).
 
-    Small groups run the literal (x, eta) double loop; above the cap the same
-    count runs per class representative over all conjugators.
+    For g in class c the count is |C_G(g)| |c cap H| = |G| #(H cap c) / |c|
+    (orbit-stabilizer; Isaacs, Character Theory of Finite Groups, (5.2)).
     """
-    if "conj_subgroup_sum" in model._cache:
-        return model._cache["conj_subgroup_sum"]
-    G = model.group
     classes = model.classes
-    h_indices = model.cosets.subgroup_elements
-    if G.order * len(h_indices) <= double_loop_cap:
-        counts = [0] * G.order
-        for x in range(G.order):
-            xinv = G.inv(x)
-            for eta in h_indices:
-                counts[G.mul(G.mul(x, eta), xinv)] += 1
-        for c, members in enumerate(classes.classes):
-            first = counts[members[0]]
-            assert all(counts[m] == first for m in members)
-        vals = [[Fraction(counts[rep]), Fraction(0)]
-                for rep in classes.class_reps]
-    else:
-        # count conjugators per class representative: x r x^-1 in H
-        h_bytes = {G.images[i].tobytes() for i in h_indices}
-        einv = G.inverse_images
-        void = np.dtype((np.void, G.degree))
-        vals = []
-        for rep in classes.class_reps:
-            xr = G.images[:, G.images[rep]]
-            conj = np.take_along_axis(xr, einv, axis=1)
-            uniq, counts = np.unique(
-                np.ascontiguousarray(conj).view(void).ravel(), return_counts=True)
-            total = sum(int(c) for u, c in zip(uniq, counts)
-                        if u.tobytes() in h_bytes)
-            vals.append([Fraction(total), Fraction(0)])
-    out = ClassFunction(model.group, classes, vals)
-    model._cache["conj_subgroup_sum"] = out
-    return out
+    tally = np.bincount(classes.class_of[model.cosets.subgroup_elements],
+                        minlength=classes.count)
+    order = model.group.order
+    return ClassFunction(classes, [[Fraction(order * int(t), size), 0]
+                                   for t, size in zip(tally, classes.sizes)])
 
 
 def compare_class_functions(name: str, lhs: ClassFunction, rhs: ClassFunction,
@@ -169,7 +150,7 @@ def check_induced_character(model: UnitaryGaloisModel) -> IdentityReport:
 
 def _pair_class_counts(model: UnitaryGaloisModel, i: int, j: int) -> list[int]:
     """Per-class counts of sigma_i eta sigma_j^-1 over eta in H (i != j)."""
-    cache = model._cache.setdefault("pair_counts", {})
+    cache = model.pair_counts
     if (i, j) not in cache:
         G = model.group
         reps = model.cosets.reps
@@ -194,7 +175,7 @@ def cm_class_function_closed(phi: CMType, model: UnitaryGaloisModel) -> ClassFun
     over ordered pairs of distinct subset members.  Valid beyond the brute
     cap."""
     small = len(phi.indices) <= 2
-    cache = model._cache.setdefault("closed_small", {})
+    cache = model.closed_small
     if small and phi.indices in cache:
         return cache[phi.indices]
     n, h = model.n, model.h
@@ -216,43 +197,37 @@ def cm_class_function_closed(phi: CMType, model: UnitaryGaloisModel) -> ClassFun
         conj_avg = Fraction(order * tcounts[c], h * n * n * classes.sizes[c])
         bit1 = base - conj_avg
         vals.append([Fraction(1, 2) - bit1, bit1])
-    out = ClassFunction(model.group, classes, vals)
+    out = ClassFunction(classes, vals)
     if small:
         cache[phi.indices] = out
     return out
 
 
-def sample_subsets(n: int, eps: int, rng: random.Random,
-                   exhaustive_limit: int = SAMPLE_EXHAUSTIVE_LIMIT,
-                   sample_size: int = SAMPLE_SIZE):
-    """All size-eps subsets when there are at most ``exhaustive_limit``,
-    otherwise ``sample_size`` distinct seeded samples.  Returns (subsets,
+def sample_subsets(n: int, eps: int, rng: random.Random):
+    """All size-eps subsets when there are at most SAMPLE_EXHAUSTIVE_LIMIT,
+    otherwise SAMPLE_SIZE distinct seeded samples.  Returns (subsets,
     exhaustive_flag)."""
     total = math.comb(n, eps)
-    if total <= exhaustive_limit:
+    if total <= SAMPLE_EXHAUSTIVE_LIMIT:
         return list(itertools.combinations(range(n), eps)), True
     chosen = set()
-    while len(chosen) < sample_size:
+    while len(chosen) < SAMPLE_SIZE:
         chosen.add(tuple(sorted(rng.sample(range(n), eps))))
     return sorted(chosen), False
 
 
 def check_closed_form(model: UnitaryGaloisModel, eps_max: int | None = None,
-                      seed: int = 0, brute_cap: int = BRUTE_CAP,
-                      exhaustive_limit: int = SAMPLE_EXHAUSTIVE_LIMIT,
-                      sample_size: int = SAMPLE_SIZE) -> IdentityReport:
+                      seed: int = 0,
+                      brute_cap: int = BRUTE_CAP) -> IdentityReport:
     """Brute path equals closed-form path, exactly, for every sampled subset."""
-    if model.gamma_order > brute_cap:
-        raise BruteCapExceeded(
-            f"|Gamma| = {model.gamma_order} exceeds brute cap {brute_cap}")
+    _require_brute(model, brute_cap)
     if eps_max is None:
         eps_max = model.n
     rng = random.Random(seed)
     checked = 0
     sampled = []
     for eps in range(min(eps_max, model.n) + 1):
-        subsets, exhaustive = sample_subsets(model.n, eps, rng,
-                                             exhaustive_limit, sample_size)
+        subsets, exhaustive = sample_subsets(model.n, eps, rng)
         if not exhaustive:
             sampled.append(eps)
         for s in subsets:
@@ -274,10 +249,10 @@ def pair_reduction_residual(phi: CMType, model: UnitaryGaloisModel) -> ClassFunc
     """Left side minus the pair/singleton/empty combination, closed path."""
     eps = phi.eps
     lhs = cm_class_function_closed(phi, model)
-    rhs = ClassFunction.zero(model.group, model.classes)
+    rhs = ClassFunction.zero(model.classes)
     for pair in itertools.combinations(phi.indices, 2):
         rhs = rhs + cm_class_function_closed(CMType(pair, model.n), model)
-    singles = ClassFunction.zero(model.group, model.classes)
+    singles = ClassFunction.zero(model.classes)
     for i in phi.indices:
         singles = singles + cm_class_function_closed(CMType((i,), model.n), model)
     rhs = rhs - singles.scale(eps - 2)
@@ -288,23 +263,21 @@ def pair_reduction_residual(phi: CMType, model: UnitaryGaloisModel) -> ClassFunc
 
 def check_pair_reduction(model: UnitaryGaloisModel, phi: CMType) -> IdentityReport:
     residual = pair_reduction_residual(phi, model)
-    zero = ClassFunction.zero(model.group, model.classes)
+    zero = ClassFunction.zero(model.classes)
     return compare_class_functions(
         "pair-reduction", residual, zero,
         context={"subset": [i + 1 for i in phi.indices]})
 
 
 def check_pair_reduction_suite(model: UnitaryGaloisModel,
-                               eps_max: int | None = None, seed: int = 0,
-                               exhaustive_limit: int = SAMPLE_EXHAUSTIVE_LIMIT,
-                               sample_size: int = SAMPLE_SIZE) -> IdentityReport:
+                               eps_max: int | None = None,
+                               seed: int = 0) -> IdentityReport:
     if eps_max is None:
         eps_max = model.n
     rng = random.Random(seed)
     checked = 0
     for eps in range(min(eps_max, model.n) + 1):
-        subsets, _ = sample_subsets(model.n, eps, rng,
-                                    exhaustive_limit, sample_size)
+        subsets, _ = sample_subsets(model.n, eps, rng)
         for s in subsets:
             rep = check_pair_reduction(model, CMType(s, model.n))
             checked += 1
@@ -330,10 +303,8 @@ def check_cm0_membership(f: ClassFunction):
 
 
 def check_cm0_suite(model: UnitaryGaloisModel, eps_max: int | None = None,
-                    seed: int = 0, brute_cap: int = BRUTE_CAP,
-                    exhaustive_limit: int = SAMPLE_EXHAUSTIVE_LIMIT,
-                    sample_size: int = SAMPLE_SIZE,
-                    members_per_class: int = 10) -> IdentityReport:
+                    seed: int = 0,
+                    brute_cap: int = BRUTE_CAP) -> IdentityReport:
     """Every computed class function is rho-balanced at exactly 1/2 and is
     constant on classes under re-evaluation at random class members."""
     if eps_max is None:
@@ -341,12 +312,11 @@ def check_cm0_suite(model: UnitaryGaloisModel, eps_max: int | None = None,
     rng = random.Random(seed)
     checked = 0
     for eps in range(min(eps_max, model.n) + 1):
-        subsets, _ = sample_subsets(model.n, eps, rng,
-                                    exhaustive_limit, sample_size)
+        subsets, _ = sample_subsets(model.n, eps, rng)
         for s in subsets:
             phi = CMType(s, model.n)
             fns = [cm_class_function_closed(phi, model)]
-            if model.gamma_order <= brute_cap:
+            if _brute_allowed(model, brute_cap):
                 fns.append(cm_class_function_brute(phi, model, brute_cap))
             for f in fns:
                 checked += 1
@@ -356,8 +326,8 @@ def check_cm0_suite(model: UnitaryGaloisModel, eps_max: int | None = None,
                     w["subset"] = [i + 1 for i in s]
                     return IdentityReport("cm0-membership", False, w)
                 for c, members in enumerate(model.classes.classes):
-                    picks = members if len(members) <= members_per_class else \
-                        rng.sample(members, members_per_class)
+                    picks = members if len(members) <= MEMBERS_PER_CLASS else \
+                        rng.sample(members, MEMBERS_PER_CLASS)
                     for g in picks:
                         for bit in (0, 1):
                             if evaluate(f, (g, bit)) != f.values[c][bit]:

@@ -33,7 +33,12 @@ class UnitaryGaloisModel:
         self.n = self.cosets.n
         self.h = self.cosets.h
         self.gamma_order = 2 * G.order
-        self._cache: dict = {}
+        # Filled on first use by cm_engine: the permutation character, the
+        # per-class counts of each ordered coset pair, and the closed-form
+        # class functions of subsets of size <= 2.
+        self.perm_char = None
+        self.pair_counts: dict = {}
+        self.closed_small: dict = {}
 
     @property
     def generator_action_rows(self):

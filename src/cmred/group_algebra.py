@@ -1,11 +1,13 @@
-"""Exact rational convolution algebra on Gamma = G x Z/2.
+"""Exact integer convolution kernel on Gamma = G x Z/2.
 
-Elements are finitely supported Fraction-valued maps on pairs (g, b) with
-g an element index of a FiniteGroup and b in {0, 1}; the bit generator rho =
-(identity, 1) is central and squares to the identity.  Convolution uses a
-dense integer fast path (numpy, exact) when both factors are integer-valued
-and 2|G| is within the brute cap, and a sparse dictionary loop otherwise.
-No floating point anywhere.
+A group-algebra element is an int64 array of shape (2, |G|): entry [b, g] is
+the coefficient of (g, b), with g an element index of a FiniteGroup and b in
+{0, 1}.  The bit generator rho = (identity, 1) is central and squares to the
+identity, so the bit components convolve block-wise through the
+multiplication table of G.  Class values come out as exact Fractions built
+only for the k x 2 (class, bit) pairs.  No floating point anywhere; callers
+keep the coefficients small enough that |G| max|a| max|b| fits in int64 (the
+brute path convolves 0/1 indicators).
 """
 
 from __future__ import annotations
@@ -14,147 +16,35 @@ from fractions import Fraction
 
 import numpy as np
 
-from .permgroup import ConjugacyPartition, FiniteGroup
+from .permgroup import TABLE_CAP, ConjugacyPartition, FiniteGroup
 
-BRUTE_CAP = 8_192
+BRUTE_CAP = 2 * TABLE_CAP  # |Gamma| = 2|G|: the kernel needs G's mult_table
+CHUNK_ROWS = 64  # rows of the table gathered at once; bounds the temporaries
 
-Rational = Fraction
 GammaElement = tuple  # (element index, bit)
 
-_INT64_GUARD = 2 ** 62
 
-
-def gamma_mul(group: FiniteGroup, x: GammaElement, y: GammaElement) -> GammaElement:
-    return (group.mul(x[0], y[0]), (x[1] + y[1]) & 1)
-
-
-def gamma_inv(group: FiniteGroup, x: GammaElement) -> GammaElement:
-    return (group.inv(x[0]), x[1])
-
-
-class AlgebraElement:
-    """Finitely supported exact-rational function on Gamma under convolution."""
-
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: FiniteGroup, coeffs=None):
-        self.group = group
-        self.coeffs: dict[GammaElement, Fraction] = {}
-        if coeffs:
-            for x, v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    self.coeffs[(int(x[0]), int(x[1]))] = v
-
-    @classmethod
-    def delta(cls, group, x: GammaElement, value=1) -> "AlgebraElement":
-        return cls(group, {x: Fraction(value)})
-
-    def __getitem__(self, x: GammaElement) -> Fraction:
-        return self.coeffs.get((x[0], x[1]), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraElement)
-                and self.group is other.group
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.coeffs)
-        for x, v in other.coeffs.items():
-            s = out.get(x, Fraction(0)) + v
-            if s:
-                out[x] = s
-            else:
-                out.pop(x, None)
-        return AlgebraElement(self.group, out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
-        if not c:
-            return AlgebraElement(self.group)
-        return AlgebraElement(self.group, {x: v * c for x, v in self.coeffs.items()})
-
-    def mass(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
-
-    def support(self):
-        return set(self.coeffs)
-
-    def is_integer_valued(self) -> bool:
-        return all(v.denominator == 1 for v in self.coeffs.values())
-
-    def __repr__(self):
-        return f"AlgebraElement(|support|={len(self.coeffs)})"
-
-
-def reflex(a: AlgebraElement) -> AlgebraElement:
+def reflex(a: np.ndarray, G: FiniteGroup) -> np.ndarray:
     """Coefficient of x becomes the coefficient of x^-1; an involution."""
-    G = a.group
-    return AlgebraElement(G, {(G.inv(g), b): v for (g, b), v in a.coeffs.items()})
+    return a[:, G.inverses]
 
 
-def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """(a * b)(x) = sum_y a(y) b(y^-1 x)."""
-    if a.group is not b.group:
-        raise ValueError("convolution requires elements over the same group")
-    G = a.group
-    if (2 * G.order <= BRUTE_CAP and G.order <= 4096
-            and a.is_integer_valued() and b.is_integer_valued()
-            and a.coeffs and b.coeffs and _int_path_safe(a, b)):
-        return _convolve_dense_int(a, b)
-    out: dict[GammaElement, Fraction] = {}
-    for (g, bb), av in a.coeffs.items():
-        for (g2, b2), bv in b.coeffs.items():
-            key = (G.mul(g, g2), (bb + b2) & 1)
-            s = out.get(key, Fraction(0)) + av * bv
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return AlgebraElement(G, out)
+def convolve(a: np.ndarray, b: np.ndarray, G: FiniteGroup) -> np.ndarray:
+    """(a * b)(x) = sum_y a(y) b(y^-1 x), bits adding mod 2.
 
-
-def _int_path_safe(a: AlgebraElement, b: AlgebraElement) -> bool:
-    ma = max(abs(int(v)) for v in a.coeffs.values())
-    mb = max(abs(int(v)) for v in b.coeffs.values())
-    return ma * mb * min(len(a.coeffs), len(b.coeffs)) < _INT64_GUARD
-
-
-def _convolve_dense_int(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    # Over Gamma = G x Z/2 the bit components convolve block-wise:
-    # out_0 = a0*b0 + a1*b1 and out_1 = a0*b1 + a1*b0 as G-convolutions.
-    G = a.group
-    n = G.order
-    table = G.mult_table
-
-    def densify(e):
-        v = np.zeros((2, n), dtype=np.int64)
-        for (g, bit), c in e.coeffs.items():
-            v[bit, g] = int(c)
-        return v
-
-    va, vb = densify(a), densify(b)
-    out = np.zeros((2, n), dtype=np.int64)
-    for bit_a in (0, 1):
-        row = va[bit_a]
-        support = np.nonzero(row)[0]
-        if not len(support):
-            continue
-        for bit_b in (0, 1):
-            col = vb[bit_b]
-            if not col.any():
-                continue
-            acc = out[(bit_a + bit_b) & 1]
-            for y in support:
-                acc[table[y]] += row[y] * col
-    coeffs = {}
-    for bit in (0, 1):
-        for g in np.nonzero(out[bit])[0]:
-            coeffs[(int(g), bit)] = Fraction(int(out[bit, g]))
-    return AlgebraElement(G, coeffs)
+    Only the nonzero coefficients of ``a`` are visited, CHUNK_ROWS table rows
+    at a time, so temporaries stay at O(CHUNK_ROWS |G|).
+    """
+    table, inv = G.mult_table, G.inverses
+    out = np.zeros((2, G.order), dtype=np.int64)
+    for i in (0, 1):
+        ys = np.flatnonzero(a[i])
+        for start in range(0, len(ys), CHUNK_ROWS):
+            y = ys[start:start + CHUNK_ROWS]
+            left = table[inv[y]]  # row k: y_k^-1 x for every x
+            for j in (0, 1):
+                out[i ^ j] += a[i, y] @ b[j][left]
+    return out
 
 
 class ClassFunction:
@@ -164,29 +54,24 @@ class ClassFunction:
     are stored per (class index, bit), zeros included.
     """
 
-    __slots__ = ("group", "classes", "values")
+    __slots__ = ("classes", "values")
 
-    def __init__(self, group: FiniteGroup, classes: ConjugacyPartition, values):
-        self.group = group
+    def __init__(self, classes: ConjugacyPartition, values):
         self.classes = classes
         self.values = [[Fraction(values[c][b]) for b in (0, 1)]
                        for c in range(classes.count)]
 
     @classmethod
-    def zero(cls, group, classes) -> "ClassFunction":
-        k = classes.count
-        return cls(group, classes, [[Fraction(0), Fraction(0)] for _ in range(k)])
-
-    def value(self, class_index: int, bit: int) -> Fraction:
-        return self.values[class_index][bit]
+    def zero(cls, classes) -> "ClassFunction":
+        return cls(classes, [[0, 0]] * classes.count)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction)
-                and self.group is other.group
+                and self.classes is other.classes
                 and self.values == other.values)
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(self.group, self.classes,
+        return ClassFunction(self.classes,
                              [[a[0] + b[0], a[1] + b[1]]
                               for a, b in zip(self.values, other.values)])
 
@@ -195,7 +80,7 @@ class ClassFunction:
 
     def scale(self, c) -> "ClassFunction":
         c = Fraction(c)
-        return ClassFunction(self.group, self.classes,
+        return ClassFunction(self.classes,
                              [[v[0] * c, v[1] * c] for v in self.values])
 
     def is_zero(self) -> bool:
@@ -205,16 +90,16 @@ class ClassFunction:
         return f"ClassFunction({self.classes.count} classes x 2 bits)"
 
 
-def class_project(a: AlgebraElement, classes: ConjugacyPartition) -> ClassFunction:
+def class_project(a: np.ndarray, classes: ConjugacyPartition) -> ClassFunction:
     """Average of ``a`` over Gamma-conjugates: the value on a class is the
     mean of the coefficients over that class (rho is central, so conjugation
     never moves the bit).  Idempotent, linear, and mass-preserving."""
-    k = classes.count
-    sums = [[Fraction(0), Fraction(0)] for _ in range(k)]
-    for (g, b), v in a.coeffs.items():
-        sums[classes.class_of[g]][b] += v
-    vals = [[sums[c][b] / classes.sizes[c] for b in (0, 1)] for c in range(k)]
-    return ClassFunction(a.group, classes, vals)
+    sums = np.zeros((2, classes.count), dtype=np.int64)
+    for bit in (0, 1):
+        np.add.at(sums[bit], classes.class_of, a[bit])
+    return ClassFunction(classes, [[Fraction(int(sums[b, c]), size)
+                                    for b in (0, 1)]
+                                   for c, size in enumerate(classes.sizes)])
 
 
 def evaluate(f: ClassFunction, x: GammaElement) -> Fraction:

@@ -309,12 +309,13 @@ def coset_action(G: FiniteGroup, C: CosetSpace) -> np.ndarray:
     generator rows along the BFS parent words.
     """
     n = C.n
-    rows = np.empty((G.order, n), dtype=np.uint8)
-    rows[0] = np.arange(n, dtype=np.uint8)
+    dtype = np.min_scalar_type(n - 1)  # coset indices never wrap
+    rows = np.empty((G.order, n), dtype=dtype)
+    rows[0] = np.arange(n, dtype=dtype)
     gen_action = {}
     for slot, g in enumerate(G._gen_elements):
         gen_action[slot] = np.array(
-            [C.coset_of[G.mul(g, C.reps[i])] for i in range(n)], dtype=np.uint8)
+            [C.coset_of[G.mul(g, C.reps[i])] for i in range(n)], dtype=dtype)
     for start, stop in zip(G._levels, G._levels[1:]):
         if start == 0:
             start = 1
@@ -323,7 +324,7 @@ def coset_action(G: FiniteGroup, C: CosetSpace) -> np.ndarray:
         lev = np.arange(start, stop)
         slots = G._parents[lev, 0]
         par = G._parents[lev, 1]
-        gen_rows = np.array([gen_action[s] for s in slots], dtype=np.uint8)
+        gen_rows = np.array([gen_action[s] for s in slots], dtype=dtype)
         rows[lev] = np.take_along_axis(gen_rows, rows[par], axis=1)
     return rows
 

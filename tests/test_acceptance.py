@@ -110,7 +110,7 @@ def test_criterion_3_pair_reduction(models):
 def test_criterion_4_cm0_membership(models):
     for spec in BRUTE_MODELS:
         m = models(spec)
-        rep = check_cm0_suite(m, eps_max=m.n, seed=SEED, members_per_class=10)
+        rep = check_cm0_suite(m, eps_max=m.n, seed=SEED)
         assert rep.passed, (spec, rep.witness)
     _announce(4, "every computed class function is rho-balanced at 1/2 and "
                  "class-constant", True)

@@ -4,6 +4,7 @@ import pytest
 
 from cmred.cli import RunConfig, main, parse_spec, render_json, run
 from cmred.errors import ParseError
+from cmred.group_algebra import BRUTE_CAP
 from cmred.group_zoo import ZooSpec
 
 
@@ -134,6 +135,16 @@ def test_skipped_cap_reported(capsys):
     # closed-path checks still run
     assert by_name["pair-reduction"]["status"] == "pass"
     assert by_name["galois-invariance"]["status"] == "pass"
+
+
+def test_brute_cap_above_bound_exits_2(capsys):
+    code, out, err = run_main(capsys, "verify", "sym:3",
+                              "--brute-cap", str(BRUTE_CAP + 1))
+    assert code == 2 and out == ""
+    assert "--brute-cap" in err and str(BRUTE_CAP) in err
+    with pytest.raises(ParseError):
+        RunConfig(command="verify", spec="sym:3", brute_cap=BRUTE_CAP + 1)
+    RunConfig(command="verify", spec="sym:3", brute_cap=BRUTE_CAP)
 
 
 def test_report_roundtrip_and_no_floats(capsys):

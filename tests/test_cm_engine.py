@@ -1,7 +1,9 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cmred.cm_engine import (
@@ -23,8 +25,8 @@ from cmred.cm_engine import (
 )
 from cmred.errors import BruteCapExceeded
 from cmred.galois_model import CMType, act, build_model, enumerate_cm_types
-from cmred.group_algebra import AlgebraElement, class_project, evaluate, reflex
-from cmred.permgroup import close_generators
+from cmred.group_algebra import BRUTE_CAP, class_project, convolve, evaluate, reflex
+from cmred.permgroup import TABLE_CAP, close_generators
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 
@@ -47,24 +49,42 @@ def s4_model():
     return build_model(G, [(0, 2, 1, 3), (0, 2, 3, 1)])
 
 
+# Test-local exact group-algebra elements: {(g, bit): Fraction} dicts.
+
+def add(*terms):
+    """Sum of (coefficient, element) pairs."""
+    out = {}
+    for c, elt in terms:
+        for x, v in elt.items():
+            out[x] = out.get(x, Fraction(0)) + c * v
+    return {x: v for x, v in out.items() if v}
+
+
 def one_minus_rho(elt):
-    flip = AlgebraElement(elt.group,
-                          {(g, 1 - b): v for (g, b), v in elt.coeffs.items()})
-    return elt - flip
+    flip = {(g, 1 - b): v for (g, b), v in elt.items()}
+    return add((1, elt), (-1, flip))
+
+
+def project(elt, classes):
+    """Class means per (class, bit), as a list of [bit-0, bit-1] values."""
+    sums = [[Fraction(0), Fraction(0)] for _ in range(classes.count)]
+    for (g, b), v in elt.items():
+        sums[classes.class_of[g]][b] += v
+    return [[s / size for s in row] for row, size in zip(sums, classes.sizes)]
 
 
 def closed_form_via_algebra(phi, model):
     """Independent oracle: assemble the four closed-form terms literally as a
-    group-algebra element (conjugating by every group element), then project."""
+    group-algebra element (conjugating by every group element), then project
+    to class values."""
     G, n, h = model.group, model.n, model.h
     eps = phi.eps
-    tr = trace_element(model)
+    tr = {(g, 0): Fraction(1) for g in range(G.order)}
     chi = permutation_character(model)
-    chi_elt = AlgebraElement(G, {(g, 0): evaluate(chi, (g, 0))
-                                 for g in range(G.order)})
-    acc = tr.scale(Fraction(1, 2))
-    acc = acc - one_minus_rho(tr).scale(Fraction(eps, n))
-    acc = acc + one_minus_rho(chi_elt).scale(Fraction(eps, n * n))
+    chi_elt = {(g, 0): evaluate(chi, (g, 0)) for g in range(G.order)}
+    acc = add((Fraction(1, 2), tr),
+              (-Fraction(eps, n), one_minus_rho(tr)),
+              (Fraction(eps, n * n), one_minus_rho(chi_elt)))
     dcounts = {}
     reps = model.cosets.reps
     for i in phi.indices:
@@ -76,32 +96,52 @@ def closed_form_via_algebra(phi, model):
                 for x in range(G.order):
                     c = G.mul(G.mul(x, m), G.inv(x))
                     dcounts[c] = dcounts.get(c, 0) + 1
-    dterm = AlgebraElement(G, {(g, 0): v for g, v in dcounts.items()})
-    acc = acc + one_minus_rho(dterm).scale(Fraction(1, h * n * n))
-    return class_project(acc, model.classes)
+    dterm = {(g, 0): Fraction(v) for g, v in dcounts.items()}
+    acc = add((1, acc), (Fraction(1, h * n * n), one_minus_rho(dterm)))
+    return project(acc, model.classes)
+
+
+def conjugate_subgroup_oracle(model):
+    """The literal (x, eta) double loop: count x eta x^-1 over G x H, read
+    per class representative (groups of order <= 720)."""
+    G = model.group
+    assert G.order <= 720
+    counts = [0] * G.order
+    for x in range(G.order):
+        xinv = G.inv(x)
+        for eta in model.cosets.subgroup_elements:
+            counts[G.mul(G.mul(x, eta), xinv)] += 1
+    for members in model.classes.classes:
+        assert len({counts[m] for m in members}) == 1
+    return [[counts[rep], 0] for rep in model.classes.class_reps]
+
+
+def s6_model(H_gens):
+    G = close_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+    return build_model(G, H_gens)
 
 
 def test_trace_element():
     m = s3_model()
     tr = trace_element(m)
-    assert len(tr.coeffs) == 6
-    assert all(v == 1 and b == 0 for (g, b), v in tr.coeffs.items())
-    assert tr.mass() == m.h * m.n
-    assert reflex(tr) == tr
+    assert tr.shape == (2, 6)
+    assert tr[0].tolist() == [1] * 6 and not tr[1].any()
+    assert tr.sum() == m.h * m.n
+    assert np.array_equal(reflex(tr, m.group), tr)
 
 
 def test_cm_type_element_empty_is_trace():
     m = s3_model()
-    assert cm_type_element(CMType((), 3), m) == trace_element(m)
+    assert np.array_equal(cm_type_element(CMType((), 3), m), trace_element(m))
 
 
 def test_cm_type_element_one_coset_flipped():
     m = s3_model()
     elt = cm_type_element(CMType((0,), 3), m)
-    flipped = [g for (g, b) in elt.coeffs if b == 1]
+    flipped = np.flatnonzero(elt[1]).tolist()
     assert len(flipped) == m.h == 2
-    assert sorted(flipped) == m.cosets.cosets[0]
-    assert elt.mass() == m.h * m.n
+    assert flipped == m.cosets.cosets[0]
+    assert elt.sum() == m.h * m.n
 
 
 def test_cm_type_element_mass():
@@ -110,52 +150,52 @@ def test_cm_type_element_mass():
     for _ in range(5):
         s = tuple(sorted(rng.sample(range(4), rng.randrange(5))))
         elt = cm_type_element(CMType(s, 4), m)
-        assert elt.mass() == m.h * m.n
-        assert all(v == 1 for v in elt.coeffs.values())
+        assert elt.sum() == m.h * m.n
+        assert np.array_equal(elt[0] + elt[1], np.ones(m.group.order))
 
 
 def test_reflex_support_matches_inverted_cosets():
     # support of the reflex: bit 1 exactly on the sets H sigma_j^-1
     m = s3_model()
     phi = CMType((1,), 3)
-    r = reflex(cm_type_element(phi, m))
     G = m.group
+    r = reflex(cm_type_element(phi, m), G)
     expected_bit1 = {G.mul(eta, G.inv(m.cosets.reps[1]))
                      for eta in m.cosets.subgroup_elements}
-    got_bit1 = {g for (g, b) in r.coeffs if b == 1}
+    got_bit1 = set(np.flatnonzero(r[1]).tolist())
     assert got_bit1 == expected_bit1
-    assert all(v == 1 for v in r.coeffs.values())
+    assert set(np.unique(r).tolist()) == {0, 1}
 
 
 def test_reflex_convolution_identity_value():
+    # normalized by 1/|Gamma|, the value at the identity is 1/2
     for m in (s3_model(), z4_model(), z6_model_h2()):
         for eps in range(m.n + 1):
             for phi in enumerate_cm_types(m, eps):
                 a = reflex_convolution(phi, m)
-                assert a[(0, 0)] == Fraction(1, 2)
+                assert Fraction(int(a[0, 0]), m.gamma_order) == Fraction(1, 2)
 
 
 def test_reflex_convolution_rho_balance():
     m = s3_model()
     for phi in enumerate_cm_types(m, 2):
         a = reflex_convolution(phi, m)
-        for g in range(m.group.order):
-            assert a[(g, 0)] + a[(g, 1)] == Fraction(1, 2)
+        assert np.array_equal(2 * (a[0] + a[1]),
+                              np.full(m.group.order, m.gamma_order))
 
 
 def test_reflex_convolution_empty_set_is_half_trace():
     m = s3_model()
     a = reflex_convolution(CMType((), 3), m)
-    assert a == trace_element(m).scale(Fraction(1, 2))
+    assert np.array_equal(2 * a, m.gamma_order * trace_element(m))
 
 
 def test_raw_convolution_mass_at_identity():
     # unnormalized value at the identity is hn: sum of the squared indicator
-    from cmred.group_algebra import convolve
     m = s3_model()
     elt = cm_type_element(CMType((), 3), m)
-    raw = convolve(elt, reflex(elt))
-    assert raw[(0, 0)] == m.h * m.n
+    raw = convolve(elt, reflex(elt, m.group), m.group)
+    assert raw[0, 0] == m.h * m.n
 
 
 def test_brute_cap_guard():
@@ -164,6 +204,12 @@ def test_brute_cap_guard():
         reflex_convolution(CMType((), 3), m, brute_cap=4)
     with pytest.raises(BruteCapExceeded):
         check_closed_form(m, brute_cap=4)
+    # a cap above BRUTE_CAP cannot reach a group without a multiplication
+    # table: the guard fires before the model is touched
+    past_table = types.SimpleNamespace(gamma_order=2 * (TABLE_CAP + 1))
+    with pytest.raises(BruteCapExceeded):
+        cm_class_function_brute(CMType((), 1), past_table,
+                                brute_cap=10 * BRUTE_CAP)
 
 
 def test_brute_class_function_basics():
@@ -210,16 +256,27 @@ def test_conjugate_subgroup_sum_values():
 
 
 def test_conjugate_subgroup_sum_paths_agree():
-    for make in (s3_model, z6_model_h2, s4_model):
-        small = conjugate_subgroup_sum(make())
-        large = conjugate_subgroup_sum(make(), double_loop_cap=0)
-        assert small.values == large.values
+    # the class tally equals the literal double loop
+    models = [s3_model(), z6_model_h2(), s4_model(), z4_model(),
+              s6_model([(0, 2, 1, 3, 4, 5), (0, 2, 3, 4, 5, 1)]), s6_model([])]
+    for m in models:
+        assert conjugate_subgroup_sum(m).values == conjugate_subgroup_oracle(m)
 
 
 def test_induced_character_identity():
     for m in (s3_model(), z6_model_h2(), s4_model(), z4_model()):
         rep = check_induced_character(m)
         assert rep.passed, rep.witness
+
+
+def test_induced_character_past_255_cosets():
+    # S6 over the trivial subgroup has 720 cosets, more than uint8 indexes
+    m = s6_model([])
+    assert m.n == 720
+    assert m.action.max() == 719
+    rep = check_induced_character(m)
+    assert rep.passed, rep.witness
+    assert permutation_character(m).values[0][0] == 720
 
 
 def test_compare_reports_perturbed_fixture():
@@ -240,14 +297,14 @@ def test_closed_form_empty_and_singleton():
     assert all(v == [Fraction(1, 2), Fraction(0)] for v in f.values)
     for i in range(3):
         got = cm_class_function_closed(CMType((i,), 3), m)
-        assert got == closed_form_via_algebra(CMType((i,), 3), m)
+        assert got.values == closed_form_via_algebra(CMType((i,), 3), m)
 
 
 def test_closed_form_matches_literal_assembly():
     for m in (s3_model(), z4_model(), s4_model()):
         for eps in range(m.n + 1):
             for phi in enumerate_cm_types(m, eps):
-                assert cm_class_function_closed(phi, m) == \
+                assert cm_class_function_closed(phi, m).values == \
                     closed_form_via_algebra(phi, m)
 
 
@@ -303,11 +360,13 @@ def test_cm0_membership():
         for phi in enumerate_cm_types(m, eps):
             c, witness = check_cm0_membership(cm_class_function_brute(phi, m))
             assert witness is None and c == Fraction(1, 2)
-    half_trace = class_project(trace_element(m).scale(Fraction(1, 2)), m.classes)
+    half_trace = class_project(trace_element(m), m.classes).scale(Fraction(1, 2))
     c, witness = check_cm0_membership(half_trace)
     assert witness is None and c == Fraction(1, 2)
     t = m.group.index_of((0, 2, 1))
-    bad = class_project(AlgebraElement.delta(m.group, (t, 0)), m.classes)
+    delta_t = np.zeros((2, m.group.order), dtype=np.int64)
+    delta_t[0, t] = 1
+    bad = class_project(delta_t, m.classes)
     c, witness = check_cm0_membership(bad)
     assert c is None and witness is not None
 
