@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .galois_model import UnitaryGaloisModel
-from .permgroup import is_k_transitive, orbits_on_subsets
+from .permgroup import is_k_transitive, lex_unrank, orbits_on_subsets
 
 
 @dataclass
@@ -44,44 +46,42 @@ class OrbitTable:
                 for eps, entry in sorted(self.entries.items())}
 
 
+def _tuples(subsets: np.ndarray) -> list:
+    return [tuple(row) for row in subsets.tolist()]
+
+
 def orbit_table(model: UnitaryGaloisModel, eps_max: int) -> OrbitTable:
-    """Orbits of CM types for every size up to ``eps_max``."""
+    """Orbits of CM types for every size up to ``eps_max``.
+
+    Complementation maps the subset of lexicographic rank r to the subset of
+    rank C(n, eps) - 1 - r in the complementary stratum, so it reverses the
+    order within a stratum.
+    """
     n = model.n
     rows = model.generator_action_rows
     entries = {}
     for eps in range(min(eps_max, n) + 1):
-        orbits = orbits_on_subsets(rows, n, eps)
-        bit0 = StratumOrbits(len(orbits), [len(o) for o in orbits],
-                             [o[0] for o in orbits])
-        if 2 * eps != n:
-            # rho moves this stratum wholesale to size n - eps: within the
-            # stratum the partition is unchanged, but the canonical rep of
-            # the merged orbit may be the complement-side one when shorter
-            full_reps = []
-            for o in orbits:
-                comp_members = [tuple(sorted(set(range(n)) - set(s))) for s in o]
-                full_reps.append(min([o[0]] + comp_members,
-                                     key=lambda t: (len(t), t)))
-            full = StratumOrbits(len(orbits), [len(o) for o in orbits], full_reps)
+        labels = orbits_on_subsets(rows, n, eps)
+        reps, sizes = np.unique(labels, return_counts=True)
+        bit0 = StratumOrbits(len(reps), sizes.tolist(),
+                             _tuples(lex_unrank(reps, n, eps)))
+        if 2 * eps < n:
+            # rho moves this stratum wholesale to size n - eps; the shorter
+            # rep of the merged orbit is the bit-0 one
+            full = bit0
+        elif 2 * eps > n:
+            # the shorter rep is the complement of the orbit's largest
+            # member, whose rank is where the label first occurs in reverse
+            _, first = np.unique(labels[::-1], return_index=True)
+            full = StratumOrbits(len(reps), bit0.sizes,
+                                 _tuples(lex_unrank(first, n, n - eps)))
         else:
-            # self-complementary stratum: orbits pair with the orbit of the
-            # complement and may merge
-            rep_to_orbit = {}
-            for k, o in enumerate(orbits):
-                for s in o:
-                    rep_to_orbit[s] = k
-            merged_of = {}
-            merged = []
-            for k, o in enumerate(orbits):
-                if k in merged_of:
-                    continue
-                comp = tuple(sorted(set(range(n)) - set(o[0])))
-                partner = rep_to_orbit[comp]
-                members = sorted(set(o) | set(orbits[partner]))
-                merged_of[k] = merged_of[partner] = len(merged)
-                merged.append(members)
-            full = StratumOrbits(len(merged), [len(o) for o in merged],
-                                 [o[0] for o in merged])
+            # self-complementary stratum: each orbit merges with the orbit of
+            # its complement
+            merged, sizes = np.unique(np.minimum(labels, labels[::-1]),
+                                      return_counts=True)
+            full = StratumOrbits(len(merged), sizes.tolist(),
+                                 _tuples(lex_unrank(merged, n, eps)))
         entries[eps] = {"bit0": bit0, "full": full}
     return OrbitTable(n, entries)
 

@@ -28,7 +28,7 @@ from .errors import BruteCapExceeded, CmredError, ParseError
 from .galois_model import build_model
 from .group_algebra import BRUTE_CAP
 from .group_zoo import ZooSpec, build, parse_zoo_spec, zoo_list
-from .permgroup import is_permutation
+from .permgroup import check_subset_cap, is_permutation
 
 LARGE_SPECS = ("sp6f2:+", "sp6f2:-")
 
@@ -124,6 +124,13 @@ def run(config: RunConfig):
     report["group"] = {"order": model.group.order, "n": model.n,
                        "h": model.h, "classes": model.classes.count}
     report["seed"] = config.seed
+    orbit_eps = min(model.n, config.eps_max if config.eps_max is not None else 2)
+    # every stratum the command will list, checked before any work starts
+    listed_eps = {"verify": max(orbit_eps, min(2, model.n)),
+                  "orbits": orbit_eps,
+                  "certify": min(2, model.n)}.get(config.command, -1)
+    for eps in range(listed_eps + 1):
+        check_subset_cap(model.n, eps)
 
     if config.command == "verify":
         if config.eps_max is not None:
@@ -155,12 +162,10 @@ def run(config: RunConfig):
                 "galois-invariance"),
         ]
         report["checks"] = checks
-        orbit_eps = min(model.n, config.eps_max if config.eps_max is not None else 2)
         report["orbits"] = orbit_table(model, orbit_eps).to_dict()
         report["certificate"] = certify(model).to_dict()
         code = 1 if any(c["status"] == "fail" for c in checks) else 0
     elif config.command == "orbits":
-        orbit_eps = min(model.n, config.eps_max if config.eps_max is not None else 2)
         report["orbits"] = orbit_table(model, orbit_eps).to_dict()
         code = 0
     elif config.command == "certify":

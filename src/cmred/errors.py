@@ -14,7 +14,7 @@ class SubgroupNotContained(CmredError):
 
 
 class SubsetCapExceeded(CmredError):
-    """A subset enumeration would exceed the configured cap (or degree > 64)."""
+    """A subset enumeration would exceed the configured cap."""
 
 
 class BruteCapExceeded(CmredError):

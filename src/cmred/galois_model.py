@@ -8,14 +8,12 @@ Gamma acts through the coset action.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
-from .errors import SubsetCapExceeded
 from .permgroup import (
-    MAX_BITSET_DEGREE,
     SUBSET_CAP,
     FiniteGroup,
+    check_subset_cap,
     conjugacy_classes,
     coset_action,
     left_cosets,
@@ -97,12 +95,5 @@ def enumerate_cm_types(model: UnitaryGaloisModel, eps: int,
                        cap: int = SUBSET_CAP) -> list[CMType]:
     """All CM types of signature (n - eps, eps) in lexicographic order."""
     n = model.n
-    if n > MAX_BITSET_DEGREE:
-        raise SubsetCapExceeded(
-            f"CM-type machinery supports at most {MAX_BITSET_DEGREE} cosets, got {n}")
-    if not 0 <= eps <= n:
-        raise ValueError(f"need 0 <= eps <= n, got eps={eps}")
-    if math.comb(n, eps) > cap:
-        raise SubsetCapExceeded(
-            f"C({n},{eps}) = {math.comb(n, eps)} exceeds cap {cap}")
+    check_subset_cap(n, eps, cap)
     return [CMType(s, n) for s in itertools.combinations(range(n), eps)]

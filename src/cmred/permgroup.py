@@ -5,6 +5,13 @@ generators by breadth-first search; the element list is deterministic (BFS
 level order, lexicographic tie-break within a level, identity first), so every
 downstream report is byte-reproducible.  Hot loops run on integer numpy
 arrays; all results are exact.
+
+Orbits on size-eps subsets of the n points are int64 label arrays indexed by
+lexicographic rank (``itertools.combinations`` order): ``labels[r]`` is the
+rank of the smallest member of the orbit of subset r, so the canonical
+representative of an orbit is its minimum rank.  Each generator's image of
+every subset is ranked once and dropped before the next, so memory stays at
+a few arrays of C(n, eps) entries; the only size limit is ``SUBSET_CAP``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from .errors import ElementCapExceeded, SubgroupNotContained, SubsetCapExceeded
 ELEMENT_CAP = 2_000_000
 TABLE_CAP = 4_096
 SUBSET_CAP = 5_000_000
-MAX_BITSET_DEGREE = 64
 
 Permutation = tuple  # image tuple: p[i] = image of point i
 
@@ -363,40 +369,96 @@ def is_k_transitive(action_rows, n: int, k: int) -> tuple[bool, int]:
     return (first_orbit_size == full, orbit_count)
 
 
-def orbits_on_subsets(action_rows, n: int, eps: int,
-                      cap: int = SUBSET_CAP) -> list[list[tuple[int, ...]]]:
-    """Orbits of the action on size-``eps`` subsets of the n points.
-
-    Subsets are sorted index tuples; orbits are listed by their canonical
-    (lexicographically smallest) representative, members sorted.
-    """
-    if n > MAX_BITSET_DEGREE:
-        raise SubsetCapExceeded(
-            f"subset machinery supports at most {MAX_BITSET_DEGREE} points, got {n}")
+def check_subset_cap(n: int, eps: int, cap: int = SUBSET_CAP) -> None:
+    """Raise SubsetCapExceeded unless the size-``eps`` subsets of n points
+    number at most ``cap``."""
     if not 0 <= eps <= n:
         raise ValueError(f"need 0 <= eps <= n, got eps={eps}, n={n}")
     if math.comb(n, eps) > cap:
         raise SubsetCapExceeded(
             f"C({n},{eps}) = {math.comb(n, eps)} exceeds cap {cap}")
-    rows = [tuple(int(x) for x in r) for r in action_rows]
-    seen = set()
-    orbits = []
-    for s in itertools.combinations(range(n), eps):
-        if s in seen:
-            continue
-        queue = [s]
-        seen.add(s)
-        members = []
-        while queue:
-            t = queue.pop()
-            members.append(t)
-            for row in rows:
-                img = tuple(sorted(row[p] for p in t))
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
-        orbits.append(sorted(members))
-    return orbits
+
+
+def _lex_weights(n: int, eps: int) -> np.ndarray:
+    """(eps, n) int64 table: entry (i, a) is C(n - 1 - a, eps - i), capped at
+    C(n, eps) so that it fits in int64.  No subset's rank uses an entry over
+    C(n, eps), so the cap changes no rank."""
+    total = math.comb(n, eps)
+    return np.array([[min(math.comb(n - 1 - a, eps - i), total)
+                      for a in range(n)] for i in range(eps)],
+                    dtype=np.int64).reshape(eps, n)
+
+
+def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Rank of each sorted row among the size-eps subsets of n points, in
+    ``itertools.combinations`` (lexicographic) order.
+
+    The weight of a_i counts the subsets that agree before position i and
+    exceed a_i there (the combinatorial number system on n - 1 - a).
+    """
+    count, eps = subsets.shape
+    weights = _lex_weights(n, eps)
+    ranks = np.full(count, math.comb(n, eps) - 1, dtype=np.int64)
+    for i in range(eps):
+        ranks -= weights[i][subsets[:, i]]
+    return ranks
+
+
+def lex_unrank(ranks, n: int, eps: int) -> np.ndarray:
+    """Inverse of ``lex_rank``: the sorted subsets of the given ranks, as a
+    (len(ranks), eps) array of point indices."""
+    weights = _lex_weights(n, eps)
+    rest = math.comb(n, eps) - 1 - np.asarray(ranks, dtype=np.int64)
+    out = np.empty((rest.shape[0], eps), dtype=np.min_scalar_type(n - 1))
+    for i in range(eps):
+        # the smallest point whose weight fits; weights fall along a row
+        a = np.searchsorted(-weights[i], -rest, side="left")
+        rest -= weights[i][a]
+        out[:, i] = a
+    return out
+
+
+def _compress(labels: np.ndarray) -> np.ndarray:
+    """Pointer jumping until every entry names its root."""
+    while True:
+        hop = labels[labels]
+        if np.array_equal(hop, labels):
+            return labels
+        labels = hop
+
+
+def orbits_on_subsets(action_rows, n: int, eps: int,
+                      cap: int = SUBSET_CAP) -> np.ndarray:
+    """Orbit labels of the action on the size-``eps`` subsets of n points.
+
+    Subsets are numbered by their lexicographic rank (``lex_rank``), and
+    ``labels[r]`` is the rank of the smallest member of the orbit of subset r.
+    The distinct labels in increasing order are therefore the canonical
+    (lexicographically smallest) orbit representatives in report order, and
+    their multiplicities are the orbit sizes.
+
+    One pass per row of ``action_rows``: the row maps every subset, the image
+    is sorted and ranked, and the image is merged into the labels by hooking
+    each root onto the smaller root across every edge (a scatter-min) followed
+    by pointer jumping, until both ends of every edge share a root.  Only one
+    row's image (an int64 rank per subset) is held at a time.
+    """
+    check_subset_cap(n, eps, cap)
+    subsets = lex_unrank(np.arange(math.comb(n, eps)), n, eps)
+    labels = np.arange(subsets.shape[0], dtype=np.int64)
+    for row in action_rows:
+        image = lex_rank(np.sort(np.asarray(row)[subsets], axis=1), n)
+        while True:
+            ends = labels[image]
+            moved = ends != labels
+            if not moved.any():
+                break
+            tail, head = labels[moved], ends[moved]
+            np.minimum.at(labels, tail, head)
+            np.minimum.at(labels, head, tail)
+            labels = _compress(labels)
+        del image  # freed before the next row's image is built
+    return labels
 
 
 def stabilizer_generators(G: FiniteGroup, point: int = 0) -> list[Permutation]:

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
+
 from cmred.certifier import certify, orbit_table
 from cmred.galois_model import build_model
 from cmred.group_zoo import build_zoo_model
 from cmred.permgroup import close_generators
+from orbit_oracle import oracle_orbit_table
 
 
 def test_sym4_orbit_table():
@@ -63,14 +66,23 @@ def test_bit0_refines_full_and_strata_pair():
                 assert entry["full"].sizes == entry["bit0"].sizes
             else:
                 # every merged orbit is a union of whole bit-0 orbits
-                bit0_orbits = orbits_on_subsets(rows, m.n, eps)
-                size_of = {o[0]: len(o) for o in bit0_orbits}
+                _, sizes = np.unique(orbits_on_subsets(rows, m.n, eps),
+                                     return_counts=True)
+                size_of = dict(enumerate(sizes.tolist()))
                 assert entry["full"].count <= entry["bit0"].count
                 assert sum(entry["full"].sizes) == math.comb(m.n, eps)
                 for size in entry["full"].sizes:
                     assert size in (s for s in
                                     [a + b for a in size_of.values()
                                      for b in size_of.values()] + list(size_of.values()))
+
+
+def test_orbit_table_matches_oracle():
+    # covers 2 eps < n, 2 eps > n (complement reps) and 2 eps = n (merging)
+    for spec in ("cyclic:6", "dihedral:12", "sym:4"):
+        m = build_zoo_model(spec)
+        expected = oracle_orbit_table(m.generator_action_rows, m.n, m.n)
+        assert orbit_table(m, m.n).to_dict() == expected, spec
 
 
 def test_certify_positive():

@@ -147,6 +147,41 @@ def test_brute_cap_above_bound_exits_2(capsys):
     RunConfig(command="verify", spec="sym:3", brute_cap=BRUTE_CAP)
 
 
+def test_subset_cap_checked_before_any_check(capsys, monkeypatch):
+    # C(28, 9) = 6,906,900 is over SUBSET_CAP: exit 2 before the first check
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("check ran before the subset cap was checked")
+
+    monkeypatch.setattr("cmred.cli.check_closed_form", must_not_run)
+    code, out, err = run_main(capsys, "verify", "psu3:3", "--eps-max", "9")
+    assert code == 2 and out == ""
+    assert "SubsetCapExceeded" in err and "C(28,9)" in err
+    code, _, err = run_main(capsys, "orbits", "psu3:3", "--eps-max", "9")
+    assert code == 2 and "SubsetCapExceeded" in err
+
+
+def test_more_than_64_cosets(capsys, tmp_path):
+    # cyclic group of degree 65 over the trivial subgroup: n = 65 cosets
+    n = 65
+    path = tmp_path / "c65.json"
+    path.write_text(json.dumps({
+        "degree": n,
+        "group_generators": [[(i + 1) % n for i in range(n)]],
+        "subgroup_generators": [],
+    }))
+    reports = {}
+    for argv in (("verify", f"file:{path}", "--eps-max", "2"),
+                 ("certify", f"file:{path}")):
+        code, out, err = run_main(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        report = reports[argv[0]] = json.loads(out)
+        assert report["group"]["n"] == n
+        assert report["certificate"]["two_transitive"] is False
+        assert report["certificate"]["orbit_counts"] == {"0": 1, "1": 1, "2": 32}
+    orbits = reports["verify"]["orbits"]
+    assert [orbits[str(e)]["bit0"]["count"] for e in range(3)] == [1, 1, 32]
+
+
 def test_report_roundtrip_and_no_floats(capsys):
     code, out, _ = run_main(capsys, "verify", "dihedral:4", "--format", "json")
     assert code == 0

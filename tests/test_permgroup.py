@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmred.errors import ElementCapExceeded, SubgroupNotContained, SubsetCapExceeded
 from cmred.permgroup import (
+    check_subset_cap,
     close_generators,
     compose,
     conjugacy_classes,
@@ -15,9 +18,12 @@ from cmred.permgroup import (
     inverse_perm,
     is_k_transitive,
     left_cosets,
+    lex_rank,
+    lex_unrank,
     orbits_on_subsets,
     stabilizer_generators,
 )
+from orbit_oracle import burnside_counts, tuple_bfs_orbits
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 Z4_GEN = [(1, 2, 3, 0)]
@@ -234,12 +240,17 @@ def test_k_transitive_implies_lower():
             assert is_k_transitive(rows, len(act[0]), j)[0]
 
 
+def orbit_reps_sizes(labels):
+    reps, sizes = np.unique(labels, return_counts=True)
+    return reps.tolist(), sizes.tolist()
+
+
 def test_orbits_on_subsets_s4():
     G = sym_group(4)
     act = coset_action(G, left_cosets(G, stabilizer_generators(G, 0)))
     rows = [act[g] for g in G.generators]
-    orbits = orbits_on_subsets(rows, 4, 2)
-    assert len(orbits) == 1 and len(orbits[0]) == 6
+    labels = orbits_on_subsets(rows, 4, 2)
+    assert orbit_reps_sizes(labels) == ([0], [6])
 
 
 def test_orbits_on_subsets_z4():
@@ -252,15 +263,20 @@ def test_orbits_on_subsets_z4():
         oracle.setdefault(canon, set()).add(s)
     G = close_generators(4, [rot])
     act = coset_action(G, left_cosets(G, []))
-    orbits = orbits_on_subsets([act[g] for g in range(4)], 4, 2)
-    assert sorted(len(o) for o in orbits) == sorted(len(v) for v in oracle.values()) == [2, 4]
+    labels = orbits_on_subsets([act[g] for g in range(4)], 4, 2)
+    reps, sizes = orbit_reps_sizes(labels)
+    assert sorted(sizes) == sorted(len(v) for v in oracle.values()) == [2, 4]
+    # every subset carries the rank of its orbit's hand-computed canonical rep
+    for r, s in enumerate(subsets):
+        canon = next(c for c, members in oracle.items() if s in members)
+        assert labels[r] == subsets.index(canon)
 
 
 def test_orbits_empty_subset():
     G = close_generators(3, S3_GENS)
     act = coset_action(G, left_cosets(G, []))
-    orbits = orbits_on_subsets(act, G.order, 0)
-    assert orbits == [[()]]
+    labels = orbits_on_subsets(act, G.order, 0)
+    assert labels.tolist() == [0]
 
 
 def test_orbit_sizes_sum_to_binomial():
@@ -268,8 +284,8 @@ def test_orbit_sizes_sum_to_binomial():
     act = coset_action(G, left_cosets(G, stabilizer_generators(G, 0)))
     rows = [act[g] for g in G.generators]
     for eps in range(5):
-        orbits = orbits_on_subsets(rows, 4, eps)
-        assert sum(len(o) for o in orbits) == math.comb(4, eps)
+        labels = orbits_on_subsets(rows, 4, eps)
+        assert sum(orbit_reps_sizes(labels)[1]) == math.comb(4, eps)
 
 
 def test_subset_cap():
@@ -277,16 +293,75 @@ def test_subset_cap():
     act = coset_action(G, left_cosets(G, stabilizer_generators(G, 0)))
     with pytest.raises(SubsetCapExceeded):
         orbits_on_subsets(act, 4, 2, cap=3)
+    with pytest.raises(SubsetCapExceeded):
+        check_subset_cap(28, 9)
+    check_subset_cap(28, 8)
+    with pytest.raises(ValueError):
+        check_subset_cap(4, 5)
 
 
 def test_orbit_canonical_order():
     G = close_generators(4, Z4_GEN)
     act = coset_action(G, left_cosets(G, []))
-    orbits = orbits_on_subsets([act[g] for g in range(4)], 4, 2)
-    reps = [o[0] for o in orbits]
-    assert reps == sorted(reps)
-    for o in orbits:
-        assert o[0] == min(o)
+    labels = orbits_on_subsets([act[g] for g in range(4)], 4, 2)
+    # each label is the smallest rank in its orbit, and a fixed point
+    assert (labels <= np.arange(len(labels))).all()
+    assert (labels[labels] == labels).all()
+    reps, _ = orbit_reps_sizes(labels)
+    assert [tuple(r) for r in lex_unrank(reps, 4, 2).tolist()] == [(0, 1), (0, 2)]
+
+
+def test_lex_rank_is_combinations_order():
+    for n in range(1, 9):
+        for eps in range(n + 1):
+            combos = np.array(list(itertools.combinations(range(n), eps)),
+                              dtype=np.uint8).reshape(math.comb(n, eps), eps)
+            ranks = np.arange(len(combos))
+            assert (lex_unrank(ranks, n, eps) == combos).all()
+            assert (lex_rank(combos, n) == ranks).all()
+
+
+def test_lex_rank_past_int64_binomials():
+    # C(69, 34) does not fit in int64; the capped weights never need it
+    n = 70
+    for eps in (1, 2, 68, 69):
+        combos = np.array(list(itertools.combinations(range(n), eps)),
+                          dtype=np.uint8)
+        ranks = np.arange(len(combos))
+        assert (lex_unrank(ranks, n, eps) == combos).all()
+        assert (lex_rank(combos, n) == ranks).all()
+
+
+def test_orbits_past_64_points():
+    n = 70
+    rot = [(i + 1) % n for i in range(n)]
+    reps, sizes = orbit_reps_sizes(orbits_on_subsets([rot], n, 2))
+    assert sizes == [70] * 34 + [35]
+    assert lex_unrank(reps, n, 2).tolist() == [[0, d] for d in range(1, 36)]
+
+
+@st.composite
+def random_group(draw):
+    degree = draw(st.integers(min_value=1, max_value=8))
+    perm = st.permutations(list(range(degree)))
+    gens = draw(st.lists(perm, min_size=1, max_size=3))
+    return close_generators(degree, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_group())
+def test_orbits_match_tuple_bfs_and_burnside(G):
+    n = G.degree
+    rows = [G.images[g] for g in G.generators]
+    burnside = burnside_counts(G.images.tolist(), n)
+    for eps in range(n + 1):
+        labels = orbits_on_subsets(rows, n, eps)
+        reps, sizes = orbit_reps_sizes(labels)
+        oracle = tuple_bfs_orbits(rows, n, eps)
+        assert [tuple(r) for r in lex_unrank(reps, n, eps).tolist()] == \
+            [o[0] for o in oracle]
+        assert sizes == [len(o) for o in oracle]
+        assert len(reps) == burnside[eps]
 
 
 def test_stabilizer_generators_generate_full_stabilizer():
