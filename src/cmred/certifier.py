@@ -61,7 +61,9 @@ def orbit_table(model: UnitaryGaloisModel, eps_max: int) -> OrbitTable:
     rows = model.generator_action_rows
     entries = {}
     for eps in range(min(eps_max, n) + 1):
-        labels = orbits_on_subsets(rows, n, eps)
+        labels = model.subset_orbits.get(eps)
+        if labels is None:
+            labels = model.subset_orbits[eps] = orbits_on_subsets(rows, n, eps)
         reps, sizes = np.unique(labels, return_counts=True)
         bit0 = StratumOrbits(len(reps), sizes.tolist(),
                              _tuples(lex_unrank(reps, n, eps)))

@@ -157,15 +157,9 @@ def _pair_class_counts(model: UnitaryGaloisModel, i: int, j: int) -> list[int]:
         h_rows = G.images[np.array(model.cosets.subgroup_elements, dtype=np.int64)]
         sj_inv = G.inverse_images[reps[j]]
         rows = G.images[reps[i]][h_rows[:, sj_inv]]  # sigma_i o eta o sigma_j^-1
-        raw = rows.tobytes()
-        d = G.degree
-        counts = [0] * model.classes.count
-        class_of = model.classes.class_of
-        index = G._index
-        for k in range(rows.shape[0]):
-            e = index[raw[k * d:(k + 1) * d]]
-            counts[class_of[e]] += 1
-        cache[(i, j)] = counts
+        cache[(i, j)] = np.bincount(
+            model.classes.class_of[G.index_rows(rows)],
+            minlength=model.classes.count).tolist()
     return cache[(i, j)]
 
 

@@ -2,13 +2,15 @@
 
 ``tuple_bfs_orbits`` is a breadth-first search over sorted index tuples, and
 ``oracle_orbit_table`` builds the report's orbit table from it with explicit
-complement sets; neither uses lexicographic ranks.  ``burnside_counts`` gives
+complement sets; neither uses lexicographic ranks.  ``tuple_bfs_k_transitive``
+searches the ordered k-tuples of distinct points the same way.  ``burnside_counts`` gives
 the orbit count of every stratum by the Cauchy-Frobenius lemma, with no orbit
 search at all.
 """
 
 import collections
 import itertools
+import math
 
 
 def tuple_bfs_orbits(action_rows, n, eps):
@@ -33,6 +35,33 @@ def tuple_bfs_orbits(action_rows, n, eps):
                     queue.append(img)
         orbits.append(sorted(members))
     return orbits
+
+
+def tuple_bfs_k_transitive(action_rows, n, k):
+    """(first orbit is every ordered k-tuple of distinct points, orbit count
+    on those tuples), by a depth-first search over image tuples."""
+    rows = [tuple(int(x) for x in r) for r in action_rows]
+    seen = set()
+    orbit_count = 0
+    first_orbit_size = None
+    for start in itertools.permutations(range(n), k):
+        if start in seen:
+            continue
+        orbit_count += 1
+        queue = [start]
+        seen.add(start)
+        size = 0
+        while queue:
+            t = queue.pop()
+            size += 1
+            for row in rows:
+                img = tuple(row[p] for p in t)
+                if img not in seen:
+                    seen.add(img)
+                    queue.append(img)
+        if first_orbit_size is None:
+            first_orbit_size = size
+    return (first_orbit_size == math.perm(n, k), orbit_count)
 
 
 def _stratum(orbits):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cmred.errors import ElementCapExceeded, SubgroupNotContained, SubsetCapExceeded
 from cmred.permgroup import (
+    ELEMENT_CAP,
     check_subset_cap,
     close_generators,
     compose,
@@ -23,7 +24,13 @@ from cmred.permgroup import (
     orbits_on_subsets,
     stabilizer_generators,
 )
-from orbit_oracle import burnside_counts, tuple_bfs_orbits
+from group_oracle import (
+    dict_close,
+    dict_conjugacy_classes,
+    dict_left_cosets,
+    scalar_stabilizer_generators,
+)
+from orbit_oracle import burnside_counts, tuple_bfs_k_transitive, tuple_bfs_orbits
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 Z4_GEN = [(1, 2, 3, 0)]
@@ -372,3 +379,96 @@ def test_stabilizer_generators_generate_full_stabilizer():
         assert H.order == fixed
         for i in range(H.order):
             assert H.perm(i)[0] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_group(), st.integers(min_value=1, max_value=3))
+def test_k_transitive_matches_tuple_bfs(G, k):
+    n = G.degree
+    if k > n:
+        return
+    rows = [G.images[g] for g in G.generators]
+    expected = tuple_bfs_k_transitive(rows, n, k)
+    assert is_k_transitive(rows, n, k) == expected
+    if G.order <= 720:
+        # the whole element table names the same group
+        assert is_k_transitive(G.images, n, k) == expected
+
+
+@st.composite
+def group_with_subgroups(draw):
+    """A random group of degree <= 7 and two random subgroup generator
+    lists drawn from its elements (possibly empty)."""
+    degree = draw(st.integers(min_value=1, max_value=7))
+    perm = st.permutations(list(range(degree)))
+    gens = draw(st.lists(perm, min_size=0, max_size=3))
+    G = close_generators(degree, gens)
+    element = st.integers(min_value=0, max_value=G.order - 1)
+    subgroups = [[G.perm(i) for i in draw(st.lists(element, max_size=2))]
+                 for _ in range(2)]
+    return degree, gens, G, subgroups
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_with_subgroups())
+def test_group_layer_matches_dict_oracle(case):
+    degree, gens, G, subgroups = case
+    images, parents, levels, generators = dict_close(degree, gens, ELEMENT_CAP)
+    assert np.array_equal(G.images, images)
+    assert np.array_equal(G._parents, parents)
+    assert G._levels == levels and G.generators == generators
+    P = conjugacy_classes(G)
+    class_of, reps, classes = dict_conjugacy_classes(G)
+    assert np.array_equal(P.class_of, class_of)
+    assert (P.class_reps, P.classes) == (reps, classes)
+    for H_gens in subgroups + [stabilizer_generators(G, 0)]:
+        C = left_cosets(G, H_gens)
+        h_indices, coset_of, reps, cosets = dict_left_cosets(G, H_gens)
+        assert np.array_equal(C.coset_of, coset_of)
+        assert (C.subgroup_elements, C.reps, C.cosets) == (h_indices, reps, cosets)
+        assert (C.h, C.n) == (len(h_indices), len(reps))
+    assert G.inverses.tolist() == [G.index_of(inverse_perm(G.perm(i)))
+                                   for i in range(G.order)]
+    assert stabilizer_generators(G, 0) == scalar_stabilizer_generators(G, 0)
+
+
+def test_index_rows_identity_and_generators():
+    G = sym_group(5)
+    assert G.index_rows(np.arange(5)[None]).tolist() == [0]
+    gens = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+    assert G.index_rows(gens).tolist() == G.generators
+    assert G.index_rows(G.images).tolist() == list(range(G.order))
+    assert G.index_of((1, 2, 3, 4, 0)) == G.generators[1]
+
+
+def test_index_rows_outside_group():
+    G = close_generators(5, [(1, 2, 0, 3, 4), (0, 2, 3, 1, 4)])  # A4 on 0..3
+    assert G.order == 12
+    outside = [(1, 0, 2, 3, 4), (0, 1, 2, 4, 3), (4, 1, 2, 3, 0)]
+    assert G.index_rows(outside).tolist() == [-1, -1, -1]
+    assert G.index_rows(outside + [(0, 1, 2, 3, 4)]).tolist() == [-1] * 3 + [0]
+    with pytest.raises(KeyError):
+        G.index_of((1, 0, 2, 3, 4))
+    assert (1, 0, 2, 3, 4) not in G
+    assert (0, 1, 2) not in G and (0, 1, 2, 3, 300) not in G
+    with pytest.raises(ValueError):
+        G.index_rows([(0, 1, 2)])
+
+
+def test_index_rows_past_63_key_bits():
+    # eight disjoint transpositions on 200 points: the base is 0, 2, ..., 14
+    # at 8 bits a point, so the key is re-ranked before its last point
+    degree = 200
+    gens = []
+    for t in range(8):
+        img = list(range(degree))
+        img[2 * t], img[2 * t + 1] = 2 * t + 1, 2 * t
+        gens.append(tuple(img))
+    G = close_generators(degree, gens)
+    assert G.order == 256
+    assert any(table is not None for _, table in G._key_plan)
+    assert G.index_rows(G.images).tolist() == list(range(256))
+    # fixes every base point but is not the identity
+    odd = list(range(degree))
+    odd[1], odd[199] = 199, 1
+    assert G.index_rows([odd, G.images[255]]).tolist() == [-1, 255]
