@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .cm_engine import (
+    check_closed_bound,
     check_closed_form,
     check_cm0_suite,
     check_galois_invariance,
@@ -28,7 +29,7 @@ from .errors import BruteCapExceeded, CmredError, ParseError
 from .galois_model import build_model
 from .group_algebra import BRUTE_CAP
 from .group_zoo import ZooSpec, build, parse_zoo_spec, zoo_list
-from .permgroup import check_subset_cap, is_permutation
+from .permgroup import MAX_DEGREE, check_subset_cap, is_permutation
 
 LARGE_SPECS = ("sp6f2:+", "sp6f2:-")
 
@@ -72,6 +73,8 @@ def parse_spec(text: str):
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(
                 f"{path}: need keys degree, group_generators, subgroup_generators ({exc})")
+        if not 1 <= degree <= MAX_DEGREE:
+            raise ParseError(f"{path}: degree must be in 1..{MAX_DEGREE}, got {degree}")
         for label, gens in (("group_generators", group_gens),
                             ("subgroup_generators", subgroup_gens)):
             if not isinstance(gens, list):
@@ -139,6 +142,7 @@ def run(config: RunConfig):
             identity_eps = model.n
         else:
             identity_eps = 2  # keep the closed path affordable on large groups
+        check_closed_bound(model, min(identity_eps, model.n))
         checks = [
             _check_or_skip(
                 lambda: check_closed_form(model, eps_max=identity_eps,

@@ -21,6 +21,10 @@ class BruteCapExceeded(CmredError):
     """A brute-force convolution path was requested beyond the brute cap."""
 
 
+class IntegerBoundExceeded(CmredError):
+    """Exact integer class values could leave int64 for this input."""
+
+
 class UnsupportedParameter(CmredError):
     """A zoo family or parameter outside the supported range."""
 

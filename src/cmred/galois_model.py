@@ -32,13 +32,13 @@ class UnitaryGaloisModel:
         self.h = self.cosets.h
         self.gamma_order = 2 * G.order
         # Filled on first use by cm_engine: the permutation character, the
-        # per-class counts of each ordered coset pair, and the closed-form
-        # class functions of subsets of size <= 2; by certifier: the bit-0
+        # (n, n, k) pair-count tensor of the closed form, and the seeded
+        # subset sweep the verify checks share; by certifier: the bit-0
         # orbit labels of each subset size, shared by the orbit table and the
         # certificate.
         self.perm_char = None
-        self.pair_counts: dict = {}
-        self.closed_small: dict = {}
+        self.pair_tensor = None
+        self.sweep = None
         self.subset_orbits: dict = {}
 
     @property

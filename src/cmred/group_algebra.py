@@ -4,10 +4,10 @@ A group-algebra element is an int64 array of shape (2, |G|): entry [b, g] is
 the coefficient of (g, b), with g an element index of a FiniteGroup and b in
 {0, 1}.  The bit generator rho = (identity, 1) is central and squares to the
 identity, so the bit components convolve block-wise through the
-multiplication table of G.  Class values come out as exact Fractions built
-only for the k x 2 (class, bit) pairs.  No floating point anywhere; callers
-keep the coefficients small enough that |G| max|a| max|b| fits in int64 (the
-brute path convolves 0/1 indicators).
+multiplication table of G.  Class values are int64 class sums over the
+class sizes; Fractions are built only to print them.  No floating point
+anywhere; callers keep the coefficients small enough that |G| max|a| max|b|
+fits in int64 (the brute path convolves 0/1 indicators).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .permgroup import TABLE_CAP, ConjugacyPartition, FiniteGroup
 
 BRUTE_CAP = 2 * TABLE_CAP  # |Gamma| = 2|G|: the kernel needs G's mult_table
 CHUNK_ROWS = 64  # rows of the table gathered at once; bounds the temporaries
-
-GammaElement = tuple  # (element index, bit)
 
 
 def reflex(a: np.ndarray, G: FiniteGroup) -> np.ndarray:
@@ -47,44 +45,52 @@ def convolve(a: np.ndarray, b: np.ndarray, G: FiniteGroup) -> np.ndarray:
     return out
 
 
+def unequal(lnum, lden, rnum, rden) -> np.ndarray:
+    """Elementwise lnum / lden != rnum / rden for int64 numerators over
+    positive int64 denominators (broadcast on the last axis), by
+    cross-multiplying after dividing out the common factor of the
+    denominators.  Callers keep the products inside int64; see
+    ``cm_engine.check_closed_bound``."""
+    g = np.gcd(lden, rden)
+    return lnum * (rden // g) != rnum * (lden // g)
+
+
 class ClassFunction:
     """Exact rational function constant on the conjugacy classes of Gamma.
 
-    Classes of Gamma are (class of G) x {0, 1} since rho is central; values
-    are stored per (class index, bit), zeros included.
+    Classes of Gamma are (class of G) x {0, 1} since rho is central.  The
+    value on (class c, bit b) is numerators[b, c] / denominators[c]: int64
+    numerators of shape (2, k) over one positive denominator per class, not
+    reduced.  ``values`` is a read-only view as Fractions, for witnesses and
+    report strings.
     """
 
-    __slots__ = ("classes", "values")
+    __slots__ = ("classes", "numerators", "denominators")
 
-    def __init__(self, classes: ConjugacyPartition, values):
+    def __init__(self, classes: ConjugacyPartition, numerators, denominators):
         self.classes = classes
-        self.values = [[Fraction(values[c][b]) for b in (0, 1)]
-                       for c in range(classes.count)]
+        self.numerators = np.asarray(numerators, dtype=np.int64)
+        self.denominators = np.asarray(denominators, dtype=np.int64)
 
-    @classmethod
-    def zero(cls, classes) -> "ClassFunction":
-        return cls(classes, [[0, 0]] * classes.count)
+    @property
+    def values(self) -> list:
+        """[[bit-0 value, bit-1 value] per class] as Fractions."""
+        return [[Fraction(int(self.numerators[b, c]), int(d)) for b in (0, 1)]
+                for c, d in enumerate(self.denominators)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction)
                 and self.classes is other.classes
-                and self.values == other.values)
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(self.classes,
-                             [[a[0] + b[0], a[1] + b[1]]
-                              for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return self + other.scale(-1)
+                and not unequal(self.numerators, self.denominators,
+                                other.numerators, other.denominators).any())
 
     def scale(self, c) -> "ClassFunction":
-        c = Fraction(c)
-        return ClassFunction(self.classes,
-                             [[v[0] * c, v[1] * c] for v in self.values])
+        """Multiply by an int or a Fraction (numerator and denominator apart)."""
+        return ClassFunction(self.classes, self.numerators * c.numerator,
+                             self.denominators * c.denominator)
 
     def is_zero(self) -> bool:
-        return all(v[0] == 0 and v[1] == 0 for v in self.values)
+        return not self.numerators.any()
 
     def __repr__(self):
         return f"ClassFunction({self.classes.count} classes x 2 bits)"
@@ -93,15 +99,9 @@ class ClassFunction:
 def class_project(a: np.ndarray, classes: ConjugacyPartition) -> ClassFunction:
     """Average of ``a`` over Gamma-conjugates: the value on a class is the
     mean of the coefficients over that class (rho is central, so conjugation
-    never moves the bit).  Idempotent, linear, and mass-preserving."""
+    never moves the bit), kept as the integer class sum over the class size.
+    Idempotent, linear, and mass-preserving."""
     sums = np.zeros((2, classes.count), dtype=np.int64)
     for bit in (0, 1):
         np.add.at(sums[bit], classes.class_of, a[bit])
-    return ClassFunction(classes, [[Fraction(int(sums[b, c]), size)
-                                    for b in (0, 1)]
-                                   for c, size in enumerate(classes.sizes)])
-
-
-def evaluate(f: ClassFunction, x: GammaElement) -> Fraction:
-    """Exact value of a class function at a Gamma element."""
-    return f.values[f.classes.class_of[x[0]]][x[1]]
+    return ClassFunction(classes, sums, classes.sizes)

@@ -41,6 +41,7 @@ from .errors import ElementCapExceeded, SubgroupNotContained, SubsetCapExceeded
 
 ELEMENT_CAP = 2_000_000
 TABLE_CAP = 4_096
+MAX_DEGREE = 255  # image rows are uint8
 SUBSET_CAP = 5_000_000
 
 Permutation = tuple  # image tuple: p[i] = image of point i
@@ -239,8 +240,8 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     closure is done.  Raises ElementCapExceeded if the closure would exceed
     ``cap``.
     """
-    if not 1 <= degree <= 255:
-        raise ValueError(f"degree must be in 1..255, got {degree}")
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
     gen_list = []
     for g in gens:
         t = tuple(int(x) for x in g)

@@ -160,6 +160,38 @@ def test_subset_cap_checked_before_any_check(capsys, monkeypatch):
     assert code == 2 and "SubsetCapExceeded" in err
 
 
+def test_file_degree_out_of_range_exits_2(capsys, tmp_path, monkeypatch):
+    # rejected while parsing, before the closure starts
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("closure started on an out-of-range degree")
+
+    monkeypatch.setattr("cmred.permgroup.close_generators", must_not_run)
+    for degree, gens in ((300, [[(i + 1) % 300 for i in range(300)]]),
+                         (256, [[(i + 1) % 256 for i in range(256)]]),
+                         (0, [])):
+        path = tmp_path / f"d{degree}.json"
+        path.write_text(json.dumps({"degree": degree, "group_generators": gens,
+                                    "subgroup_generators": []}))
+        with pytest.raises(ParseError, match="1..255"):
+            parse_spec(f"file:{path}")
+        code, out, err = run_main(capsys, "certify", f"file:{path}")
+        assert code == 2 and out == ""
+        assert "ParseError" in err and f"got {degree}" in err
+
+
+def test_integer_bound_checked_before_any_check(capsys, monkeypatch):
+    # an input whose closed-form integers could leave int64 exits 2 with a
+    # typed error before any check runs (here the limit is lowered)
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("check ran before the integer bound was checked")
+
+    monkeypatch.setattr("cmred.cli.check_closed_form", must_not_run)
+    monkeypatch.setattr("cmred.cm_engine.INT64_MAX", 1000)
+    code, out, err = run_main(capsys, "verify", "sym:4")
+    assert code == 2 and out == ""
+    assert "IntegerBoundExceeded" in err and "size 4" in err
+
+
 def test_more_than_64_cosets(capsys, tmp_path):
     # cyclic group of degree 65 over the trivial subgroup: n = 65 cosets
     n = 65

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import types
 from fractions import Fraction
@@ -6,27 +7,47 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import cmred.cm_engine as cm_engine
+from class_oracle import evaluate, reread_members
 from cmred.cm_engine import (
+    INT64_MAX,
+    _closed_numerators,
+    _pair_weight,
+    check_closed_bound,
     check_closed_form,
     check_cm0_membership,
     check_cm0_suite,
     check_galois_invariance,
     check_induced_character,
     check_pair_reduction,
+    check_pair_reduction_suite,
+    closed_block,
+    closed_denominators,
     cm_class_function_brute,
     cm_class_function_closed,
     cm_type_element,
     compare_class_functions,
     conjugate_subgroup_sum,
     pair_reduction_residual,
+    pair_residuals,
     permutation_character,
     reflex_convolution,
+    subset_sweep,
     trace_element,
 )
-from cmred.errors import BruteCapExceeded
+from cmred.errors import BruteCapExceeded, IntegerBoundExceeded
 from cmred.galois_model import CMType, act, build_model, enumerate_cm_types
-from cmred.group_algebra import BRUTE_CAP, class_project, convolve, evaluate, reflex
-from cmred.permgroup import TABLE_CAP, close_generators
+from cmred.group_algebra import BRUTE_CAP, class_project, convolve, reflex
+from cmred.group_zoo import build_zoo_model
+from cmred.permgroup import (
+    ELEMENT_CAP,
+    SUBSET_CAP,
+    TABLE_CAP,
+    close_generators,
+)
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 
@@ -283,8 +304,8 @@ def test_compare_reports_perturbed_fixture():
     m = s3_model()
     lhs = conjugate_subgroup_sum(m)
     rhs = permutation_character(m).scale(m.h)
-    bad = rhs + rhs.scale(0)  # copy
-    bad.values[1][0] += 1
+    bad = rhs.scale(1)  # copy
+    bad.numerators[0, 1] += 1
     rep = compare_class_functions("induced-character", lhs, bad)
     assert not rep.passed
     assert rep.witness["class_index"] == 1 and rep.witness["bit"] == 0
@@ -334,17 +355,20 @@ def test_pair_reduction_s4_triple():
     m = s4_model()
     rep = check_pair_reduction(m, CMType((0, 1, 2), 4))
     assert rep.passed
-    # cross-check the residual through the brute path
+    # cross-check the residual through the brute path, whose functions all
+    # share the denominators |c| |Gamma|
     phi = CMType((0, 1, 2), 4)
-    lhs = cm_class_function_brute(phi, m)
-    rhs = None
+
+    def brute(s):
+        return cm_class_function_brute(CMType(s, 4), m).numerators
+
+    residual = brute(phi.indices)
     for pair in itertools.combinations(phi.indices, 2):
-        f = cm_class_function_brute(CMType(pair, 4), m)
-        rhs = f if rhs is None else rhs + f
+        residual = residual - brute(pair)
     for i in phi.indices:
-        rhs = rhs - cm_class_function_brute(CMType((i,), 4), m)
-    rhs = rhs + cm_class_function_brute(CMType((), 4), m)  # (eps-1)(eps-2)/2 = 1
-    assert (lhs - rhs).is_zero()
+        residual = residual + brute((i,))
+    residual = residual - brute(())  # (eps-1)(eps-2)/2 = 1
+    assert not residual.any()
 
 
 def test_pair_reduction_all_sizes_including_full():
@@ -401,3 +425,158 @@ def test_linear_functional_skeleton():
                 rhs += Fraction((phi.eps - 1) * (phi.eps - 2), 2) * \
                     L(cm_class_function_closed(CMType((), 4), m))
                 assert lhs == rhs
+
+
+def test_closed_block_matches_one_at_a_time(monkeypatch):
+    for make in (s3_model, z6_model_h2, s4_model):
+        m = make()
+        subsets = [s for eps in range(m.n + 1)
+                   for s in itertools.combinations(range(m.n), eps)]
+        block = closed_block(subsets, m)
+        assert block.shape == (len(subsets), 2, m.classes.count)
+        for s, num in zip(subsets, block):
+            assert np.array_equal(
+                num, cm_class_function_closed(CMType(s, m.n), m).numerators)
+        assert not pair_residuals(subsets, m).any()
+        # one subset per contraction chunk and one coset j per lookup give
+        # the same block and pair tensor
+        monkeypatch.setattr(cm_engine, "CONTRACT_ENTRIES", 1)
+        monkeypatch.setattr(cm_engine, "LOOKUP_ROWS", 1)
+        fresh = make()
+        assert np.array_equal(closed_block(subsets, fresh), block)
+        assert np.array_equal(fresh.pair_tensor, m.pair_tensor)
+        monkeypatch.undo()
+
+
+def test_pair_residual_sees_a_changed_triple():
+    m = s4_model()
+    subsets = list(itertools.combinations(range(4), 3))
+    closed = closed_block(subsets, m)
+    closed[2, 1, 0] += 1
+    bad = pair_residuals(subsets, m, closed).any(axis=(1, 2))
+    assert bad.tolist() == [False, False, True, False]
+
+
+def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
+    calls = {"brute": 0, "block": 0}
+    brute, block = cm_engine.cm_class_function_brute, cm_engine.closed_block
+
+    def counted_brute(phi, model, brute_cap=BRUTE_CAP):
+        calls["brute"] += 1
+        return brute(phi, model, brute_cap)
+
+    def counted_block(subsets, model):
+        calls["block"] += 1
+        return block(subsets, model)
+
+    monkeypatch.setattr(cm_engine, "cm_class_function_brute", counted_brute)
+    monkeypatch.setattr(cm_engine, "closed_block", counted_block)
+    m = s4_model()
+    assert check_closed_form(m, seed=3).detail == {"subsets_checked": 16,
+                                                   "sampled_eps": []}
+    assert check_pair_reduction_suite(m, seed=3).detail == {"subsets_checked": 16}
+    assert check_cm0_suite(m, seed=3).detail == {"functions_checked": 32}
+    assert calls == {"brute": 16, "block": 2}  # the sweep, the pair parts
+    sweep = m.sweep
+    assert subset_sweep(m, None, 3) is sweep and subset_sweep(m, 9, 3) is sweep
+    assert len(sweep.subsets) == 16
+    assert subset_sweep(m, 2, 3) is not sweep
+    # past the brute cap the closed functions alone are checked
+    m = s4_model()
+    assert check_cm0_suite(m, seed=3, brute_cap=4).detail == {"functions_checked": 16}
+    assert m.sweep.brute is None
+
+
+def test_tripled_double_coset_term_is_caught(monkeypatch):
+    # the witness and count are those of the Fraction-based closed form
+    pair_tensor = cm_engine._pair_tensor
+    monkeypatch.setattr(cm_engine, "_pair_tensor",
+                        lambda model, rows: 3 * pair_tensor(model, rows))
+    m = build_zoo_model("sym:4")
+    rep = check_closed_form(m, seed=7)
+    assert not rep.passed
+    assert rep.witness == {"class_index": 1, "bit": 0, "lhs": "1/3",
+                           "rhs": "1/2", "subset": [1, 2]}
+    assert rep.detail == {"subsets_checked": 6}
+    assert not check_galois_invariance(m, pairs=50, seed=7).passed
+
+
+def test_cm0_checks_the_whole_class_table():
+    m = s4_model()
+    assert check_cm0_suite(m).passed
+    rng = random.Random(5)
+    f = cm_class_function_brute(CMType((0, 1), 4), m)
+    assert reread_members(f, rng) is None
+    # move the last member of the last class to class 0, in the table only
+    g = m.classes.classes[-1][-1]
+    m.classes.class_of = m.classes.class_of.copy()
+    m.classes.class_of[g] = 0
+    rep = check_cm0_suite(m)
+    assert not rep.passed
+    assert rep.witness == {"class_index": m.classes.count - 1, "element": g}
+    assert reread_members(f, rng) is not None
+
+
+def test_int64_bound_at_the_caps():
+    # |G| = ELEMENT_CAP, the largest n dividing it with C(n, 2) <= SUBSET_CAP,
+    # and a class of |G| / 2 elements (a non-identity element has a
+    # centralizer of order >= 2)
+    order = ELEMENT_CAP
+    n = max(d for d in range(2, 5000)
+            if order % d == 0 and math.comb(d, 2) <= SUBSET_CAP)
+    h, size = order // n, order // 2
+    fake = types.SimpleNamespace(group=types.SimpleNamespace(order=order),
+                                 n=n, h=h,
+                                 classes=types.SimpleNamespace(sizes=[1, size]))
+
+    def accepted(eps):
+        try:
+            check_closed_bound(fake, eps)
+        except IntegerBoundExceeded:
+            return False
+        return True
+
+    assert accepted(2)  # the verify default past the brute cap
+    assert not accepted(64)  # the largest --eps-max
+    top = max(e for e in range(65) if accepted(e))
+    assert all(accepted(e) for e in range(top + 1))
+    # the extreme numerators at the largest accepted size, in int64 and in
+    # Python integers, and the pair residual's sum of them
+    for T_c, chi in ((0, 0), (top * (top - 1) * h, 0), (0, n)):
+        got = _closed_numerators(np.array([top]), np.array([[T_c]]),
+                                 np.array([chi]), np.array([size]), n, h)
+        bit1 = 2 * (top * h * size * (n - chi) - order * T_c)
+        exact = [h * n * n * size - bit1, bit1]
+        assert got[0, :, 0].tolist() == exact
+        assert _pair_weight(top) * max(abs(v) for v in exact) <= INT64_MAX
+
+
+@st.composite
+def model_and_subsets(draw):
+    degree = draw(st.integers(min_value=1, max_value=6))
+    perm = st.permutations(list(range(degree)))
+    G = close_generators(degree, draw(st.lists(perm, min_size=1, max_size=2)))
+    assume(G.order <= 120)  # keeps the literal oracle fast
+    element = st.integers(min_value=0, max_value=G.order - 1)
+    H_gens = [tuple(int(x) for x in G.images[g])
+              for g in draw(st.lists(element, max_size=2))]
+    m = build_model(G, H_gens)
+    subset = st.sets(st.integers(min_value=0, max_value=m.n - 1),
+                     max_size=min(3, m.n))
+    subsets = [tuple(sorted(s))
+               for s in draw(st.lists(subset, min_size=1, max_size=4))]
+    return m, subsets
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_and_subsets())
+def test_integer_closed_form_on_random_groups(case):
+    m, subsets = case
+    block = closed_block(subsets, m)
+    for s, num in zip(subsets, block):
+        phi = CMType(s, m.n)
+        closed = cm_class_function_closed(phi, m)
+        assert np.array_equal(closed.numerators, num)
+        assert closed.values == closed_form_via_algebra(phi, m)
+        assert closed == cm_class_function_brute(phi, m)
+    assert not pair_residuals(subsets, m, block).any()

