@@ -23,10 +23,11 @@ from .cm_engine import (
     check_galois_invariance,
     check_induced_character,
     check_pair_reduction_suite,
+    subset_sweep,
 )
 from .certifier import certify, orbit_table
-from .errors import BruteCapExceeded, CmredError, ParseError
-from .galois_model import build_model
+from .errors import CmredError, ParseError
+from .galois_model import UnitaryGaloisModel
 from .group_algebra import BRUTE_CAP
 from .group_zoo import ZooSpec, build, parse_zoo_spec, zoo_list
 from .permgroup import MAX_DEGREE, check_subset_cap, is_permutation
@@ -99,17 +100,11 @@ def _build_from_spec(parsed, config: RunConfig):
             raise ParseError(
                 f"{parsed} is gated behind --large (about 1.5M elements)")
         G, H_gens = build(parsed)
-        return build_model(G, H_gens)
+        return UnitaryGaloisModel(G, H_gens)
     _, degree, group_gens, subgroup_gens = parsed
     from .permgroup import close_generators
-    return build_model(close_generators(degree, group_gens), subgroup_gens)
-
-
-def _check_or_skip(fn, name):
-    try:
-        return fn().to_dict()
-    except BruteCapExceeded as exc:
-        return {"name": name, "status": "skipped", "reason": f"cap: {exc}"}
+    return UnitaryGaloisModel(close_generators(degree, group_gens),
+                              subgroup_gens)
 
 
 def run(config: RunConfig):
@@ -142,29 +137,17 @@ def run(config: RunConfig):
             identity_eps = model.n
         else:
             identity_eps = 2  # keep the closed path affordable on large groups
+        # the pair residuals are the only integers that can leave int64
         check_closed_bound(model, min(identity_eps, model.n))
-        checks = [
-            _check_or_skip(
-                lambda: check_closed_form(model, eps_max=identity_eps,
-                                          seed=config.seed,
-                                          brute_cap=config.brute_cap),
-                "closed-form"),
-            _check_or_skip(lambda: check_induced_character(model),
-                           "induced-character"),
-            _check_or_skip(
-                lambda: check_pair_reduction_suite(model, eps_max=identity_eps,
-                                                   seed=config.seed),
-                "pair-reduction"),
-            _check_or_skip(
-                lambda: check_cm0_suite(model, eps_max=identity_eps,
-                                        seed=config.seed,
-                                        brute_cap=config.brute_cap),
-                "cm0-membership"),
-            _check_or_skip(
-                lambda: check_galois_invariance(model, pairs=50, seed=config.seed,
-                                                eps_max=identity_eps),
-                "galois-invariance"),
-        ]
+        sweep = subset_sweep(model, identity_eps, config.seed, config.brute_cap)
+        checks = [rep.to_dict() for rep in (
+            check_closed_form(sweep),
+            check_induced_character(model),
+            check_pair_reduction_suite(sweep),
+            check_cm0_suite(sweep),
+            check_galois_invariance(model, pairs=50, seed=config.seed,
+                                    eps_max=identity_eps),
+        )]
         report["checks"] = checks
         report["orbits"] = orbit_table(model, orbit_eps).to_dict()
         report["certificate"] = certify(model).to_dict()

@@ -8,10 +8,10 @@ whole block of subsets at once.  Both give int64 numerators over fixed
 per-class denominators (``ClassFunction``), compared by cross-multiplying
 with zero tolerance.
 
-``closed-form``, ``pair-reduction`` and ``cm0-membership`` read one seeded
-subset sweep (``subset_sweep``): the subsets are drawn once, their closed
-functions are computed as one block, and their brute functions once each,
-when the brute cap allows.
+``closed-form``, ``pair-reduction`` and ``cm0-membership`` take one seeded
+subset sweep (``subset_sweep``), built once per run: the subsets are drawn
+once, their closed functions are computed as one block, and their brute
+functions once each, when the brute cap allows.
 """
 
 from __future__ import annotations
@@ -44,29 +44,26 @@ LOOKUP_ROWS = 1 << 16  # group elements looked up at once for the pair tensor
 
 @dataclass
 class IdentityReport:
-    """Outcome of one identity check; a witness pins the first failure."""
+    """Outcome of one identity check; a witness pins the first failure, a
+    reason marks a check that was skipped."""
 
     name: str
     passed: bool
     witness: dict | None = None
     detail: dict = field(default_factory=dict)
+    reason: str | None = None
 
     def to_dict(self) -> dict:
+        status = "pass" if self.passed else "fail"
         out = {"name": self.name,
-               "status": "pass" if self.passed else "fail"}
+               "status": status if self.reason is None else "skipped"}
         if self.witness is not None:
             out["witness"] = self.witness
         if self.detail:
             out["detail"] = self.detail
+        if self.reason is not None:
+            out["reason"] = self.reason
         return out
-
-
-def trace_element(model: UnitaryGaloisModel) -> np.ndarray:
-    """Formal sum of all (g, 0): the trace of the big field over the
-    imaginary quadratic subfield, as a group-algebra element."""
-    out = np.zeros((2, model.group.order), dtype=np.int64)
-    out[0] = 1
-    return out
 
 
 def cm_type_element(phi: CMType, model: UnitaryGaloisModel) -> np.ndarray:
@@ -78,45 +75,37 @@ def cm_type_element(phi: CMType, model: UnitaryGaloisModel) -> np.ndarray:
     return np.stack([~flipped, flipped]).astype(np.int64)
 
 
-def _brute_allowed(model: UnitaryGaloisModel, brute_cap: int) -> bool:
-    return model.gamma_order <= min(brute_cap, BRUTE_CAP)
-
-
-def _require_brute(model: UnitaryGaloisModel, brute_cap: int) -> None:
-    if not _brute_allowed(model, brute_cap):
-        raise BruteCapExceeded(f"|Gamma| = {model.gamma_order} exceeds brute "
-                               f"cap {min(brute_cap, BRUTE_CAP)}")
-
-
-def reflex_convolution(phi: CMType, model: UnitaryGaloisModel,
-                       brute_cap: int = BRUTE_CAP) -> np.ndarray:
-    """Convolution of the CM type with its reflex (brute path), before the
-    1/|Gamma| normalization."""
-    _require_brute(model, brute_cap)
-    elt = cm_type_element(phi, model)
-    return convolve(elt, reflex(elt, model.group), model.group)
+def brute_skip_reason(model: UnitaryGaloisModel, brute_cap: int) -> str | None:
+    """Why the brute path cannot run on this model, or None when it can."""
+    if model.gamma_order <= min(brute_cap, BRUTE_CAP):
+        return None
+    return (f"|Gamma| = {model.gamma_order} exceeds brute cap "
+            f"{min(brute_cap, BRUTE_CAP)}")
 
 
 def cm_class_function_brute(phi: CMType, model: UnitaryGaloisModel,
                             brute_cap: int = BRUTE_CAP) -> ClassFunction:
-    """Class means of the normalized reflex convolution (definition-level
-    path): class sums over |c| |Gamma|."""
-    raw = reflex_convolution(phi, model, brute_cap)
-    f = class_project(raw, model.classes)
+    """Class means of the convolution of the CM type with its reflex,
+    normalized by 1/|Gamma| (definition-level path): class sums over
+    |c| |Gamma|."""
+    reason = brute_skip_reason(model, brute_cap)
+    if reason is not None:
+        raise BruteCapExceeded(reason)
+    elt = cm_type_element(phi, model)
+    f = class_project(convolve(elt, reflex(elt, model.group), model.group),
+                      model.classes)
     return ClassFunction(model.classes, f.numerators,
                          f.denominators * model.gamma_order)
 
 
 def permutation_character(model: UnitaryGaloisModel) -> ClassFunction:
     """Fixed-coset counts of the coset action, on the bit-0 classes."""
-    if model.perm_char is None:
-        k = model.classes.count
-        rows = model.action[model.classes.class_reps]
-        fixed = (rows == np.arange(model.n)).sum(axis=1)
-        model.perm_char = ClassFunction(
-            model.classes, np.stack([fixed, np.zeros(k, dtype=np.int64)]),
-            np.ones(k, dtype=np.int64))
-    return model.perm_char
+    k = model.classes.count
+    rows = model.action[model.classes.class_reps]
+    fixed = (rows == np.arange(model.n)).sum(axis=1)
+    return ClassFunction(model.classes,
+                         np.stack([fixed, np.zeros(k, dtype=np.int64)]),
+                         np.ones(k, dtype=np.int64))
 
 
 def conjugate_subgroup_sum(model: UnitaryGaloisModel) -> ClassFunction:
@@ -135,28 +124,26 @@ def conjugate_subgroup_sum(model: UnitaryGaloisModel) -> ClassFunction:
 
 
 def _first_unequal(lnum, lden, rnum, rden):
-    """Index of the first unequal value of two stacks of class functions
-    ((..., 2, k) numerators), in (function, class, bit) order, or None."""
-    bad = unequal(lnum, lden, rnum, rden).swapaxes(-1, -2)
-    hits = np.argwhere(bad)
-    return None if not len(hits) else tuple(int(i) for i in hits[0])
+    """The first unequal value of two stacks of class functions ((m, 2, k)
+    numerators over (k,) denominators), in (row, class, bit) order, as the
+    row and a witness with the class, the bit and both values; or None."""
+    hits = np.argwhere(unequal(lnum, lden, rnum, rden).swapaxes(-1, -2))
+    if not len(hits):
+        return None
+    s, c, bit = (int(i) for i in hits[0])
+    return s, {"class_index": c, "bit": bit,
+               "lhs": str(Fraction(int(lnum[s, bit, c]), int(lden[c]))),
+               "rhs": str(Fraction(int(rnum[s, bit, c]), int(rden[c])))}
 
 
 def compare_class_functions(name: str, lhs: ClassFunction, rhs: ClassFunction,
-                            detail: dict | None = None,
-                            context: dict | None = None) -> IdentityReport:
+                            detail: dict | None = None) -> IdentityReport:
     """Exact classwise comparison; the witness is the lexicographically first
     offending (class, bit) with both values."""
-    hit = _first_unequal(lhs.numerators, lhs.denominators,
-                         rhs.numerators, rhs.denominators)
-    if hit is None:
-        return IdentityReport(name, True, None, detail or {})
-    c, bit = hit
-    witness = {"class_index": c, "bit": bit,
-               "lhs": str(lhs.values[c][bit]), "rhs": str(rhs.values[c][bit])}
-    if context:
-        witness.update(context)
-    return IdentityReport(name, False, witness, detail or {})
+    hit = _first_unequal(lhs.numerators[None], lhs.denominators,
+                         rhs.numerators[None], rhs.denominators)
+    return IdentityReport(name, hit is None, None if hit is None else hit[1],
+                          detail or {})
 
 
 def check_induced_character(model: UnitaryGaloisModel) -> IdentityReport:
@@ -175,32 +162,38 @@ def _pair_weight(eps: int) -> int:
 
 
 def check_closed_bound(model: UnitaryGaloisModel, eps: int) -> None:
-    """Raise IntegerBoundExceeded unless every integer the closed path and
-    the pair residual form for subsets of size <= eps fits in int64.
+    """Raise IntegerBoundExceeded unless every integer the pair residual
+    of a subset of size <= eps forms fits in int64.
 
     The closed denominator of class c is D_c = 2 h n^2 |c| = 2 n |G| |c|
-    (hn = |G|), and the bit-1 numerator is 2 (eps h |c| (n - chi(c)) -
-    |G| T_c).  Both terms are >= 0: the first is at most eps |G| |c|
-    (0 <= chi <= n), the second at most eps (eps - 1) h |G| (sum_c T_c =
+    (hn = |G|), and the bit-1 numerator is 2 (A - B) with A = eps h |c|
+    (n - chi(c)) and B = |G| T_c.  Both terms are >= 0: A <= eps |G| |c|
+    (0 <= chi <= n), and B <= eps (eps - 1) h |G| (sum_c T_c =
     eps (eps - 1) h).  So |bit 1| <= 2 eps |G| max(|c|, (eps - 1) h), and
-    bit 0 = D_c / 2 - bit 1 is at most B_c = n |G| |c| + that.  A pair
-    residual adds W = 1 + C(eps, 2) + eps |eps - 2| + C(eps - 1, 2)
+    bit 0 = D_c / 2 - bit 1 is at most B_c = n |G| |c| + that.
+
+    A closed block alone always fits, whatever its subset sizes.  With
+    eps <= n, (eps - 1) h < |G| and |c| <= |G|, each of A, B and D_c / 2 is
+    at most n |G|^2, so |bit 1| <= 2 n |G|^2 and |bit 0| <= 3 n |G|^2.  At
+    the caps (|G| <= ELEMENT_CAP = 2 * 10^6, C(n, 2) <= SUBSET_CAP so
+    n <= 3162) that is below 2.6e16 and 3.8e16, so ``closed_block`` needs
+    no check.
+
+    A pair residual adds W = 1 + C(eps, 2) + eps |eps - 2| + C(eps - 1, 2)
     numerators of subsets no larger, each at most B_c, so every partial sum
     is at most W B_c; D_c <= 2 B_c <= W B_c too.  The check is
-    W max_c B_c <= 2^63 - 1.
-
-    At the caps (|G| <= ELEMENT_CAP = 2 * 10^6, C(n, 2) <= SUBSET_CAP so
-    n <= 3162, |c| <= |G|) eps <= 2 always passes (W = 2, W B_c < 2.6e16),
-    and eps = 64 can fail (W = 7938).  The comparisons stay smaller: brute
-    against closed runs only under the table cap (|G| <= 4096), and the other
-    comparisons multiply a numerator by at most |c| or n.
+    W max_c B_c <= 2^63 - 1.  At the caps eps <= 2 always passes (W = 2,
+    W B_c < 2.6e16), and eps = 64 can fail (W = 7938).  The comparisons stay
+    smaller: brute against closed runs only under the table cap
+    (|G| <= 4096), and the other comparisons multiply a numerator by at most
+    |c| or n.
     """
     order, n, h = model.group.order, model.n, model.h
     size = max(model.classes.sizes)
     one = n * order * size + 2 * eps * order * max(size, (eps - 1) * h)
     if _pair_weight(eps) * one > INT64_MAX:
         raise IntegerBoundExceeded(
-            f"closed-form numerators for subsets of size {eps} could reach "
+            f"pair-reduction residuals for subsets of size {eps} could reach "
             f"{_pair_weight(eps) * one} (|G| = {order}, n = {n}, largest "
             f"class {size}), past int64")
 
@@ -270,7 +263,6 @@ def closed_block(subsets, model: UnitaryGaloisModel) -> np.ndarray:
     n, h, k = model.n, model.h, model.classes.count
     X = _indicator(subsets, n)
     eps = X.sum(axis=1)
-    check_closed_bound(model, int(eps.max(initial=0)))
     P = _pair_tensor(model, np.flatnonzero(X[eps >= 2].any(axis=0)))
     flat = P.reshape(n, n * k)
     T = np.zeros((len(X), k), dtype=np.int64)
@@ -313,79 +305,64 @@ def sample_subsets(n: int, eps: int, rng: random.Random):
 
 @dataclass
 class SubsetSweep:
-    """The seeded subsets of sizes 0..eps_max, stratum by stratum, with the
-    closed numerators of each ((m, 2, k) over ``closed_denominators``) and,
-    once a check under the brute cap asks, the brute numerators (over the
-    class sizes times |Gamma|)."""
+    """The seeded subsets of sizes 0..eps_max of one model, stratum by
+    stratum, with the closed numerators of each ((m, 2, k) over
+    ``closed_denominators``) and either their brute numerators (over the
+    class sizes times |Gamma|) or the reason the brute cap rules them out."""
 
-    eps_max: int
-    seed: int
+    model: UnitaryGaloisModel
     subsets: list
     sampled_eps: list
     closed: np.ndarray
-    brute: np.ndarray | None = None
+    brute: np.ndarray | None
+    brute_skipped: str | None
 
 
-def subset_sweep(model: UnitaryGaloisModel, eps_max: int | None,
-                 seed: int) -> SubsetSweep:
-    """The model's sweep for (eps_max, seed), drawn and computed on first
-    use and kept in ``model.sweep``."""
+def subset_sweep(model: UnitaryGaloisModel, eps_max: int | None, seed: int,
+                 brute_cap: int = BRUTE_CAP) -> SubsetSweep:
+    """Draw the seeded subsets of sizes 0..eps_max (every size when None),
+    and compute their closed functions as one block and, under the brute
+    cap, their brute functions, one ``cm_class_function_brute`` call each."""
     eps_max = model.n if eps_max is None else min(eps_max, model.n)
-    sweep = model.sweep
-    if sweep is None or (sweep.eps_max, sweep.seed) != (eps_max, seed):
-        rng = random.Random(seed)
-        subsets, sampled = [], []
-        for eps in range(eps_max + 1):
-            block, exhaustive = sample_subsets(model.n, eps, rng)
-            subsets += block
-            if not exhaustive:
-                sampled.append(eps)
-        sweep = SubsetSweep(eps_max, seed, subsets, sampled,
-                            closed_block(subsets, model))
-        model.sweep = sweep
-    return sweep
-
-
-def _sweep_brute(model: UnitaryGaloisModel, sweep: SubsetSweep,
-                 brute_cap: int) -> np.ndarray:
-    """Brute numerators of the sweep, one ``cm_class_function_brute`` call
-    per subset, made once."""
-    if sweep.brute is None:
-        sweep.brute = np.stack([
-            cm_class_function_brute(CMType(s, model.n), model, brute_cap).numerators
-            for s in sweep.subsets])
-    return sweep.brute
+    rng = random.Random(seed)
+    subsets, sampled = [], []
+    for eps in range(eps_max + 1):
+        block, exhaustive = sample_subsets(model.n, eps, rng)
+        subsets += block
+        if not exhaustive:
+            sampled.append(eps)
+    closed = closed_block(subsets, model)
+    reason = brute_skip_reason(model, brute_cap)
+    brute = None if reason is not None else np.stack([
+        cm_class_function_brute(CMType(s, model.n), model, brute_cap).numerators
+        for s in subsets])
+    return SubsetSweep(model, subsets, sampled, closed, brute, reason)
 
 
 def _brute_denominators(model: UnitaryGaloisModel) -> np.ndarray:
     return model.gamma_order * np.asarray(model.classes.sizes, dtype=np.int64)
 
 
-def _subset_context(s) -> dict:
-    return {"subset": [i + 1 for i in s]}
+def _subset_failure(name: str, sweep: SubsetSweep, s: int,
+                    witness: dict) -> IdentityReport:
+    """The report of a check that failed first on the sweep's subset s."""
+    witness["subset"] = [i + 1 for i in sweep.subsets[s]]
+    return IdentityReport(name, False, witness, {"subsets_checked": s + 1})
 
 
-def check_closed_form(model: UnitaryGaloisModel, eps_max: int | None = None,
-                      seed: int = 0,
-                      brute_cap: int = BRUTE_CAP) -> IdentityReport:
-    """Brute path equals closed-form path, exactly, for every sampled subset."""
-    _require_brute(model, brute_cap)
-    sweep = subset_sweep(model, eps_max, seed)
-    brute = _sweep_brute(model, sweep, brute_cap)
-    hit = _first_unequal(brute, _brute_denominators(model),
-                         sweep.closed, closed_denominators(model))
+def check_closed_form(sweep: SubsetSweep) -> IdentityReport:
+    """Brute path equals closed-form path, exactly, for every sampled subset;
+    skipped when the sweep has no brute functions."""
+    if sweep.brute is None:
+        return IdentityReport("closed-form", True,
+                              reason=f"cap: {sweep.brute_skipped}")
+    hit = _first_unequal(sweep.brute, _brute_denominators(sweep.model),
+                         sweep.closed, closed_denominators(sweep.model))
     if hit is None:
         return IdentityReport("closed-form", True, None,
                               {"subsets_checked": len(sweep.subsets),
                                "sampled_eps": sweep.sampled_eps})
-    s = hit[0]
-    rep = compare_class_functions(
-        "closed-form",
-        ClassFunction(model.classes, brute[s], _brute_denominators(model)),
-        ClassFunction(model.classes, sweep.closed[s], closed_denominators(model)),
-        context=_subset_context(sweep.subsets[s]))
-    rep.detail = {"subsets_checked": s + 1}
-    return rep
+    return _subset_failure("closed-form", sweep, *hit)
 
 
 def pair_residuals(subsets, model: UnitaryGaloisModel,
@@ -393,10 +370,14 @@ def pair_residuals(subsets, model: UnitaryGaloisModel,
     """Numerators, over ``closed_denominators``, of each subset's closed
     function minus the pair/singleton/empty combination
     sum_{pairs} f - (eps - 2) sum_{singles} f + C(eps - 1, 2) f(empty),
-    every term a closed function of its own subset."""
+    every term a closed function of its own subset.  Raises
+    IntegerBoundExceeded first when the sums could leave int64."""
+    n = model.n
+    X = _indicator(subsets, n)
+    eps = X.sum(axis=1)
+    check_closed_bound(model, int(eps.max(initial=0)))
     if closed is None:
         closed = closed_block(subsets, model)
-    n = model.n
     owner, pair_keys = [], []
     for s, members in enumerate(subsets):
         for i, j in itertools.combinations(members, 2):
@@ -404,7 +385,6 @@ def pair_residuals(subsets, model: UnitaryGaloisModel,
             pair_keys.append(i * n + j)
     keys, pair_row = np.unique(np.array(pair_keys, dtype=np.int64),
                                return_inverse=True)
-    X = _indicator(subsets, n)
     singles = np.flatnonzero(X.any(axis=0))
     parts = closed_block([()] + [(i,) for i in singles.tolist()]
                          + [divmod(key, n) for key in keys.tolist()], model)
@@ -415,46 +395,22 @@ def pair_residuals(subsets, model: UnitaryGaloisModel,
     on_singles = np.zeros((n,) + closed.shape[1:], dtype=np.int64)
     on_singles[singles] = single_part
     single_sum = (X @ on_singles.reshape(n, -1)).reshape(closed.shape)
-    eps = X.sum(axis=1)[:, None, None]
+    eps = eps[:, None, None]
     return (closed - pair_sum + (eps - 2) * single_sum
             - (eps - 1) * (eps - 2) // 2 * empty)
 
 
-def pair_reduction_residual(phi: CMType, model: UnitaryGaloisModel) -> ClassFunction:
-    """Left side minus the pair/singleton/empty combination, closed path."""
-    return ClassFunction(model.classes, pair_residuals([phi.indices], model)[0],
-                         closed_denominators(model))
-
-
-def _residual_report(model: UnitaryGaloisModel, residual: np.ndarray,
-                     s) -> IdentityReport:
-    k = model.classes.count
-    return compare_class_functions(
-        "pair-reduction",
-        ClassFunction(model.classes, residual, closed_denominators(model)),
-        ClassFunction(model.classes, np.zeros((2, k), dtype=np.int64),
-                      np.ones(k, dtype=np.int64)),
-        context=_subset_context(s))
-
-
-def check_pair_reduction(model: UnitaryGaloisModel, phi: CMType) -> IdentityReport:
-    return _residual_report(model, pair_reduction_residual(phi, model).numerators,
-                            phi.indices)
-
-
-def check_pair_reduction_suite(model: UnitaryGaloisModel,
-                               eps_max: int | None = None,
-                               seed: int = 0) -> IdentityReport:
-    sweep = subset_sweep(model, eps_max, seed)
-    residuals = pair_residuals(sweep.subsets, model, sweep.closed)
-    bad = np.flatnonzero(residuals.any(axis=(1, 2)))
-    if not len(bad):
+def check_pair_reduction_suite(sweep: SubsetSweep) -> IdentityReport:
+    """Every sampled subset's closed function is the pair/singleton/empty
+    combination of closed functions, exactly."""
+    residuals = pair_residuals(sweep.subsets, sweep.model, sweep.closed)
+    den = closed_denominators(sweep.model)
+    hit = _first_unequal(residuals, den, np.zeros_like(residuals),
+                         np.ones_like(den))
+    if hit is None:
         return IdentityReport("pair-reduction", True, None,
                               {"subsets_checked": len(sweep.subsets)})
-    s = int(bad[0])
-    rep = _residual_report(model, residuals[s], sweep.subsets[s])
-    rep.detail = {"subsets_checked": s + 1}
-    return rep
+    return _subset_failure("pair-reduction", sweep, *hit)
 
 
 def check_cm0_membership(f: ClassFunction):
@@ -484,20 +440,17 @@ def _class_table_witness(model: UnitaryGaloisModel) -> dict | None:
     return {"class_index": int(expected[bad[0]]), "element": int(members[bad[0]])}
 
 
-def check_cm0_suite(model: UnitaryGaloisModel, eps_max: int | None = None,
-                    seed: int = 0,
-                    brute_cap: int = BRUTE_CAP) -> IdentityReport:
-    """Every computed class function (closed, and brute under the cap) is
+def check_cm0_suite(sweep: SubsetSweep) -> IdentityReport:
+    """Every function of the sweep (closed, and brute when it has them) is
     rho-balanced at exactly 1/2, and the class table the values are read
     through puts every member of every class in that class."""
+    model = sweep.model
     witness = _class_table_witness(model)
     if witness is not None:
         return IdentityReport("cm0-membership", False, witness)
-    sweep = subset_sweep(model, eps_max, seed)
     kinds = [(sweep.closed, closed_denominators(model))]
-    if _brute_allowed(model, brute_cap):
-        kinds.append((_sweep_brute(model, sweep, brute_cap),
-                      _brute_denominators(model)))
+    if sweep.brute is not None:
+        kinds.append((sweep.brute, _brute_denominators(model)))
     # [subset, kind]: some class sum differs from 1/2
     bad = np.stack([(2 * num.sum(axis=1) != den).any(axis=1)
                     for num, den in kinds], axis=1)
@@ -510,28 +463,32 @@ def check_cm0_suite(model: UnitaryGaloisModel, eps_max: int | None = None,
     constant, witness = check_cm0_membership(
         ClassFunction(model.classes, num[s], den))
     witness = witness or {"constant": str(constant), "expected": "1/2"}
-    witness.update(_subset_context(sweep.subsets[s]))
+    witness["subset"] = [i + 1 for i in sweep.subsets[s]]
     return IdentityReport("cm0-membership", False, witness)
 
 
 def check_galois_invariance(model: UnitaryGaloisModel, pairs: int = 50,
                             seed: int = 0,
                             eps_max: int | None = None) -> IdentityReport:
-    """Equivalent CM types have equal class functions (closed path)."""
+    """Equivalent CM types have equal class functions (closed path): the
+    seeded pairs (x, phi) are drawn first, then every x phi and phi is
+    computed in one block."""
     if eps_max is None:
         eps_max = model.n
     rng = random.Random(seed)
+    gammas, phis = [], []
     for _ in range(pairs):
-        x = (rng.randrange(model.group.order), rng.randrange(2))
+        gammas.append((rng.randrange(model.group.order), rng.randrange(2)))
         eps = rng.randrange(min(eps_max, model.n) + 1)
-        phi = CMType(tuple(rng.sample(range(model.n), eps)), model.n)
-        moved = act(x, phi, model)
-        rep = compare_class_functions(
-            "galois-invariance",
-            cm_class_function_closed(moved, model),
-            cm_class_function_closed(phi, model),
-            context={"subset": [i + 1 for i in phi.indices],
-                     "gamma": [x[0], x[1]]})
-        if not rep.passed:
-            return rep
-    return IdentityReport("galois-invariance", True, None, {"pairs": pairs})
+        phis.append(CMType(tuple(rng.sample(range(model.n), eps)), model.n))
+    block = closed_block([act(x, phi, model).indices
+                          for x, phi in zip(gammas, phis)]
+                         + [phi.indices for phi in phis], model)
+    den = closed_denominators(model)
+    hit = _first_unequal(block[:pairs], den, block[pairs:], den)
+    if hit is None:
+        return IdentityReport("galois-invariance", True, None, {"pairs": pairs})
+    p, witness = hit
+    witness.update(subset=[i + 1 for i in phis[p].indices],
+                   gamma=list(gammas[p]))
+    return IdentityReport("galois-invariance", False, witness)

@@ -31,14 +31,10 @@ class UnitaryGaloisModel:
         self.n = self.cosets.n
         self.h = self.cosets.h
         self.gamma_order = 2 * G.order
-        # Filled on first use by cm_engine: the permutation character, the
-        # (n, n, k) pair-count tensor of the closed form, and the seeded
-        # subset sweep the verify checks share; by certifier: the bit-0
-        # orbit labels of each subset size, shared by the orbit table and the
-        # certificate.
-        self.perm_char = None
+        # Filled on first use by cm_engine: the (n, n, k) pair-count tensor
+        # of the closed form; by certifier: the bit-0 orbit labels of each
+        # subset size, shared by the orbit table and the certificate.
         self.pair_tensor = None
-        self.sweep = None
         self.subset_orbits: dict = {}
 
     @property
@@ -50,10 +46,6 @@ class UnitaryGaloisModel:
     def __repr__(self):
         return (f"UnitaryGaloisModel(|G|={self.group.order}, "
                 f"n={self.n}, h={self.h})")
-
-
-def build_model(G: FiniteGroup, H_gens) -> UnitaryGaloisModel:
-    return UnitaryGaloisModel(G, H_gens)
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,6 @@ class ClassFunction:
         return ClassFunction(self.classes, self.numerators * c.numerator,
                              self.denominators * c.denominator)
 
-    def is_zero(self) -> bool:
-        return not self.numerators.any()
-
     def __repr__(self):
         return f"ClassFunction({self.classes.count} classes x 2 bits)"
 

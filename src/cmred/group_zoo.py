@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildVerificationError, UnsupportedParameter
-from .galois_model import UnitaryGaloisModel, build_model
+from .galois_model import UnitaryGaloisModel
 from .permgroup import FiniteGroup, close_generators, stabilizer_generators
 
 SMALL_FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
@@ -254,10 +254,6 @@ def projective_space_action(F, dim, linear="special"):
     for A in gens:
         perms.append(matrix_point_perm(F, A, points, index))
     return points, perms
-
-
-def projective_line_action(q):
-    return projective_space_action(small_field(q), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -705,4 +701,4 @@ def build(spec) -> tuple[FiniteGroup, list]:
 
 def build_zoo_model(spec) -> UnitaryGaloisModel:
     G, H_gens = build(spec)
-    return build_model(G, H_gens)
+    return UnitaryGaloisModel(G, H_gens)

@@ -222,10 +222,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
 
-    def conjugate(self, x: int, g: int) -> int:
-        """Index of x o g o x^-1."""
-        return self.mul(self.mul(x, g), self.inv(x))
-
 
 def close_generators(degree: int, gens: Iterable[Sequence[int]],
                      cap: int = ELEMENT_CAP) -> FiniteGroup:

@@ -17,6 +17,7 @@ from cmred.cm_engine import (
     check_galois_invariance,
     check_induced_character,
     check_pair_reduction_suite,
+    subset_sweep,
 )
 from cmred.certifier import certify
 from cmred.group_zoo import (
@@ -73,15 +74,28 @@ def models():
     return get
 
 
+@pytest.fixture(scope="session")
+def sweeps(models):
+    """One seeded sweep of every size per model, shared by the criteria."""
+    cache = {}
+
+    def get(spec):
+        if spec not in cache:
+            cache[spec] = subset_sweep(models(spec), None, SEED)
+        return cache[spec]
+
+    return get
+
+
 def _announce(number, label, passed):
     print(f"ACCEPTANCE {number} [{label}]: {'PASS' if passed else 'FAIL'}")
     assert passed, f"criterion {number} ({label}) failed"
 
 
-def test_criterion_1_closed_form_cross_check(models):
+def test_criterion_1_closed_form_cross_check(sweeps):
     results = {}
     for spec in BRUTE_MODELS:
-        rep = check_closed_form(models(spec), seed=SEED)
+        rep = check_closed_form(sweeps(spec))
         results[spec] = rep
         assert rep.passed, (spec, rep.witness)
         assert rep.detail["subsets_checked"] > 0
@@ -98,19 +112,17 @@ def test_criterion_2_induced_character_identity(models):
                  "character on every class", True)
 
 
-def test_criterion_3_pair_reduction(models):
+def test_criterion_3_pair_reduction(sweeps):
     for spec in BRUTE_MODELS:
-        m = models(spec)
-        rep = check_pair_reduction_suite(m, eps_max=m.n, seed=SEED)
+        rep = check_pair_reduction_suite(sweeps(spec))
         assert rep.passed, (spec, rep.witness)
     _announce(3, "pair-reduction residual is identically zero for every "
                  "sampled subset of every size", True)
 
 
-def test_criterion_4_cm0_membership(models):
+def test_criterion_4_cm0_membership(sweeps):
     for spec in BRUTE_MODELS:
-        m = models(spec)
-        rep = check_cm0_suite(m, eps_max=m.n, seed=SEED)
+        rep = check_cm0_suite(sweeps(spec))
         assert rep.passed, (spec, rep.witness)
     _announce(4, "every computed class function is rho-balanced at 1/2 and "
                  "class-constant", True)

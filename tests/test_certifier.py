@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from cmred.certifier import certify, orbit_table
-from cmred.galois_model import build_model
+from cmred.galois_model import UnitaryGaloisModel
 from cmred.group_zoo import build_zoo_model
 from cmred.permgroup import close_generators
 from orbit_oracle import oracle_orbit_table

@@ -185,11 +185,29 @@ def test_integer_bound_checked_before_any_check(capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("check ran before the integer bound was checked")
 
+    monkeypatch.setattr("cmred.cli.subset_sweep", must_not_run)
     monkeypatch.setattr("cmred.cli.check_closed_form", must_not_run)
     monkeypatch.setattr("cmred.cm_engine.INT64_MAX", 1000)
     code, out, err = run_main(capsys, "verify", "sym:4")
     assert code == 2 and out == ""
     assert "IntegerBoundExceeded" in err and "size 4" in err
+
+
+def test_no_late_integer_bound_error(capsys, monkeypatch):
+    # with the limit lowered to 5000, the pair residuals of sizes <= 2 pass
+    # the up-front check (2 * 1536) and size 3 would not (8 * 2496);
+    # galois-invariance's complements reach size n = 4, and a closed block
+    # alone needs no bound, so the run finishes with the same report
+    expected, _ = run(RunConfig(command="verify", spec="sym:4", eps_max=2))
+    monkeypatch.setattr("cmred.cm_engine.INT64_MAX", 5000)
+    code, out, err = run_main(capsys, "verify", "sym:4", "--eps-max", "2",
+                              "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    report.pop("timing")
+    expected.pop("timing")
+    assert report == expected
+    assert [c["status"] for c in report["checks"]] == ["pass"] * 5
 
 
 def test_more_than_64_cosets(capsys, tmp_path):

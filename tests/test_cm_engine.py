@@ -22,7 +22,6 @@ from cmred.cm_engine import (
     check_cm0_suite,
     check_galois_invariance,
     check_induced_character,
-    check_pair_reduction,
     check_pair_reduction_suite,
     closed_block,
     closed_denominators,
@@ -31,16 +30,19 @@ from cmred.cm_engine import (
     cm_type_element,
     compare_class_functions,
     conjugate_subgroup_sum,
-    pair_reduction_residual,
     pair_residuals,
     permutation_character,
-    reflex_convolution,
     subset_sweep,
-    trace_element,
 )
 from cmred.errors import BruteCapExceeded, IntegerBoundExceeded
-from cmred.galois_model import CMType, act, build_model, enumerate_cm_types
-from cmred.group_algebra import BRUTE_CAP, class_project, convolve, reflex
+from cmred.galois_model import CMType, UnitaryGaloisModel, act, enumerate_cm_types
+from cmred.group_algebra import (
+    BRUTE_CAP,
+    ClassFunction,
+    class_project,
+    convolve,
+    reflex,
+)
 from cmred.group_zoo import build_zoo_model
 from cmred.permgroup import (
     ELEMENT_CAP,
@@ -53,21 +55,21 @@ S3_GENS = [(1, 0, 2), (1, 2, 0)]
 
 
 def s3_model():
-    return build_model(close_generators(3, S3_GENS), [(0, 2, 1)])
+    return UnitaryGaloisModel(close_generators(3, S3_GENS), [(0, 2, 1)])
 
 
 def z4_model():
-    return build_model(close_generators(4, [(1, 2, 3, 0)]), [])
+    return UnitaryGaloisModel(close_generators(4, [(1, 2, 3, 0)]), [])
 
 
 def z6_model_h2():
     G = close_generators(6, [(1, 2, 3, 4, 5, 0)])
-    return build_model(G, [(3, 4, 5, 0, 1, 2)])
+    return UnitaryGaloisModel(G, [(3, 4, 5, 0, 1, 2)])
 
 
 def s4_model():
     G = close_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
-    return build_model(G, [(0, 2, 1, 3), (0, 2, 3, 1)])
+    return UnitaryGaloisModel(G, [(0, 2, 1, 3), (0, 2, 3, 1)])
 
 
 # Test-local exact group-algebra elements: {(g, bit): Fraction} dicts.
@@ -139,12 +141,27 @@ def conjugate_subgroup_oracle(model):
 
 def s6_model(H_gens):
     G = close_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
-    return build_model(G, H_gens)
+    return UnitaryGaloisModel(G, H_gens)
+
+
+def trace(m):
+    """Formal sum of all (g, 0): the trace of the big field over the
+    imaginary quadratic subfield, as a group-algebra element."""
+    return np.stack([np.ones(m.group.order, dtype=np.int64),
+                     np.zeros(m.group.order, dtype=np.int64)])
+
+
+def raw_convolution(phi, m):
+    """The brute path before class projection and the 1/|Gamma|
+    normalization: the CM type convolved with its reflex."""
+    elt = cm_type_element(phi, m)
+    return convolve(elt, reflex(elt, m.group), m.group)
 
 
 def test_trace_element():
+    # the CM type of the empty subset is the trace
     m = s3_model()
-    tr = trace_element(m)
+    tr = cm_type_element(CMType((), 3), m)
     assert tr.shape == (2, 6)
     assert tr[0].tolist() == [1] * 6 and not tr[1].any()
     assert tr.sum() == m.h * m.n
@@ -153,7 +170,7 @@ def test_trace_element():
 
 def test_cm_type_element_empty_is_trace():
     m = s3_model()
-    assert np.array_equal(cm_type_element(CMType((), 3), m), trace_element(m))
+    assert np.array_equal(cm_type_element(CMType((), 3), m), trace(m))
 
 
 def test_cm_type_element_one_coset_flipped():
@@ -193,22 +210,26 @@ def test_reflex_convolution_identity_value():
     for m in (s3_model(), z4_model(), z6_model_h2()):
         for eps in range(m.n + 1):
             for phi in enumerate_cm_types(m, eps):
-                a = reflex_convolution(phi, m)
+                a = raw_convolution(phi, m)
                 assert Fraction(int(a[0, 0]), m.gamma_order) == Fraction(1, 2)
+                # the brute class function is its class projection
+                f = class_project(a, m.classes)
+                assert cm_class_function_brute(phi, m) == ClassFunction(
+                    m.classes, f.numerators, f.denominators * m.gamma_order)
 
 
 def test_reflex_convolution_rho_balance():
     m = s3_model()
     for phi in enumerate_cm_types(m, 2):
-        a = reflex_convolution(phi, m)
+        a = raw_convolution(phi, m)
         assert np.array_equal(2 * (a[0] + a[1]),
                               np.full(m.group.order, m.gamma_order))
 
 
 def test_reflex_convolution_empty_set_is_half_trace():
     m = s3_model()
-    a = reflex_convolution(CMType((), 3), m)
-    assert np.array_equal(2 * a, m.gamma_order * trace_element(m))
+    a = raw_convolution(CMType((), 3), m)
+    assert np.array_equal(2 * a, m.gamma_order * trace(m))
 
 
 def test_raw_convolution_mass_at_identity():
@@ -221,10 +242,14 @@ def test_raw_convolution_mass_at_identity():
 
 def test_brute_cap_guard():
     m = s3_model()
-    with pytest.raises(BruteCapExceeded):
-        reflex_convolution(CMType((), 3), m, brute_cap=4)
-    with pytest.raises(BruteCapExceeded):
-        check_closed_form(m, brute_cap=4)
+    with pytest.raises(BruteCapExceeded, match="12 exceeds brute cap 4"):
+        cm_class_function_brute(CMType((), 3), m, brute_cap=4)
+    # past the cap the sweep holds the reason and closed-form is skipped
+    sweep = subset_sweep(m, None, 0, brute_cap=4)
+    assert sweep.brute is None
+    assert check_closed_form(sweep).to_dict() == {
+        "name": "closed-form", "status": "skipped",
+        "reason": "cap: |Gamma| = 12 exceeds brute cap 4"}
     # a cap above BRUTE_CAP cannot reach a group without a multiplication
     # table: the guard fires before the model is touched
     past_table = types.SimpleNamespace(gamma_order=2 * (TABLE_CAP + 1))
@@ -260,7 +285,7 @@ def test_permutation_character_values():
     assert evaluate(chi, (0, 0)) == m.n
     assert evaluate(chi, (m.group.index_of((0, 2, 1)), 0)) == 1
     assert evaluate(chi, (m.group.index_of((1, 2, 0)), 0)) == 0
-    z3 = build_model(close_generators(3, [(1, 2, 0)]), [])
+    z3 = UnitaryGaloisModel(close_generators(3, [(1, 2, 0)]), [])
     chi3 = permutation_character(z3)
     assert [v[0] for v in chi3.values] == [3, 0, 0]
     assert all(v[1] == 0 for v in chi3.values)
@@ -338,23 +363,24 @@ def test_closed_form_equals_brute():
 
 
 def test_check_closed_form_suites():
-    assert check_closed_form(s3_model()).passed
-    rep = check_closed_form(z4_model())
+    assert check_closed_form(subset_sweep(s3_model(), None, 0)).passed
+    rep = check_closed_form(subset_sweep(z4_model(), None, 0))
     assert rep.passed and rep.detail["subsets_checked"] == 16
 
 
 def test_pair_reduction_degenerate_cases():
     m = s4_model()
-    for eps in (0, 1, 2):
-        for phi in enumerate_cm_types(m, eps):
-            rep = check_pair_reduction(m, phi)
-            assert rep.passed, rep.witness
+    subsets = [phi.indices for eps in (0, 1, 2)
+               for phi in enumerate_cm_types(m, eps)]
+    assert not pair_residuals(subsets, m).any()
+    rep = check_pair_reduction_suite(subset_sweep(m, 2, 0))
+    assert rep.passed, rep.witness
+    assert rep.detail == {"subsets_checked": len(subsets)}
 
 
 def test_pair_reduction_s4_triple():
     m = s4_model()
-    rep = check_pair_reduction(m, CMType((0, 1, 2), 4))
-    assert rep.passed
+    assert not pair_residuals([(0, 1, 2)], m).any()
     # cross-check the residual through the brute path, whose functions all
     # share the denominators |c| |Gamma|
     phi = CMType((0, 1, 2), 4)
@@ -375,7 +401,7 @@ def test_pair_reduction_all_sizes_including_full():
     for m in (s3_model(), z4_model(), s4_model()):
         for eps in range(m.n + 1):
             for phi in enumerate_cm_types(m, eps):
-                assert pair_reduction_residual(phi, m).is_zero()
+                assert not pair_residuals([phi.indices], m).any()
 
 
 def test_cm0_membership():
@@ -384,7 +410,7 @@ def test_cm0_membership():
         for phi in enumerate_cm_types(m, eps):
             c, witness = check_cm0_membership(cm_class_function_brute(phi, m))
             assert witness is None and c == Fraction(1, 2)
-    half_trace = class_project(trace_element(m), m.classes).scale(Fraction(1, 2))
+    half_trace = class_project(trace(m), m.classes).scale(Fraction(1, 2))
     c, witness = check_cm0_membership(half_trace)
     assert witness is None and c == Fraction(1, 2)
     t = m.group.index_of((0, 2, 1))
@@ -397,7 +423,7 @@ def test_cm0_membership():
 
 def test_cm0_suite_and_invariance():
     for m in (s3_model(), z4_model()):
-        assert check_cm0_suite(m, seed=3).passed
+        assert check_cm0_suite(subset_sweep(m, None, 3)).passed
         assert check_galois_invariance(m, pairs=50, seed=3).passed
 
 
@@ -455,6 +481,18 @@ def test_pair_residual_sees_a_changed_triple():
     closed[2, 1, 0] += 1
     bad = pair_residuals(subsets, m, closed).any(axis=(1, 2))
     assert bad.tolist() == [False, False, True, False]
+    # the same change in a sweep: both checks name the subset, 1-based
+    sweep = subset_sweep(m, 3, 0)
+    row = sweep.subsets.index((0, 2, 3))
+    sweep.closed[row, 1, 0] += 1
+    rep = check_pair_reduction_suite(sweep)
+    assert rep.to_dict() == {
+        "name": "pair-reduction", "status": "fail",
+        "detail": {"subsets_checked": row + 1},
+        "witness": {"class_index": 0, "bit": 1, "lhs": "1/192", "rhs": "0",
+                    "subset": [1, 3, 4]}}
+    rep = check_cm0_suite(sweep)
+    assert not rep.passed and rep.witness["subset"] == [1, 3, 4]
 
 
 def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
@@ -472,19 +510,19 @@ def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
     monkeypatch.setattr(cm_engine, "cm_class_function_brute", counted_brute)
     monkeypatch.setattr(cm_engine, "closed_block", counted_block)
     m = s4_model()
-    assert check_closed_form(m, seed=3).detail == {"subsets_checked": 16,
-                                                   "sampled_eps": []}
-    assert check_pair_reduction_suite(m, seed=3).detail == {"subsets_checked": 16}
-    assert check_cm0_suite(m, seed=3).detail == {"functions_checked": 32}
+    sweep = subset_sweep(m, 9, 3)  # eps_max is clipped to n
+    assert calls == {"brute": 16, "block": 1}
+    assert len(sweep.subsets) == 16 and sweep.brute.shape == sweep.closed.shape
+    assert check_closed_form(sweep).detail == {"subsets_checked": 16,
+                                               "sampled_eps": []}
+    assert check_pair_reduction_suite(sweep).detail == {"subsets_checked": 16}
+    assert check_cm0_suite(sweep).detail == {"functions_checked": 32}
     assert calls == {"brute": 16, "block": 2}  # the sweep, the pair parts
-    sweep = m.sweep
-    assert subset_sweep(m, None, 3) is sweep and subset_sweep(m, 9, 3) is sweep
-    assert len(sweep.subsets) == 16
-    assert subset_sweep(m, 2, 3) is not sweep
     # past the brute cap the closed functions alone are checked
-    m = s4_model()
-    assert check_cm0_suite(m, seed=3, brute_cap=4).detail == {"functions_checked": 16}
-    assert m.sweep.brute is None
+    sweep = subset_sweep(m, None, 3, brute_cap=4)
+    assert calls["brute"] == 16
+    assert sweep.brute is None and "exceeds brute cap 4" in sweep.brute_skipped
+    assert check_cm0_suite(sweep).detail == {"functions_checked": 16}
 
 
 def test_tripled_double_coset_term_is_caught(monkeypatch):
@@ -493,7 +531,7 @@ def test_tripled_double_coset_term_is_caught(monkeypatch):
     monkeypatch.setattr(cm_engine, "_pair_tensor",
                         lambda model, rows: 3 * pair_tensor(model, rows))
     m = build_zoo_model("sym:4")
-    rep = check_closed_form(m, seed=7)
+    rep = check_closed_form(subset_sweep(m, None, 7))
     assert not rep.passed
     assert rep.witness == {"class_index": 1, "bit": 0, "lhs": "1/3",
                            "rhs": "1/2", "subset": [1, 2]}
@@ -503,7 +541,8 @@ def test_tripled_double_coset_term_is_caught(monkeypatch):
 
 def test_cm0_checks_the_whole_class_table():
     m = s4_model()
-    assert check_cm0_suite(m).passed
+    sweep = subset_sweep(m, None, 0)
+    assert check_cm0_suite(sweep).passed
     rng = random.Random(5)
     f = cm_class_function_brute(CMType((0, 1), 4), m)
     assert reread_members(f, rng) is None
@@ -511,7 +550,7 @@ def test_cm0_checks_the_whole_class_table():
     g = m.classes.classes[-1][-1]
     m.classes.class_of = m.classes.class_of.copy()
     m.classes.class_of[g] = 0
-    rep = check_cm0_suite(m)
+    rep = check_cm0_suite(sweep)
     assert not rep.passed
     assert rep.witness == {"class_index": m.classes.count - 1, "element": g}
     assert reread_members(f, rng) is not None
@@ -549,6 +588,16 @@ def test_int64_bound_at_the_caps():
         exact = [h * n * n * size - bit1, bit1]
         assert got[0, :, 0].tolist() == exact
         assert _pair_weight(top) * max(abs(v) for v in exact) <= INT64_MAX
+    # a closed block alone fits at every size up to eps = n, with no check:
+    # |bit 1| <= 2 n |G|^2 and |bit 0| <= 3 n |G|^2
+    for T_c, chi in ((0, 0), (n * (n - 1) * h, 0), (0, n), (n * (n - 1) * h, n)):
+        got = _closed_numerators(np.array([n]), np.array([[T_c]]),
+                                 np.array([chi]), np.array([size]), n, h)
+        bit1 = 2 * (n * h * size * (n - chi) - order * T_c)
+        exact = [h * n * n * size - bit1, bit1]
+        assert got[0, :, 0].tolist() == exact
+        assert abs(bit1) <= 2 * n * order ** 2 < 2.6e16
+        assert abs(exact[0]) <= 3 * n * order ** 2 < 3.8e16 < INT64_MAX
 
 
 @st.composite
@@ -560,7 +609,7 @@ def model_and_subsets(draw):
     element = st.integers(min_value=0, max_value=G.order - 1)
     H_gens = [tuple(int(x) for x in G.images[g])
               for g in draw(st.lists(element, max_size=2))]
-    m = build_model(G, H_gens)
+    m = UnitaryGaloisModel(G, H_gens)
     subset = st.sets(st.integers(min_value=0, max_value=m.n - 1),
                      max_size=min(3, m.n))
     subsets = [tuple(sorted(s))
@@ -580,3 +629,55 @@ def test_integer_closed_form_on_random_groups(case):
         assert closed.values == closed_form_via_algebra(phi, m)
         assert closed == cm_class_function_brute(phi, m)
     assert not pair_residuals(subsets, m, block).any()
+
+
+@st.composite
+def model_and_sweep_args(draw):
+    # the group is drawn through a seeded Random: permutations drawn one by
+    # one shrink to the identity, and two random permutations of all 6
+    # points nearly always generate A6 or S6, so each generator permutes
+    # the first k points only
+    rng = draw(st.randoms(use_true_random=False))
+    degree = rng.randint(2, 6)
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(2, degree)
+        gens.append(tuple(rng.sample(range(k), k)) + tuple(range(k, degree)))
+    G = close_generators(degree, gens)
+    assume(G.order <= 120)
+    H_gens = [tuple(int(x) for x in G.images[rng.randrange(G.order)])
+              for _ in range(rng.randint(0, 2))]
+    return (UnitaryGaloisModel(G, H_gens), rng.randint(0, 3),
+            rng.randrange(100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_and_sweep_args())
+def test_whole_suite_on_random_groups(case):
+    m, eps_max, seed = case
+    sweep = subset_sweep(m, eps_max, seed)
+    for rep in (check_closed_form(sweep), check_induced_character(m),
+                check_pair_reduction_suite(sweep), check_cm0_suite(sweep),
+                check_galois_invariance(m, pairs=50, seed=seed,
+                                        eps_max=eps_max)):
+        assert rep.to_dict()["status"] == "pass", rep.to_dict()
+    # pair reduction on the brute path, whose functions all share the
+    # denominators |c| |Gamma|; parts the sweep did not draw are computed
+    brute = dict(zip(sweep.subsets, sweep.brute))
+
+    def f(s):
+        if s not in brute:
+            brute[s] = cm_class_function_brute(CMType(s, m.n), m).numerators
+        return brute[s]
+
+    for s in sweep.subsets:
+        eps = len(s)
+        residual = (f(s) - sum(f(p) for p in itertools.combinations(s, 2))
+                    + (eps - 2) * sum(f((i,)) for i in s)
+                    - (eps - 1) * (eps - 2) // 2 * f(()))
+        assert not np.any(residual), s
+    # the coset action is a homomorphism: act[ab] = act[a] o act[b]
+    act_rows = m.action
+    everything = np.arange(m.group.order)[:, None, None]
+    assert np.array_equal(act_rows[m.group.mult_table],
+                          act_rows[everything, act_rows[None]])

@@ -4,7 +4,13 @@ import random
 import pytest
 
 from cmred.errors import SubsetCapExceeded
-from cmred.galois_model import CMType, act, build_model, enumerate_cm_types, signature
+from cmred.galois_model import (
+    CMType,
+    UnitaryGaloisModel,
+    act,
+    enumerate_cm_types,
+    signature,
+)
 from cmred.permgroup import close_generators
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
@@ -16,11 +22,11 @@ def gamma_mul(G, x, y):
 
 
 def s3_model():
-    return build_model(close_generators(3, S3_GENS), [(0, 2, 1)])
+    return UnitaryGaloisModel(close_generators(3, S3_GENS), [(0, 2, 1)])
 
 
 def z5_model():
-    return build_model(close_generators(5, [(1, 2, 3, 4, 0)]), [])
+    return UnitaryGaloisModel(close_generators(5, [(1, 2, 3, 4, 0)]), [])
 
 
 def test_build_s3():
@@ -37,7 +43,8 @@ def test_build_z5_trivial_subgroup():
 
 def test_signature():
     m = z5_model()
-    assert signature(CMType((), 4), build_model(close_generators(4, [(1, 2, 3, 0)]), [])) == (4, 0)
+    z4 = UnitaryGaloisModel(close_generators(4, [(1, 2, 3, 0)]), [])
+    assert signature(CMType((), 4), z4) == (4, 0)
     assert signature(CMType((0, 1), 5), m) == (3, 2)
     m3 = s3_model()
     assert signature(CMType((0, 1, 2), 3), m3) == (0, 3)
@@ -88,7 +95,7 @@ def test_rho_reverses_signature():
 
 
 def test_enumerate_counts_and_order():
-    m4 = build_model(close_generators(4, [(1, 2, 3, 0)]), [])
+    m4 = UnitaryGaloisModel(close_generators(4, [(1, 2, 3, 0)]), [])
     types = enumerate_cm_types(m4, 2)
     assert len(types) == 6
     assert [t.indices for t in types] == sorted(t.indices for t in types)
