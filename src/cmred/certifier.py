@@ -41,9 +41,11 @@ class OrbitTable:
     n: int
     entries: dict  # eps -> {"bit0": StratumOrbits, "full": StratumOrbits}
 
-    def to_dict(self):
+    def to_dict(self, eps_max: int | None = None):
+        """The strata up to ``eps_max`` (every stratum when None)."""
         return {str(eps): {k: v.to_dict() for k, v in entry.items()}
-                for eps, entry in sorted(self.entries.items())}
+                for eps, entry in sorted(self.entries.items())
+                if eps_max is None or eps <= eps_max}
 
 
 def _tuples(subsets: np.ndarray) -> list:
@@ -61,9 +63,7 @@ def orbit_table(model: UnitaryGaloisModel, eps_max: int) -> OrbitTable:
     rows = model.generator_action_rows
     entries = {}
     for eps in range(min(eps_max, n) + 1):
-        labels = model.subset_orbits.get(eps)
-        if labels is None:
-            labels = model.subset_orbits[eps] = orbits_on_subsets(rows, n, eps)
+        labels = orbits_on_subsets(rows, n, eps)
         reps, sizes = np.unique(labels, return_counts=True)
         bit0 = StratumOrbits(len(reps), sizes.tolist(),
                              _tuples(lex_unrank(reps, n, eps)))
@@ -122,15 +122,15 @@ class ColmezCertificate:
         }
 
 
-def certify(model: UnitaryGaloisModel) -> ColmezCertificate:
-    """Run the 2-transitivity test and the small-stratum orbit counts."""
+def certify(model: UnitaryGaloisModel, table: OrbitTable) -> ColmezCertificate:
+    """Run the 2-transitivity test; the orbit counts of the strata <= 2 are
+    read from ``table``, which must list them."""
     n = model.n
     rows = model.generator_action_rows
     if n >= 2:
         two_transitive, pair_orbits = is_k_transitive(rows, n, 2)
     else:
         two_transitive, pair_orbits = False, 0
-    table = orbit_table(model, min(2, n))
     counts = {eps: table.entries[eps]["bit0"].count
               for eps in range(min(2, n) + 1)}
     met = two_transitive

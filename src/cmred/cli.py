@@ -29,10 +29,10 @@ from .certifier import certify, orbit_table
 from .errors import CmredError, ParseError
 from .galois_model import UnitaryGaloisModel
 from .group_algebra import BRUTE_CAP
-from .group_zoo import ZooSpec, build, parse_zoo_spec, zoo_list
+from .group_zoo import ZooSpec, build, parse_zoo_spec, zoo_list, zoo_order
 from .permgroup import MAX_DEGREE, check_subset_cap, is_permutation
 
-LARGE_SPECS = ("sp6f2:+", "sp6f2:-")
+LARGE_ORDER = 10 ** 6  # zoo groups of larger order run only with --large
 
 
 @dataclass
@@ -53,6 +53,11 @@ class RunConfig:
                 f"--brute-cap must be in 0..{BRUTE_CAP}, got {self.brute_cap}")
 
 
+def _is_json_int(value) -> bool:
+    """A JSON integer as ``json.load`` reads it: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_spec(text: str):
     """A zoo spec, or ('file', degree, group_gens, subgroup_gens)."""
     if text.startswith("file:"):
@@ -68,12 +73,14 @@ def parse_spec(text: str):
         if not isinstance(data, dict):
             raise ParseError(f"{path}: top level must be an object")
         try:
-            degree = int(data["degree"])
+            degree = data["degree"]
             group_gens = data["group_generators"]
             subgroup_gens = data["subgroup_generators"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise ParseError(
                 f"{path}: need keys degree, group_generators, subgroup_generators ({exc})")
+        if not _is_json_int(degree):
+            raise ParseError(f"{path}: degree must be a JSON integer, got {degree!r}")
         if not 1 <= degree <= MAX_DEGREE:
             raise ParseError(f"{path}: degree must be in 1..{MAX_DEGREE}, got {degree}")
         for label, gens in (("group_generators", group_gens),
@@ -81,13 +88,13 @@ def parse_spec(text: str):
             if not isinstance(gens, list):
                 raise ParseError(f"{path}: {label} must be a list")
             for k, g in enumerate(gens):
-                if not (isinstance(g, list)
-                        and is_permutation([int(x) for x in g], degree)):
+                if not (isinstance(g, list) and all(map(_is_json_int, g))
+                        and is_permutation(g, degree)):
                     raise ParseError(
-                        f"{path}: {label}[{k}] is not a permutation of degree {degree}")
-        return ("file", degree,
-                [tuple(int(x) for x in g) for g in group_gens],
-                [tuple(int(x) for x in g) for g in subgroup_gens])
+                        f"{path}: {label}[{k}] is not a permutation of degree "
+                        f"{degree} written as a list of JSON integers")
+        return ("file", degree, [tuple(g) for g in group_gens],
+                [tuple(g) for g in subgroup_gens])
     try:
         return parse_zoo_spec(text)
     except CmredError as exc:
@@ -96,9 +103,10 @@ def parse_spec(text: str):
 
 def _build_from_spec(parsed, config: RunConfig):
     if isinstance(parsed, ZooSpec):
-        if str(parsed) in LARGE_SPECS and not config.large:
-            raise ParseError(
-                f"{parsed} is gated behind --large (about 1.5M elements)")
+        order = zoo_order(parsed)
+        if order > LARGE_ORDER and not config.large:
+            raise ParseError(f"{parsed} has order {order}, over {LARGE_ORDER}: "
+                             f"gated behind --large")
         G, H_gens = build(parsed)
         return UnitaryGaloisModel(G, H_gens)
     _, degree, group_gens, subgroup_gens = parsed
@@ -126,10 +134,13 @@ def run(config: RunConfig):
     # every stratum the command will list, checked before any work starts
     listed_eps = {"verify": max(orbit_eps, min(2, model.n)),
                   "orbits": orbit_eps,
-                  "certify": min(2, model.n)}.get(config.command, -1)
+                  "certify": min(2, model.n)}.get(config.command)
+    if listed_eps is None:
+        raise ParseError(f"unknown command {config.command!r}")
     for eps in range(listed_eps + 1):
         check_subset_cap(model.n, eps)
 
+    code = 0
     if config.command == "verify":
         if config.eps_max is not None:
             identity_eps = config.eps_max
@@ -145,21 +156,16 @@ def run(config: RunConfig):
             check_induced_character(model),
             check_pair_reduction_suite(sweep),
             check_cm0_suite(sweep),
-            check_galois_invariance(model, pairs=50, seed=config.seed,
-                                    eps_max=identity_eps),
+            check_galois_invariance(sweep, pairs=50),
         )]
         report["checks"] = checks
-        report["orbits"] = orbit_table(model, orbit_eps).to_dict()
-        report["certificate"] = certify(model).to_dict()
         code = 1 if any(c["status"] == "fail" for c in checks) else 0
-    elif config.command == "orbits":
-        report["orbits"] = orbit_table(model, orbit_eps).to_dict()
-        code = 0
-    elif config.command == "certify":
-        report["certificate"] = certify(model).to_dict()
-        code = 0
-    else:
-        raise ParseError(f"unknown command {config.command!r}")
+    # one orbit table of every listed stratum, shared with the certificate
+    table = orbit_table(model, listed_eps)
+    if config.command != "certify":
+        report["orbits"] = table.to_dict(orbit_eps)
+    if config.command != "orbits":
+        report["certificate"] = certify(model, table).to_dict()
     report["timing"] = {"total_ms": int((time.monotonic() - started) * 1000)}
     return report, code
 
@@ -207,7 +213,7 @@ def _add_common(parser):
     parser.add_argument("--format", dest="fmt", choices=("json", "text"),
                         default="text")
     parser.add_argument("--large", action="store_true",
-                        help="allow the gated large groups (sp6f2)")
+                        help=f"allow zoo groups of order over {LARGE_ORDER}")
 
 
 def main(argv=None) -> int:

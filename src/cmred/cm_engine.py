@@ -8,9 +8,10 @@ whole block of subsets at once.  Both give int64 numerators over fixed
 per-class denominators (``ClassFunction``), compared by cross-multiplying
 with zero tolerance.
 
-``closed-form``, ``pair-reduction`` and ``cm0-membership`` take one seeded
-subset sweep (``subset_sweep``), built once per run: the subsets are drawn
-once, their closed functions are computed as one block, and their brute
+``closed-form``, ``pair-reduction``, ``cm0-membership`` and
+``galois-invariance`` take one seeded subset sweep (``subset_sweep``), built
+once per run: the subsets are drawn once, the pair tensor of the closed form
+is built once, the closed functions are computed as one block, and the brute
 functions once each, when the brute cap allows.
 """
 
@@ -39,7 +40,6 @@ SAMPLE_EXHAUSTIVE_LIMIT = 500  # enumerate all size-eps subsets up to this count
 SAMPLE_SIZE = 100  # seeded sample size above the limit
 INT64_MAX = 2 ** 63 - 1
 CONTRACT_ENTRIES = 1 << 16  # bound on the (rows, n, k) temporary of a block
-LOOKUP_ROWS = 1 << 16  # group elements looked up at once for the pair tensor
 
 
 @dataclass
@@ -215,47 +215,33 @@ def _indicator(subsets, n: int) -> np.ndarray:
     return X
 
 
-def _pair_tensor(model: UnitaryGaloisModel, rows: np.ndarray) -> np.ndarray:
+def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
     """The (n, n, k) tensor P[i, j, c] = #{eta in H : sigma_i eta sigma_j^-1
-    in class c} for i != j, with P[i, i] = 0, with at least ``rows`` filled.
+    in class c} for i != j, with P[i, i] = 0.
 
-    Rows are filled on first use, one i at a time: one ``index_rows`` lookup
-    of the n h = |G| elements sigma_i eta sigma_j^-1, split over blocks of j
-    when that is more than LOOKUP_ROWS rows.  A filled row is nonzero (it
-    counts (n - 1) h pairs), so an all-zero row is an unfilled one; with
-    n = 1 there is nothing to fill.
+    eta -> g = sigma_i eta sigma_j^-1 is a bijection from H onto the g with
+    g sigma_j H = sigma_i H, that is action[g, j] = i.  So P[i, j, c] =
+    #{g in c : action[g, j] = i}: one tally over the |G| entries of column j
+    of the coset action.
     """
     n, k = model.n, model.classes.count
-    if model.pair_tensor is None:
-        model.pair_tensor = np.zeros((n, n, k), dtype=np.int64)
-    P = model.pair_tensor
-    todo = rows[~P[rows].any(axis=(1, 2))]
-    if n < 2 or not len(todo):
-        return P
-    G = model.group
-    reps = model.cosets.reps
-    h_rows = G.images[np.array(model.cosets.subgroup_elements, dtype=np.int64)]
-    inv_reps = G.inverse_images[reps]
-    step = max(1, LOOKUP_ROWS // model.h)
-    for i in todo.tolist():
-        for start in range(0, n, step):
-            js = inv_reps[start:start + step]
-            # [eta, j]: sigma_i o eta o sigma_j^-1
-            block = G.images[reps[i]][h_rows[:, js]].reshape(-1, G.degree)
-            cls = model.classes.class_of[G.index_rows(block)].reshape(-1, len(js))
-            counts = np.bincount((np.arange(len(js)) * k + cls).ravel(),
-                                 minlength=len(js) * k)
-            P[i, start:start + step] = counts.reshape(-1, k)
-        P[i, i] = 0
+    class_of = model.classes.class_of.astype(np.int64)
+    P = np.empty((n, n, k), dtype=np.int64)
+    for j in range(n):
+        # int64 before the arithmetic: the action is uint8 or uint16
+        key = model.action[:, j].astype(np.int64) * k + class_of
+        P[:, j] = np.bincount(key, minlength=n * k).reshape(n, k)
+    P[np.arange(n), np.arange(n)] = 0
     return P
 
 
-def closed_block(subsets, model: UnitaryGaloisModel) -> np.ndarray:
+def closed_block(subsets, model: UnitaryGaloisModel,
+                 P: np.ndarray) -> np.ndarray:
     """Closed-form numerators of a block of subsets, shape (m, 2, k), over
     ``closed_denominators``: the half-trace, trace and permutation-character
     terms scaled by the signature, plus the conjugation-averaged double-coset
-    term T_c = sum over ordered pairs i != j of the subset of P[i, j, c].
-    Valid beyond the brute cap.
+    term T_c = sum over ordered pairs i != j of the subset of P[i, j, c]
+    (P = ``pair_tensor(model)``).  Valid beyond the brute cap.
 
     bit 1 = 2 (eps h |c| (n - chi(c)) - |G| T_c) and bit 0 = D_c / 2 - bit 1,
     i.e. eps / n - eps chi / n^2 - |G| T_c / (h n^2 |c|) and 1/2 minus it.
@@ -263,7 +249,6 @@ def closed_block(subsets, model: UnitaryGaloisModel) -> np.ndarray:
     n, h, k = model.n, model.h, model.classes.count
     X = _indicator(subsets, n)
     eps = X.sum(axis=1)
-    P = _pair_tensor(model, np.flatnonzero(X[eps >= 2].any(axis=0)))
     flat = P.reshape(n, n * k)
     T = np.zeros((len(X), k), dtype=np.int64)
     step = max(1, CONTRACT_ENTRIES // (n * k))
@@ -285,8 +270,10 @@ def _closed_numerators(eps, T, chi, size, n: int, h: int) -> np.ndarray:
 
 
 def cm_class_function_closed(phi: CMType, model: UnitaryGaloisModel) -> ClassFunction:
-    """Closed-form path for one CM type: a block of one."""
-    return ClassFunction(model.classes, closed_block([phi.indices], model)[0],
+    """Closed-form path for one CM type: a block of one, with its own pair
+    tensor."""
+    return ClassFunction(model.classes,
+                         closed_block([phi.indices], model, pair_tensor(model))[0],
                          closed_denominators(model))
 
 
@@ -305,14 +292,18 @@ def sample_subsets(n: int, eps: int, rng: random.Random):
 
 @dataclass
 class SubsetSweep:
-    """The seeded subsets of sizes 0..eps_max of one model, stratum by
-    stratum, with the closed numerators of each ((m, 2, k) over
-    ``closed_denominators``) and either their brute numerators (over the
-    class sizes times |Gamma|) or the reason the brute cap rules them out."""
+    """The subsets of sizes 0..eps_max of one model drawn with ``seed``,
+    stratum by stratum, the model's pair tensor P, the closed numerators of
+    each subset ((m, 2, k) over ``closed_denominators``) and either their
+    brute numerators (over the class sizes times |Gamma|) or the reason the
+    brute cap rules them out."""
 
     model: UnitaryGaloisModel
+    seed: int
+    eps_max: int
     subsets: list
     sampled_eps: list
+    P: np.ndarray
     closed: np.ndarray
     brute: np.ndarray | None
     brute_skipped: str | None
@@ -321,8 +312,9 @@ class SubsetSweep:
 def subset_sweep(model: UnitaryGaloisModel, eps_max: int | None, seed: int,
                  brute_cap: int = BRUTE_CAP) -> SubsetSweep:
     """Draw the seeded subsets of sizes 0..eps_max (every size when None),
-    and compute their closed functions as one block and, under the brute
-    cap, their brute functions, one ``cm_class_function_brute`` call each."""
+    build the pair tensor, and compute the closed functions as one block
+    and, under the brute cap, the brute functions, one
+    ``cm_class_function_brute`` call each."""
     eps_max = model.n if eps_max is None else min(eps_max, model.n)
     rng = random.Random(seed)
     subsets, sampled = [], []
@@ -331,12 +323,14 @@ def subset_sweep(model: UnitaryGaloisModel, eps_max: int | None, seed: int,
         subsets += block
         if not exhaustive:
             sampled.append(eps)
-    closed = closed_block(subsets, model)
+    P = pair_tensor(model)
+    closed = closed_block(subsets, model, P)
     reason = brute_skip_reason(model, brute_cap)
     brute = None if reason is not None else np.stack([
         cm_class_function_brute(CMType(s, model.n), model, brute_cap).numerators
         for s in subsets])
-    return SubsetSweep(model, subsets, sampled, closed, brute, reason)
+    return SubsetSweep(model, seed, eps_max, subsets, sampled, P, closed,
+                       brute, reason)
 
 
 def _brute_denominators(model: UnitaryGaloisModel) -> np.ndarray:
@@ -365,7 +359,7 @@ def check_closed_form(sweep: SubsetSweep) -> IdentityReport:
     return _subset_failure("closed-form", sweep, *hit)
 
 
-def pair_residuals(subsets, model: UnitaryGaloisModel,
+def pair_residuals(subsets, model: UnitaryGaloisModel, P: np.ndarray,
                    closed: np.ndarray | None = None) -> np.ndarray:
     """Numerators, over ``closed_denominators``, of each subset's closed
     function minus the pair/singleton/empty combination
@@ -377,7 +371,7 @@ def pair_residuals(subsets, model: UnitaryGaloisModel,
     eps = X.sum(axis=1)
     check_closed_bound(model, int(eps.max(initial=0)))
     if closed is None:
-        closed = closed_block(subsets, model)
+        closed = closed_block(subsets, model, P)
     owner, pair_keys = [], []
     for s, members in enumerate(subsets):
         for i, j in itertools.combinations(members, 2):
@@ -387,7 +381,7 @@ def pair_residuals(subsets, model: UnitaryGaloisModel,
                                return_inverse=True)
     singles = np.flatnonzero(X.any(axis=0))
     parts = closed_block([()] + [(i,) for i in singles.tolist()]
-                         + [divmod(key, n) for key in keys.tolist()], model)
+                         + [divmod(key, n) for key in keys.tolist()], model, P)
     empty, single_part = parts[0], parts[1:1 + len(singles)]
     pair_part = parts[1 + len(singles):]
     pair_sum = np.zeros_like(closed)
@@ -403,7 +397,8 @@ def pair_residuals(subsets, model: UnitaryGaloisModel,
 def check_pair_reduction_suite(sweep: SubsetSweep) -> IdentityReport:
     """Every sampled subset's closed function is the pair/singleton/empty
     combination of closed functions, exactly."""
-    residuals = pair_residuals(sweep.subsets, sweep.model, sweep.closed)
+    residuals = pair_residuals(sweep.subsets, sweep.model, sweep.P,
+                               sweep.closed)
     den = closed_denominators(sweep.model)
     hit = _first_unequal(residuals, den, np.zeros_like(residuals),
                          np.ones_like(den))
@@ -467,23 +462,22 @@ def check_cm0_suite(sweep: SubsetSweep) -> IdentityReport:
     return IdentityReport("cm0-membership", False, witness)
 
 
-def check_galois_invariance(model: UnitaryGaloisModel, pairs: int = 50,
-                            seed: int = 0,
-                            eps_max: int | None = None) -> IdentityReport:
+def check_galois_invariance(sweep: SubsetSweep,
+                            pairs: int = 50) -> IdentityReport:
     """Equivalent CM types have equal class functions (closed path): the
-    seeded pairs (x, phi) are drawn first, then every x phi and phi is
-    computed in one block."""
-    if eps_max is None:
-        eps_max = model.n
-    rng = random.Random(seed)
+    pairs (x, phi), phi of size at most the sweep's eps_max, are drawn with
+    the sweep's seed first, then every x phi and phi is computed in one
+    block with the sweep's pair tensor."""
+    model = sweep.model
+    rng = random.Random(sweep.seed)
     gammas, phis = [], []
     for _ in range(pairs):
         gammas.append((rng.randrange(model.group.order), rng.randrange(2)))
-        eps = rng.randrange(min(eps_max, model.n) + 1)
+        eps = rng.randrange(sweep.eps_max + 1)
         phis.append(CMType(tuple(rng.sample(range(model.n), eps)), model.n))
     block = closed_block([act(x, phi, model).indices
                           for x, phi in zip(gammas, phis)]
-                         + [phi.indices for phi in phis], model)
+                         + [phi.indices for phi in phis], model, sweep.P)
     den = closed_denominators(model)
     hit = _first_unequal(block[:pairs], den, block[pairs:], den)
     if hit is None:

@@ -31,11 +31,6 @@ class UnitaryGaloisModel:
         self.n = self.cosets.n
         self.h = self.cosets.h
         self.gamma_order = 2 * G.order
-        # Filled on first use by cm_engine: the (n, n, k) pair-count tensor
-        # of the closed form; by certifier: the bit-0 orbit labels of each
-        # subset size, shared by the orbit table and the certificate.
-        self.pair_tensor = None
-        self.subset_orbits: dict = {}
 
     @property
     def generator_action_rows(self):

@@ -572,7 +572,8 @@ def zoo_list():
     """Specs with display metadata for the CLI listing."""
     entries = [
         ("sym:n", "symmetric group, n in 1..9, natural action"),
-        ("alt:n", "alternating group, n in 1..10, natural action"),
+        ("alt:n", "alternating group, n in 1..10, natural action; "
+                  "alt:10 gated"),
         ("cyclic:n", "cyclic rotation group, n in 1..64, regular action"),
         ("dihedral:n", "dihedral group, n in 3..64, polygon action"),
         ("psl2:q", "projective special linear group on the projective line, "
@@ -609,94 +610,80 @@ def _alternating_gens(points):
     return gens
 
 
-def _perm_order_check(G, expected, what):
-    if G.order != expected:
-        raise BuildVerificationError(
-            f"{what}: expected order {expected}, enumeration found {G.order}")
+def zoo_order(spec) -> int:
+    """|G| of a zoo spec, from the order formula of its family; the trivial
+    sym:1, alt:1, alt:2 and cyclic:1 have order 1."""
+    if isinstance(spec, str):
+        spec = parse_zoo_spec(spec)
+    family, param = spec.family, spec.param
+    if family in ("sp4f2", "sp6f2"):
+        return symplectic_group_order(2 if family == "sp4f2" else 3)
+    n = int(param)
+    if family == "sym":
+        return math.factorial(n)
+    if family == "alt":
+        return max(1, math.factorial(n) // 2)
+    if family == "cyclic":
+        return n
+    if family == "dihedral":
+        return 2 * n
+    if family == "psl2":
+        return n * (n * n - 1) // math.gcd(2, n - 1)
+    if family == "pgl2":
+        return n * (n * n - 1)
+    if family == "psl3":
+        return 168
+    if family in ("psu3", "pgu3"):
+        return unitary_group_order(n, family[:3])
+    raise UnsupportedParameter(f"unknown family {family!r}")
+
+
+def _zoo_action(spec) -> tuple[int, list]:
+    """Degree and generator permutations of a zoo spec's stated action."""
+    family, param = spec.family, spec.param
+    if family in ("sp4f2", "sp6f2"):
+        points, perms = symplectic_quadratic_action(
+            2 if family == "sp4f2" else 3, param)
+        return len(points), perms
+    n = int(param)
+    rot = tuple((i + 1) % n for i in range(n))
+    if family == "sym":
+        swap = tuple([1, 0] + list(range(2, n)))
+        return n, [] if n == 1 else [swap] if n == 2 else [swap, rot]
+    if family == "alt":
+        return max(n, 1), _alternating_gens(list(range(n)))
+    if family == "cyclic":
+        return n, [] if n == 1 else [rot]
+    if family == "dihedral":
+        return n, [rot, tuple((n - i) % n for i in range(n))]
+    if family in ("psl2", "pgl2"):
+        _, perms = projective_space_action(
+            small_field(n), 2, linear="general" if family == "pgl2" else "special")
+        return n + 1, perms
+    if family == "psl3":
+        _, perms = projective_space_action(small_field(2), 3)
+        return 7, perms
+    if family in ("psu3", "pgu3"):
+        points, perms = unitary_isotropic_action(n, family[:3])
+        return len(points), perms
+    raise UnsupportedParameter(f"unknown family {family!r}")
 
 
 def build(spec) -> tuple[FiniteGroup, list]:
     """Permutation group and stabilizer generators for a zoo spec.
 
     The subgroup is the stabilizer of point 0 of the stated action; every
-    build verifies its derived order and point counts.
+    build checks the enumerated order against ``zoo_order`` and the derived
+    point counts.
     """
     if isinstance(spec, str):
         spec = parse_zoo_spec(spec)
-    family, param = spec.family, spec.param
-
-    if family == "sym":
-        n = int(param)
-        if n == 1:
-            return close_generators(1, []), []
-        swap = tuple([1, 0] + list(range(2, n)))
-        cyc = tuple(list(range(1, n)) + [0])
-        gens = [swap] if n == 2 else [swap, cyc]
-        G = close_generators(n, gens)
-        _perm_order_check(G, math.factorial(n), str(spec))
-        H_gens = stabilizer_generators(G, 0)
-        return G, H_gens
-
-    if family == "alt":
-        n = int(param)
-        if n < 3:
-            return close_generators(max(n, 1), []), []
-        G = close_generators(n, _alternating_gens(list(range(n))))
-        _perm_order_check(G, math.factorial(n) // 2, str(spec))
-        return G, stabilizer_generators(G, 0)
-
-    if family == "cyclic":
-        n = int(param)
-        if n == 1:
-            return close_generators(1, []), []
-        rot = tuple((i + 1) % n for i in range(n))
-        G = close_generators(n, [rot])
-        _perm_order_check(G, n, str(spec))
-        return G, []
-
-    if family == "dihedral":
-        n = int(param)
-        rot = tuple((i + 1) % n for i in range(n))
-        refl = tuple((n - i) % n for i in range(n))
-        G = close_generators(n, [rot, refl])
-        _perm_order_check(G, 2 * n, str(spec))
-        return G, stabilizer_generators(G, 0)
-
-    if family in ("psl2", "pgl2"):
-        q = int(param)
-        F = small_field(q)
-        _, perms = projective_space_action(
-            F, 2, linear="general" if family == "pgl2" else "special")
-        G = close_generators(q + 1, perms)
-        expected = q * (q * q - 1)
-        if family == "psl2":
-            expected //= math.gcd(2, q - 1)
-        _perm_order_check(G, expected, str(spec))
-        return G, stabilizer_generators(G, 0)
-
-    if family == "psl3":
-        F = small_field(2)
-        _, perms = projective_space_action(F, 3)
-        G = close_generators(7, perms)
-        _perm_order_check(G, 168, str(spec))
-        return G, stabilizer_generators(G, 0)
-
-    if family in ("sp4f2", "sp6f2"):
-        m = 2 if family == "sp4f2" else 3
-        points, perms = symplectic_quadratic_action(m, param)
-        G = close_generators(len(points), perms)
-        _perm_order_check(G, symplectic_group_order(m), str(spec))
-        return G, stabilizer_generators(G, 0)
-
-    if family in ("psu3", "pgu3"):
-        q = int(param)
-        flavor = "psu" if family == "psu3" else "pgu"
-        points, perms = unitary_isotropic_action(q, flavor)
-        G = close_generators(len(points), perms)
-        _perm_order_check(G, unitary_group_order(q, flavor), str(spec))
-        return G, stabilizer_generators(G, 0)
-
-    raise UnsupportedParameter(f"unknown family {family!r}")
+    expected = zoo_order(spec)
+    G = close_generators(*_zoo_action(spec))
+    if G.order != expected:
+        raise BuildVerificationError(
+            f"{spec}: expected order {expected}, enumeration found {G.order}")
+    return G, stabilizer_generators(G, 0)
 
 
 def build_zoo_model(spec) -> UnitaryGaloisModel:

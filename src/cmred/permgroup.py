@@ -136,7 +136,6 @@ class FiniteGroup:
         # element indices of the input generators, one per BFS generator slot
         self.generators = self.index_rows(gen_rows).tolist()
         self._inverses = None
-        self._inverse_images = None
         self._mult_table = None
 
     def index_rows(self, rows) -> np.ndarray:
@@ -185,14 +184,7 @@ class FiniteGroup:
                                 self.images.shape),
                 axis=1)
             self._inverses = self.index_rows(inv_img).astype(np.int32)
-            self._inverse_images = inv_img
         return self._inverses
-
-    @property
-    def inverse_images(self) -> np.ndarray:
-        if self._inverse_images is None:
-            _ = self.inverses
-        return self._inverse_images
 
     @property
     def mult_table(self):

@@ -9,6 +9,12 @@ from cmred.permgroup import close_generators
 from orbit_oracle import oracle_orbit_table
 
 
+def certificate(spec):
+    """The certificate of a zoo model, its strata <= 2 read from one table."""
+    m = build_zoo_model(spec)
+    return certify(m, orbit_table(m, 2))
+
+
 def test_sym4_orbit_table():
     m = build_zoo_model("sym:4")
     table = orbit_table(m, 4)
@@ -86,7 +92,7 @@ def test_orbit_table_matches_oracle():
 
 
 def test_certify_positive():
-    cert = certify(build_zoo_model("sym:5"))
+    cert = certificate("sym:5")
     assert cert.two_transitive and cert.criterion_met
     assert cert.pair_orbit_count == 1
     assert cert.orbit_counts == {0: 1, 1: 1, 2: 1}
@@ -94,7 +100,7 @@ def test_certify_positive():
 
 
 def test_certify_negative():
-    cert = certify(build_zoo_model("cyclic:5"))
+    cert = certificate("cyclic:5")
     assert not cert.two_transitive and not cert.criterion_met
     assert cert.pair_orbit_count == 4
     assert "not 2-transitive" in cert.statement
@@ -102,21 +108,21 @@ def test_certify_negative():
 
 def test_certify_sp4():
     for sign in "+-":
-        cert = certify(build_zoo_model(f"sp4f2:{sign}"))
+        cert = certificate(f"sp4f2:{sign}")
         assert cert.criterion_met
         assert cert.orbit_counts == {0: 1, 1: 1, 2: 1}
 
 
 def test_two_transitive_implies_single_small_orbits():
     for spec in ("sym:3", "sym:4", "alt:4", "psl2:5", "pgl2:3", "psu3:2"):
-        cert = certify(build_zoo_model(spec))
+        cert = certificate(spec)
         if cert.two_transitive:
             assert all(v == 1 for v in cert.orbit_counts.values()), spec
 
 
 def test_certificates_deterministic():
-    a = certify(build_zoo_model("sym:4")).to_dict()
-    b = certify(build_zoo_model("sym:4")).to_dict()
+    a = certificate("sym:4").to_dict()
+    b = certificate("sym:4").to_dict()
     assert a == b
     ta = orbit_table(build_zoo_model("cyclic:6"), 3).to_dict()
     tb = orbit_table(build_zoo_model("cyclic:6"), 3).to_dict()

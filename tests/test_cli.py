@@ -118,10 +118,78 @@ def test_unknown_family_exits_2(capsys):
     assert code == 2 and "ParseError" in err
 
 
-def test_large_gate(capsys):
-    code, _, err = run_main(capsys, "certify", "sp6f2:+")
-    assert code == 2
-    assert "--large" in err
+def test_large_gate(capsys, monkeypatch):
+    # gated on the zoo order formula, before any closure runs
+    class Built(Exception):
+        pass
+
+    def build(spec):
+        raise Built(str(spec))
+
+    monkeypatch.setattr("cmred.cli.build", build)
+    for spec, order in (("sp6f2:+", 1451520), ("sp6f2:-", 1451520),
+                        ("alt:10", 1814400)):
+        code, out, err = run_main(capsys, "certify", spec)
+        assert code == 2 and out == ""
+        assert "--large" in err and str(order) in err
+        with pytest.raises(Built):
+            run(RunConfig(command="certify", spec=spec, large=True))
+    # sym:9 (362,880 elements, the certify-large benchmark) is not gated
+    with pytest.raises(Built):
+        run(RunConfig(command="certify", spec="sym:9"))
+
+
+NOT_JSON_INTEGERS = {
+    "strings": {"degree": 3, "group_generators": [["a", "b", "c"]]},
+    "nested-list": {"degree": 3, "group_generators": [[[0], 1, 2]]},
+    "floats": {"degree": 3, "group_generators": [[0.9, 2.2, 1.7]]},
+    "booleans": {"degree": 3, "group_generators": [[True, False, 2]]},
+    "string-degree": {"degree": "3", "group_generators": [[1, 0, 2]]},
+    "float-degree": {"degree": 2.5, "group_generators": [[1, 0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_JSON_INTEGERS))
+def test_file_values_must_be_json_integers(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**NOT_JSON_INTEGERS[name],
+                                "subgroup_generators": []}))
+    with pytest.raises(ParseError):
+        parse_spec(f"file:{path}")
+    code, out, err = run_main(capsys, "certify", f"file:{path}")
+    assert code == 2 and out == ""
+    assert "ParseError" in err and "Traceback" not in err
+
+
+def test_verify_builds_the_pair_tensor_and_each_stratum_once(monkeypatch):
+    import cmred.certifier as certifier
+    import cmred.cm_engine as cm_engine
+
+    pair_tensor = cm_engine.pair_tensor
+    orbits_on_subsets = certifier.orbits_on_subsets
+    calls = {"pairs": 0, "strata": []}
+
+    def counted_pairs(model):
+        calls["pairs"] += 1
+        return pair_tensor(model)
+
+    def counted_orbits(rows, n, eps, *args):
+        calls["strata"].append(eps)
+        return orbits_on_subsets(rows, n, eps, *args)
+
+    monkeypatch.setattr(cm_engine, "pair_tensor", counted_pairs)
+    monkeypatch.setattr(certifier, "orbits_on_subsets", counted_orbits)
+    # the report lists strata up to --eps-max (2 by default), the
+    # certificate needs strata up to 2: one orbit table holds both
+    for eps_max, listed in ((None, 2), (1, 2), (3, 3)):
+        calls.update(pairs=0, strata=[])
+        report, code = run(RunConfig(command="verify", spec="sym:4",
+                                     eps_max=eps_max))
+        assert code == 0
+        assert calls == {"pairs": 1, "strata": list(range(listed + 1))}
+        shown = 2 if eps_max is None else eps_max
+        assert sorted(report["orbits"]) == [str(e) for e in range(shown + 1)]
+        assert sorted(report["certificate"]["orbit_counts"]) == ["0", "1", "2"]
 
 
 def test_skipped_cap_reported(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import cmred.cm_engine as cm_engine
 from class_oracle import evaluate, reread_members
+from pair_oracle import pair_tensor_by_lookup
 from cmred.cm_engine import (
     INT64_MAX,
     _closed_numerators,
@@ -31,10 +32,15 @@ from cmred.cm_engine import (
     compare_class_functions,
     conjugate_subgroup_sum,
     pair_residuals,
+    pair_tensor,
     permutation_character,
     subset_sweep,
 )
-from cmred.errors import BruteCapExceeded, IntegerBoundExceeded
+from cmred.errors import (
+    BruteCapExceeded,
+    IntegerBoundExceeded,
+    UnsupportedParameter,
+)
 from cmred.galois_model import CMType, UnitaryGaloisModel, act, enumerate_cm_types
 from cmred.group_algebra import (
     BRUTE_CAP,
@@ -43,7 +49,7 @@ from cmred.group_algebra import (
     convolve,
     reflex,
 )
-from cmred.group_zoo import build_zoo_model
+from cmred.group_zoo import build, build_zoo_model, parse_zoo_spec, zoo_order
 from cmred.permgroup import (
     ELEMENT_CAP,
     SUBSET_CAP,
@@ -372,7 +378,7 @@ def test_pair_reduction_degenerate_cases():
     m = s4_model()
     subsets = [phi.indices for eps in (0, 1, 2)
                for phi in enumerate_cm_types(m, eps)]
-    assert not pair_residuals(subsets, m).any()
+    assert not pair_residuals(subsets, m, pair_tensor(m)).any()
     rep = check_pair_reduction_suite(subset_sweep(m, 2, 0))
     assert rep.passed, rep.witness
     assert rep.detail == {"subsets_checked": len(subsets)}
@@ -380,7 +386,7 @@ def test_pair_reduction_degenerate_cases():
 
 def test_pair_reduction_s4_triple():
     m = s4_model()
-    assert not pair_residuals([(0, 1, 2)], m).any()
+    assert not pair_residuals([(0, 1, 2)], m, pair_tensor(m)).any()
     # cross-check the residual through the brute path, whose functions all
     # share the denominators |c| |Gamma|
     phi = CMType((0, 1, 2), 4)
@@ -399,9 +405,10 @@ def test_pair_reduction_s4_triple():
 
 def test_pair_reduction_all_sizes_including_full():
     for m in (s3_model(), z4_model(), s4_model()):
+        P = pair_tensor(m)
         for eps in range(m.n + 1):
             for phi in enumerate_cm_types(m, eps):
-                assert not pair_residuals([phi.indices], m).any()
+                assert not pair_residuals([phi.indices], m, P).any()
 
 
 def test_cm0_membership():
@@ -423,8 +430,9 @@ def test_cm0_membership():
 
 def test_cm0_suite_and_invariance():
     for m in (s3_model(), z4_model()):
-        assert check_cm0_suite(subset_sweep(m, None, 3)).passed
-        assert check_galois_invariance(m, pairs=50, seed=3).passed
+        sweep = subset_sweep(m, None, 3)
+        assert check_cm0_suite(sweep).passed
+        assert check_galois_invariance(sweep, pairs=50).passed
 
 
 def test_linear_functional_skeleton():
@@ -458,28 +466,59 @@ def test_closed_block_matches_one_at_a_time(monkeypatch):
         m = make()
         subsets = [s for eps in range(m.n + 1)
                    for s in itertools.combinations(range(m.n), eps)]
-        block = closed_block(subsets, m)
+        P = pair_tensor(m)
+        block = closed_block(subsets, m, P)
         assert block.shape == (len(subsets), 2, m.classes.count)
         for s, num in zip(subsets, block):
             assert np.array_equal(
                 num, cm_class_function_closed(CMType(s, m.n), m).numerators)
-        assert not pair_residuals(subsets, m).any()
-        # one subset per contraction chunk and one coset j per lookup give
-        # the same block and pair tensor
+        assert not pair_residuals(subsets, m, P).any()
+        # one subset per contraction chunk gives the same block
         monkeypatch.setattr(cm_engine, "CONTRACT_ENTRIES", 1)
-        monkeypatch.setattr(cm_engine, "LOOKUP_ROWS", 1)
-        fresh = make()
-        assert np.array_equal(closed_block(subsets, fresh), block)
-        assert np.array_equal(fresh.pair_tensor, m.pair_tensor)
+        assert np.array_equal(closed_block(subsets, m, P), block)
         monkeypatch.undo()
+
+
+def zoo_specs():
+    """Every spec the zoo accepts, each family over its parameter range."""
+    specs = []
+    for family in ("sym", "alt", "cyclic", "dihedral", "psl2", "pgl2", "psl3",
+                   "sp4f2", "sp6f2", "psu3", "pgu3"):
+        for param in [*map(str, range(1, 65)), "+", "-"]:
+            try:
+                specs.append(str(parse_zoo_spec(f"{family}:{param}")))
+            except UnsupportedParameter:
+                pass
+    return specs
+
+
+def test_pair_tensor_matches_lookup_on_the_zoo():
+    small = [s for s in zoo_specs() if zoo_order(s) <= 20_160]
+    assert len(small) > 150 and "alt:8" in small and "sym:8" not in small
+    for spec in small:
+        m = build_zoo_model(spec)
+        assert np.array_equal(pair_tensor(m), pair_tensor_by_lookup(m)), spec
+
+
+def test_pair_tensor_past_the_action_dtype():
+    # n k = 120 * 7 = 840 past 255 with a uint8 action (S5 over trivial H),
+    # and a uint16 action (A6 over trivial H, n = 360)
+    for spec, dtype in (("sym:5", np.uint8), ("alt:6", np.uint16)):
+        m = UnitaryGaloisModel(build(spec)[0], [])
+        assert m.n == m.group.order and m.action.dtype == dtype
+        P = pair_tensor(m)
+        assert np.array_equal(P, pair_tensor_by_lookup(m))
+        # over trivial H each ordered pair i != j is one element
+        assert (P.sum(axis=2) == 1 - np.eye(m.n, dtype=np.int64)).all()
 
 
 def test_pair_residual_sees_a_changed_triple():
     m = s4_model()
     subsets = list(itertools.combinations(range(4), 3))
-    closed = closed_block(subsets, m)
+    P = pair_tensor(m)
+    closed = closed_block(subsets, m, P)
     closed[2, 1, 0] += 1
-    bad = pair_residuals(subsets, m, closed).any(axis=(1, 2))
+    bad = pair_residuals(subsets, m, P, closed).any(axis=(1, 2))
     assert bad.tolist() == [False, False, True, False]
     # the same change in a sweep: both checks name the subset, 1-based
     sweep = subset_sweep(m, 3, 0)
@@ -496,28 +535,36 @@ def test_pair_residual_sees_a_changed_triple():
 
 
 def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
-    calls = {"brute": 0, "block": 0}
+    calls = {"brute": 0, "block": 0, "pairs": 0}
     brute, block = cm_engine.cm_class_function_brute, cm_engine.closed_block
 
     def counted_brute(phi, model, brute_cap=BRUTE_CAP):
         calls["brute"] += 1
         return brute(phi, model, brute_cap)
 
-    def counted_block(subsets, model):
+    def counted_block(subsets, model, P):
         calls["block"] += 1
-        return block(subsets, model)
+        return block(subsets, model, P)
+
+    def counted_pairs(model):
+        calls["pairs"] += 1
+        return pair_tensor(model)
 
     monkeypatch.setattr(cm_engine, "cm_class_function_brute", counted_brute)
     monkeypatch.setattr(cm_engine, "closed_block", counted_block)
+    monkeypatch.setattr(cm_engine, "pair_tensor", counted_pairs)
     m = s4_model()
     sweep = subset_sweep(m, 9, 3)  # eps_max is clipped to n
-    assert calls == {"brute": 16, "block": 1}
+    assert calls == {"brute": 16, "block": 1, "pairs": 1}
     assert len(sweep.subsets) == 16 and sweep.brute.shape == sweep.closed.shape
+    assert (sweep.seed, sweep.eps_max) == (3, 4)
     assert check_closed_form(sweep).detail == {"subsets_checked": 16,
                                                "sampled_eps": []}
     assert check_pair_reduction_suite(sweep).detail == {"subsets_checked": 16}
     assert check_cm0_suite(sweep).detail == {"functions_checked": 32}
-    assert calls == {"brute": 16, "block": 2}  # the sweep, the pair parts
+    assert check_galois_invariance(sweep).detail == {"pairs": 50}
+    # the sweep, the pair parts, galois-invariance; one pair tensor for all
+    assert calls == {"brute": 16, "block": 3, "pairs": 1}
     # past the brute cap the closed functions alone are checked
     sweep = subset_sweep(m, None, 3, brute_cap=4)
     assert calls["brute"] == 16
@@ -527,16 +574,16 @@ def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
 
 def test_tripled_double_coset_term_is_caught(monkeypatch):
     # the witness and count are those of the Fraction-based closed form
-    pair_tensor = cm_engine._pair_tensor
-    monkeypatch.setattr(cm_engine, "_pair_tensor",
-                        lambda model, rows: 3 * pair_tensor(model, rows))
+    monkeypatch.setattr(cm_engine, "pair_tensor",
+                        lambda model: 3 * pair_tensor(model))
     m = build_zoo_model("sym:4")
-    rep = check_closed_form(subset_sweep(m, None, 7))
+    sweep = subset_sweep(m, None, 7)
+    rep = check_closed_form(sweep)
     assert not rep.passed
     assert rep.witness == {"class_index": 1, "bit": 0, "lhs": "1/3",
                            "rhs": "1/2", "subset": [1, 2]}
     assert rep.detail == {"subsets_checked": 6}
-    assert not check_galois_invariance(m, pairs=50, seed=7).passed
+    assert not check_galois_invariance(sweep, pairs=50).passed
 
 
 def test_cm0_checks_the_whole_class_table():
@@ -621,14 +668,15 @@ def model_and_subsets(draw):
 @given(model_and_subsets())
 def test_integer_closed_form_on_random_groups(case):
     m, subsets = case
-    block = closed_block(subsets, m)
+    P = pair_tensor(m)
+    block = closed_block(subsets, m, P)
     for s, num in zip(subsets, block):
         phi = CMType(s, m.n)
         closed = cm_class_function_closed(phi, m)
         assert np.array_equal(closed.numerators, num)
         assert closed.values == closed_form_via_algebra(phi, m)
         assert closed == cm_class_function_brute(phi, m)
-    assert not pair_residuals(subsets, m, block).any()
+    assert not pair_residuals(subsets, m, P, block).any()
 
 
 @st.composite
@@ -658,8 +706,7 @@ def test_whole_suite_on_random_groups(case):
     sweep = subset_sweep(m, eps_max, seed)
     for rep in (check_closed_form(sweep), check_induced_character(m),
                 check_pair_reduction_suite(sweep), check_cm0_suite(sweep),
-                check_galois_invariance(m, pairs=50, seed=seed,
-                                        eps_max=eps_max)):
+                check_galois_invariance(sweep, pairs=50)):
         assert rep.to_dict()["status"] == "pass", rep.to_dict()
     # pair reduction on the brute path, whose functions all share the
     # denominators |c| |Gamma|; parts the sweep did not draw are computed
@@ -676,6 +723,7 @@ def test_whole_suite_on_random_groups(case):
                     + (eps - 2) * sum(f((i,)) for i in s)
                     - (eps - 1) * (eps - 2) // 2 * f(()))
         assert not np.any(residual), s
+    assert np.array_equal(sweep.P, pair_tensor_by_lookup(m))
     # the coset action is a homomorphism: act[ab] = act[a] o act[b]
     act_rows = m.action
     everything = np.arange(m.group.order)[:, None, None]

@@ -31,7 +31,7 @@ CASES = {
 
 
 def tripled_pair_tensor(pair_tensor):
-    return lambda model, rows: 3 * pair_tensor(model, rows)
+    return lambda model: 3 * pair_tensor(model)
 
 
 def golden_text(name) -> tuple[str, int]:
@@ -44,8 +44,8 @@ def golden_text(name) -> tuple[str, int]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, monkeypatch):
     if CASES[name][3]:
-        monkeypatch.setattr(cm_engine, "_pair_tensor",
-                            tripled_pair_tensor(cm_engine._pair_tensor))
+        monkeypatch.setattr(cm_engine, "pair_tensor",
+                            tripled_pair_tensor(cm_engine.pair_tensor))
     text, code = golden_text(name)
     assert code == CASES[name][2]
     assert text.encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()
@@ -53,10 +53,10 @@ def test_report_matches_golden(name, monkeypatch):
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    pair_tensor = cm_engine._pair_tensor
+    pair_tensor = cm_engine.pair_tensor
     for name in sorted(CASES):
-        cm_engine._pair_tensor = (tripled_pair_tensor(pair_tensor)
-                                  if CASES[name][3] else pair_tensor)
+        cm_engine.pair_tensor = (tripled_pair_tensor(pair_tensor)
+                                 if CASES[name][3] else pair_tensor)
         text, code = golden_text(name)
         if code != CASES[name][2]:
             sys.exit(f"{name}: exit {code}, expected {CASES[name][2]}")

@@ -26,6 +26,7 @@ from cmred.group_zoo import (
     small_field,
     symplectic_group_order,
     unitary_group_order,
+    zoo_order,
     _psi_f2,
     _unitary_generators,
 )
@@ -80,10 +81,19 @@ def test_orders_match_derived_formulas():
         "psu3:2": unitary_group_order(2, "psu"),
         "pgu3:2": unitary_group_order(2, "pgu"),
         "psu3:3": unitary_group_order(3, "psu"),
+        "sym:1": 1,
+        "alt:1": 1,
+        "alt:2": 1,
+        "cyclic:1": 1,
     }
     for spec, expected in cases.items():
         G, _ = build(spec)
-        assert G.order == expected, spec
+        assert G.order == zoo_order(spec) == expected, spec
+    # the formula alone, for the groups the CLI gates on it
+    for spec, expected in (("sym:9", 362_880), ("alt:10", 1_814_400),
+                           ("sp6f2:+", 1_451_520), ("sp6f2:-", 1_451_520),
+                           ("pgl2:13", 2184), ("pgu3:3", 6048)):
+        assert zoo_order(spec) == expected, spec
 
 
 def test_stabilizer_is_exactly_point_zero_fixers():
@@ -260,9 +270,10 @@ def test_unitary_build_shapes():
 
 
 def test_psl2_actions_are_two_transitive():
-    from cmred.certifier import certify
+    from cmred.certifier import certify, orbit_table
     for q in (2, 3, 4, 5, 7):
-        cert = certify(build_zoo_model(f"psl2:{q}"))
+        m = build_zoo_model(f"psl2:{q}")
+        cert = certify(m, orbit_table(m, 2))
         assert cert.two_transitive, q
 
 

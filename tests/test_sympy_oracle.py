@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 
-from cmred.certifier import certify
+from cmred.certifier import certify, orbit_table
 from cmred.galois_model import UnitaryGaloisModel
 from cmred.group_zoo import build
 from cmred.permgroup import close_generators, is_k_transitive
@@ -51,7 +51,7 @@ def test_zoo_matches_sympy(spec):
     # cyclic action), so the coset action is the action on the orbit of 0
     assert model.n == len(S.orbit(0))
     if model.n >= 2:
-        cert = certify(model)
+        cert = certify(model, orbit_table(model, 2))
         pairs = sympy_pair_orbits(S)
         assert cert.pair_orbit_count == pairs
         assert cert.two_transitive == (pairs == 1)
