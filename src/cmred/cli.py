@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every executed check passes (a negative certificate is not
 a failure), 1 when a mathematical identity check fails, 2 for usage or
-environment errors.  Reports carry exact rationals as strings and an integer
+environment errors, among them a reader that closes stdout before the report
+is written.  Reports carry exact rationals as strings and an integer
 millisecond timing field; two runs with the same seed differ at most in the
 timing field.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -259,7 +261,14 @@ def main(argv=None) -> int:
     except CmredError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(render_json(report) if config.fmt == "json" else render_text(report))
+    try:
+        print(render_json(report) if config.fmt == "json" else render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (``| head -1``): the interpreter's own flush at
+        # exit must not hit the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

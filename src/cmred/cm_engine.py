@@ -1,12 +1,13 @@
 """Both computation paths for the class function attached to a CM type, and
 exact checkers for the structural identities relating them.
 
-The brute path convolves the CM-type indicator with its reflex and projects
-to classes; the closed-form path assembles the same class function from the
-trace, the permutation character, and conjugated double-coset counts, for a
-whole block of subsets at once.  Both give int64 numerators over fixed
-per-class denominators (``ClassFunction``), compared by cross-multiplying
-with zero tolerance.
+The brute path counts the class sums of the CM-type indicator times its
+reflex on the indicator's support, through the multiplication table of G
+(``group_algebra.indicator_reflex_class_sums``); the closed-form path
+assembles the same class function from the trace, the permutation
+character, and conjugated double-coset counts, for a whole block of subsets
+at once.  Both give int64 numerators over fixed per-class denominators
+(``ClassFunction``), compared by cross-multiplying with zero tolerance.
 
 ``closed-form``, ``pair-reduction``, ``cm0-membership`` and
 ``galois-invariance`` take one seeded subset sweep (``subset_sweep``), built
@@ -30,9 +31,7 @@ from .galois_model import CMType, UnitaryGaloisModel, act
 from .group_algebra import (
     BRUTE_CAP,
     ClassFunction,
-    class_project,
-    convolve,
-    reflex,
+    indicator_reflex_class_sums,
     unequal,
 )
 
@@ -87,15 +86,22 @@ def cm_class_function_brute(phi: CMType, model: UnitaryGaloisModel,
                             brute_cap: int = BRUTE_CAP) -> ClassFunction:
     """Class means of the convolution of the CM type with its reflex,
     normalized by 1/|Gamma| (definition-level path): class sums over
-    |c| |Gamma|."""
+    |c| |Gamma|.
+
+    The class sums are counted, not read off the whole product: the bit-1
+    sum over a class c is the number of pairs (y, z) of G x G with
+    y z^-1 in c whose indicator bits differ, which is exactly the sum of the
+    convolution's coefficients over c.  The count reads only the
+    multiplication table, the inverses and the class partition of G; never
+    the cosets' action or any closed-form quantity, so the cross-check
+    stays independent.
+    """
     reason = brute_skip_reason(model, brute_cap)
     if reason is not None:
         raise BruteCapExceeded(reason)
-    elt = cm_type_element(phi, model)
-    f = class_project(convolve(elt, reflex(elt, model.group), model.group),
-                      model.classes)
-    return ClassFunction(model.classes, f.numerators,
-                         f.denominators * model.gamma_order)
+    sums = indicator_reflex_class_sums(cm_type_element(phi, model)[1],
+                                       model.group, model.classes)
+    return ClassFunction(model.classes, sums, _brute_denominators(model))
 
 
 def permutation_character(model: UnitaryGaloisModel) -> ClassFunction:

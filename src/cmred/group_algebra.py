@@ -1,4 +1,4 @@
-"""Exact integer convolution kernel on Gamma = G x Z/2.
+"""Exact integer kernels on Gamma = G x Z/2.
 
 A group-algebra element is an int64 array of shape (2, |G|): entry [b, g] is
 the coefficient of (g, b), with g an element index of a FiniteGroup and b in
@@ -7,7 +7,14 @@ identity, so the bit components convolve block-wise through the
 multiplication table of G.  Class values are int64 class sums over the
 class sizes; Fractions are built only to print them.  No floating point
 anywhere; callers keep the coefficients small enough that |G| max|a| max|b|
-fits in int64 (the brute path convolves 0/1 indicators).
+fits in int64.
+
+The brute path needs only the class sums of one product, the indicator e of
+a CM type times its reflex: ``indicator_reflex_class_sums`` counts them on
+the support of e (or of its complement) in min(|U|, |G| - |U|)^2 table
+reads.  ``convolve``, ``reflex`` and ``class_project`` compute the whole
+product and its projection; they are the reference the count is tested
+against.
 """
 
 from __future__ import annotations
@@ -43,6 +50,36 @@ def convolve(a: np.ndarray, b: np.ndarray, G: FiniteGroup) -> np.ndarray:
             for j in (0, 1):
                 out[i ^ j] += a[i, y] @ b[j][left]
     return out
+
+
+def indicator_reflex_class_sums(mask: np.ndarray, G: FiniteGroup,
+                                classes: ConjugacyPartition) -> np.ndarray:
+    """Class sums, shape (2, k), of e * reflex(e) for the indicator e of a
+    0/1 mask on G (bit 1 on the mask, bit 0 off it): the numerators of
+    ``class_project(convolve(e, reflex(e, G), G), classes)``.
+
+    The coefficient of (x, b) in e * reflex(e) counts the y in G for which
+    mask(y) + mask(x^-1 y) = b mod 2.  With z = x^-1 y, the bit-1 sum over
+    a class c counts the pairs (y, z) in G x G with y z^-1 in c and exactly
+    one of y, z in the support U.  Each y has exactly |c| partners z with
+    y z^-1 in c, and so has each z, so that is 2 |U| |c| - 2 Q[c], with
+    Q[c] = #{(y, u) in U x U : y u^-1 in c}.
+    The count is symmetric under swapping U with its complement, so Q is
+    taken on the smaller of the two, CHUNK_ROWS rows of the table at a time.
+    Every (x, y) carries exactly one bit, so bit 0 is |G| |c| minus bit 1.
+    """
+    support = np.flatnonzero(mask)
+    if 2 * len(support) > G.order:
+        support = np.flatnonzero(np.asarray(mask) == 0)
+    inverse = G.inverses[support]
+    table, class_of, k = G.mult_table, classes.class_of, classes.count
+    pairs = np.zeros(k, dtype=np.int64)
+    for start in range(0, len(support), CHUNK_ROWS):
+        y = support[start:start + CHUNK_ROWS, None]
+        pairs += np.bincount(class_of[table[y, inverse]].ravel(), minlength=k)
+    size = np.asarray(classes.sizes, dtype=np.int64)
+    bit1 = 2 * (len(support) * size - pairs)
+    return np.stack([G.order * size - bit1, bit1])
 
 
 def unequal(lnum, lden, rnum, rden) -> np.ndarray:

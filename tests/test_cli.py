@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmred
 from cmred.cli import RunConfig, main, parse_spec, render_json, run
 from cmred.errors import ParseError
 from cmred.group_algebra import BRUTE_CAP
@@ -66,6 +71,34 @@ def test_zoo_list(capsys):
     data = json.loads(out)
     specs = [e["spec"] for e in data["zoo"]]
     assert "sym:n" in specs and "sp6f2:+|-" in specs
+
+
+# The child signals, then waits until the reader has taken that one line
+# and closed the pipe, as ``cmred zoo list | head -1`` does once head exits.
+AFTER_ONE_LINE = """
+import sys
+from cmred.cli import main
+print("first line", flush=True)
+sys.stdin.readline()
+sys.exit(main(["zoo", "list"]))
+"""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_stdout_closed_early_exits_2_quietly(unbuffered):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(cmred.__file__).resolve().parent.parent))
+    proc = subprocess.Popen([sys.executable, "-c", AFTER_ONE_LINE], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"first line\n"
+    proc.stdout.close()
+    proc.stdin.write(b"go\n")
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
 
 
 def test_verify_sym3_passes(capsys):

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cmred.cm_engine as cm_engine
+import cmred.group_algebra as group_algebra
 from class_oracle import evaluate, reread_members
 from pair_oracle import pair_tensor_by_lookup
 from cmred.cm_engine import (
@@ -162,6 +163,20 @@ def raw_convolution(phi, m):
     normalization: the CM type convolved with its reflex."""
     elt = cm_type_element(phi, m)
     return convolve(elt, reflex(elt, m.group), m.group)
+
+
+def brute_by_convolution(phi, m):
+    """The brute class function from the whole product, projected to
+    classes, over |c| |Gamma|: the reference for the kernel's support
+    count."""
+    f = class_project(raw_convolution(phi, m), m.classes)
+    return ClassFunction(m.classes, f.numerators,
+                         f.denominators * m.gamma_order)
+
+
+def assert_same_brute(f, g, context):
+    assert np.array_equal(f.numerators, g.numerators), context
+    assert np.array_equal(f.denominators, g.denominators), context
 
 
 def test_trace_element():
@@ -492,6 +507,38 @@ def zoo_specs():
     return specs
 
 
+def test_brute_count_matches_the_convolution_on_the_zoo():
+    # eps = n/2 is the tie 2|U| = |G|; either side of it the kernel counts
+    # on the support or on its complement
+    rng = random.Random(15)
+    specs = [s for s in zoo_specs() if zoo_order(s) <= TABLE_CAP]
+    assert "pgl2:13" in specs and "sym:7" not in specs
+    sides = set()
+    for spec in specs:
+        m = build_zoo_model(spec)
+        n = m.n
+        for eps in sorted({0, 1, n // 2, (n + 1) // 2, n - 1, n}):
+            phi = CMType(tuple(sorted(rng.sample(range(n), eps))), n)
+            assert_same_brute(cm_class_function_brute(phi, m),
+                              brute_by_convolution(phi, m), (spec, eps))
+            sides.add(int(np.sign(2 * eps * m.h - m.group.order)))
+    assert sides == {-1, 0, 1}
+
+
+def test_brute_count_one_row_at_a_time(monkeypatch):
+    for spec in ("sp4f2:-", "psu3:2", "dihedral:7"):
+        m = build_zoo_model(spec)
+        phis = [CMType(s, m.n) for eps in range(m.n + 1)
+                for s in itertools.islice(
+                    itertools.combinations(range(m.n), eps), 3)]
+        expected = [brute_by_convolution(phi, m) for phi in phis]
+        monkeypatch.setattr(group_algebra, "CHUNK_ROWS", 1)
+        for phi, g in zip(phis, expected):
+            assert_same_brute(cm_class_function_brute(phi, m), g,
+                              (spec, phi.indices))
+        monkeypatch.undo()
+
+
 def test_pair_tensor_matches_lookup_on_the_zoo():
     small = [s for s in zoo_specs() if zoo_order(s) <= 20_160]
     assert len(small) > 150 and "alt:8" in small and "sym:8" not in small
@@ -711,6 +758,9 @@ def test_whole_suite_on_random_groups(case):
     # pair reduction on the brute path, whose functions all share the
     # denominators |c| |Gamma|; parts the sweep did not draw are computed
     brute = dict(zip(sweep.subsets, sweep.brute))
+    for s, num in brute.items():
+        assert np.array_equal(
+            num, brute_by_convolution(CMType(s, m.n), m).numerators), s
 
     def f(s):
         if s not in brute:

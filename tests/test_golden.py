@@ -25,6 +25,9 @@ CASES = {
     "verify-cyclic6-seed7": ("cyclic:6", {"seed": 7}, 0, False),
     "verify-dihedral12-seed7": ("dihedral:12", {"seed": 7}, 0, False),
     "verify-psu3_2-brute-cap-100": ("psu3:2", {"brute_cap": 100}, 0, False),
+    # |G| = 2184: the brute count takes the table rows in chunks
+    "verify-pgl2_13-eps3-seed7": ("pgl2:13", {"eps_max": 3, "seed": 7}, 0,
+                                  False),
     # the double-coset term tripled: closed-form and galois-invariance fail
     "verify-sym4-seed7-tripled": ("sym:4", {"seed": 7}, 1, True),
 }
