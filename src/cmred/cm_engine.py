@@ -432,8 +432,7 @@ def check_cm0_membership(f: ClassFunction):
 def _class_table_witness(model: UnitaryGaloisModel) -> dict | None:
     """First member g of a class c with class_of[g] != c, over every class."""
     classes = model.classes
-    members = np.fromiter(itertools.chain.from_iterable(classes.classes),
-                          dtype=np.int64, count=model.group.order)
+    members = np.concatenate(classes.classes)
     expected = np.repeat(np.arange(classes.count), classes.sizes)
     bad = np.flatnonzero(classes.class_of[members] != expected)
     if not len(bad):

@@ -35,4 +35,5 @@ class ParseError(CmredError):
 
 class BuildVerificationError(CmredError):
     """A zoo construction failed one of its build-time checks (order,
-    form preservation, point count, stabilizer)."""
+    form preservation, point count, stabilizer), or a group closure
+    disagreed with its stabilizer chain."""

@@ -6,20 +6,23 @@ level order, lexicographic tie-break within a level, identity first), so every
 downstream report is byte-reproducible.  Hot loops run on integer numpy
 arrays; all results are exact.
 
-Elements are found by one vectorised lookup (``FiniteGroup.index_rows``).
-Each element's key packs its images at a base, found greedily from the
-enumerated rows; a base determines the element, so the keys are distinct.
-The keys are kept sorted next to one int32 array from sorted position to
-element index, a block of image rows is looked up with one
-``np.searchsorted``, and a row outside the group is caught by comparing the
-full row and reported as -1.
+Before any enumeration a Schreier-Sims chain (``StabChain``) on the base
+0, 1, ..., degree-1 gives |G| and every element's rank: its position in the
+byte-sorted element list, read from the basic orbits.  The closure checks
+the order against its cap, places each new element by its rank, and compares
+each already-seen candidate with the stored element by full row, so a wrong
+chain raises instead of giving a wrong group.  ``FiniteGroup.index_rows``
+looks a block of image rows up by rank and reports a row outside the group,
+caught by the same full-row compare, as -1.
 
 Partitions are int64 label arrays: ``labels[x]`` is the smallest item of x's
 class, and ``merge_labels`` merges x with ``image[x]`` for every x by hooking
-each root onto the smaller root and pointer jumping.  Left cosets are the
-classes of x ~ x o s for the generators s of H, conjugacy classes those of
-x ~ s o x o s^-1 for the generators s of G, and orbits on ordered k-tuples
-and on subsets those of a tuple or a subset and its image under a generator.
+each root onto the smaller root and pointer jumping.  Conjugacy classes are
+the classes of x ~ s o x o s^-1 for the generators s of G, and orbits on
+ordered k-tuples and on subsets those of a tuple or a subset and its image
+under a generator.  Left cosets of the stabilizer of a point p are read from
+column p of the element list (gH is fixed by g(p)); the cosets of any other
+subgroup are the classes of x ~ x o s for its generators s.
 
 Orbits on size-eps subsets of the n points are indexed by lexicographic rank
 (``itertools.combinations`` order): ``labels[r]`` is the rank of the smallest
@@ -31,13 +34,19 @@ entries; the only size limit is ``SUBSET_CAP``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ElementCapExceeded, SubgroupNotContained, SubsetCapExceeded
+from .errors import (
+    BuildVerificationError,
+    ElementCapExceeded,
+    SubgroupNotContained,
+    SubsetCapExceeded,
+)
 
 ELEMENT_CAP = 2_000_000
 TABLE_CAP = 4_096
@@ -67,53 +76,166 @@ def inverse_perm(p: Permutation) -> Permutation:
     return tuple(inv)
 
 
-def _greedy_base(images: np.ndarray) -> list[int]:
-    """Points b_1, b_2, ... each moved by the pointwise stabilizer of the
-    points before it, until that stabilizer is trivial."""
-    stab = np.ones(images.shape[0], dtype=bool)
-    base = []
-    for p in range(images.shape[1]):
-        fixes = images[:, p] == p
-        if not fixes[stab].all():
-            base.append(p)
-            stab &= fixes
-    return base
+def generator_rows(degree: int, gens: Iterable[Sequence[int]]) -> np.ndarray:
+    """(k, degree) uint8 image rows of the distinct generators, in input
+    order; ValueError for a degree out of range or a non-permutation."""
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+    gen_list = []
+    for g in gens:
+        t = tuple(int(x) for x in g)
+        if not is_permutation(t, degree):
+            raise ValueError(f"not a permutation of degree {degree}: {t}")
+        if t not in gen_list:
+            gen_list.append(t)
+    return np.array(gen_list, dtype=np.uint8).reshape(-1, degree)
 
 
-def _key_plan(images: np.ndarray, bits: int):
-    """The plan ``_pack`` follows for this group, and every element's key.
+class StabChain:
+    """Schreier-Sims chain of the group generated by ``gen_rows`` on the
+    base 0, 1, ..., degree-1 (Sims 1970; Seress 2003, ch. 4).
 
-    The points are a greedy base, so the keys are distinct.  Before a point
-    would take the key past 63 bits, the plan re-ranks the key so far among
-    the elements' keys so far (``bits`` <= 8 and a rank is below |G|, far
-    under 2**55, so a re-ranked key always has room for the next point).
+    ``orbits`` lists, in base order, each point i whose basic orbit O_i (its
+    orbit under the pointwise stabilizer G^(i) of 0..i-1) has more than one
+    point, with that orbit; |G| is the product of their lengths.  The rows of
+    ``strong`` fixing 0..i-1 generate G^(i).  The build is deterministic:
+    from the last level up, every Schreier generator of a level is sifted
+    through the levels below it in one batch, and the first residue that is
+    not the identity joins ``strong``; the levels it fixes are then rebuilt
+    and checked again from the deepest one it reaches.
+
+    Every orbit found on the way is inside a basic orbit, so the product of
+    their lengths never exceeds |G|: once it passes ``cap`` the build stops
+    with ElementCapExceeded, naming that lower bound.
     """
-    plan = []
-    key = np.zeros(images.shape[0], dtype=np.int64)
-    width = 0
-    for point in _greedy_base(images):
-        table = None
-        if width + bits > 63:
-            table = np.unique(key)
-            key = np.searchsorted(table, key)
-            width = (len(table) - 1).bit_length()
-        key = (key << bits) | images[:, point]
-        width += bits
-        plan.append((point, table))
-    return plan, key
 
+    def __init__(self, degree: int, gen_rows: np.ndarray, cap=None):
+        self.degree = degree
+        self.generators = gen_rows
+        moved = gen_rows != np.arange(degree)
+        keep = moved.any(axis=1)
+        self.strong = gen_rows[keep]
+        self.first_moved = moved[keep].argmax(axis=1)
+        # point -> (orbit, position of each point in it or -1, inverse
+        # transversal rows u_o^-1, level generators, transversal rows u_o),
+        # nontrivial levels only
+        self._levels = {}
+        stale = set(range(degree))
+        i = degree - 1
+        while i >= 0:
+            if i in stale:
+                self._build_level(i)
+                stale.discard(i)
+                bound = math.prod(len(lv[0]) for lv in self._levels.values())
+                if cap is not None and bound > cap:
+                    raise ElementCapExceeded(
+                        f"group order is at least {bound}, over the cap of "
+                        f"{cap} elements")
+            residue = self._check_level(i)
+            if residue is None:
+                i -= 1
+                continue
+            row, j = residue
+            self.strong = np.vstack([self.strong, row])
+            self.first_moved = np.append(self.first_moved, j)
+            stale.update(range(j + 1))
+            i = j
+        self.orbits = [(i, self._levels[i][0]) for i in sorted(self._levels)]
 
-def _pack(rows: np.ndarray, plan, bits: int) -> np.ndarray:
-    """int64 key of each row: its images at the plan's points, ``bits`` each.
-    A plan entry with a table first replaces the key so far by its rank among
-    the group's keys so far, so that the key never outgrows 63 bits."""
-    key = np.zeros(rows.shape[0], dtype=np.int64)
-    for point, table in plan:
-        if table is not None:
-            key = np.searchsorted(table, key)
-        key <<= bits
-        key |= rows[:, point]
-    return key
+    @property
+    def order(self) -> int:
+        return math.prod(len(orbit) for _, orbit in self.orbits)
+
+    def _build_level(self, i: int) -> None:
+        """Orbit of i under the strong generators fixing 0..i-1, with a
+        transversal grown breadth first (u_{s(o)} = s o u_o)."""
+        d = self.degree
+        gens = self.strong[self.first_moved >= i]
+        pos = np.full(d, -1, dtype=np.int16)
+        pos[i] = 0
+        points = np.array([i])
+        rows = [np.arange(d, dtype=np.uint8)[None]]
+        while len(gens):
+            image = gens[:, points].ravel()  # generator-major
+            new = np.flatnonzero(pos[image] < 0)
+            if not len(new):
+                break
+            points, first = np.unique(image[new], return_index=True)
+            s, o = np.divmod(new[first], len(rows[-1]))
+            pos[points] = np.arange(len(points)) + (pos >= 0).sum()
+            rows.append(np.take_along_axis(gens[s], rows[-1][o], axis=1))
+        if len(rows) == 1:
+            self._levels.pop(i, None)
+            return
+        u = np.concatenate(rows)
+        self._levels[i] = (u[:, i], pos, np.argsort(u, axis=1).astype(np.uint8),
+                           gens, u)
+
+    def _check_level(self, i: int):
+        """Sift every Schreier generator u_{s(o)}^-1 s u_o of level i; the
+        first residue that is not the identity, or None."""
+        if i not in self._levels:
+            return None
+        _, pos, u_inv, gens, u = self._levels[i]
+        su = np.take(gens, u, axis=1).reshape(-1, self.degree)  # s o u_o
+        return self._sift(np.take_along_axis(u_inv[pos[su[:, i]]], su, axis=1),
+                          i + 1)
+
+    def _sift(self, rows: np.ndarray, start: int):
+        """(residue, level) of the first row, all fixing 0..start-1, that
+        does not sift to the identity through levels start.., or None.  A
+        point between two kept levels has a trivial basic orbit, so a
+        residue must fix it."""
+        point = start
+        for level in sorted(k for k in self._levels if k >= start) + [None]:
+            end = self.degree if level is None else level
+            moved = rows[:, point:end] != np.arange(point, end)
+            hit = np.flatnonzero(moved.any(axis=1))
+            if len(hit):
+                return rows[hit[0]], point + int(moved[hit[0]].argmax())
+            if level is None:
+                return None
+            _, pos, u_inv, _, _ = self._levels[level]
+            at = pos[rows[:, level]]
+            hit = np.flatnonzero(at < 0)
+            if len(hit):
+                return rows[hit[0]], level
+            rows = np.take_along_axis(u_inv[at], rows, axis=1)
+            point = level + 1
+
+    @functools.cached_property
+    def _rank_plan(self):
+        """(point, |G^(i+1)|, points to compare, count the complement) per
+        level, deepest first; each level compares on the smaller side."""
+        plan, weight = [], 1
+        for point, orbit in reversed(self.orbits):
+            inside = np.zeros(self.degree, dtype=bool)
+            inside[orbit] = True
+            if len(orbit) - 1 <= self.degree - len(orbit):
+                inside[point] = False
+                plan.append((point, weight, np.flatnonzero(inside), False))
+            else:
+                plan.append((point, weight, np.flatnonzero(~inside), True))
+            weight *= len(orbit)
+        return plan
+
+    def rank(self, rows: np.ndarray) -> np.ndarray:
+        """Position of each row, an element of the group, in the byte-sorted
+        element list: the sum over levels i of |G^(i+1)| times
+        #{o in O_i : g(o) < g(i)}.  The elements agreeing with g on 0..i-1
+        are g G^(i), and g s(i) runs over g(O_i), each |G^(i+1)| times.  A
+        permutation outside the group gets some rank in 0..|G|-1 too."""
+        columns = np.ascontiguousarray(rows.T)
+        rank = np.zeros(rows.shape[0], dtype=np.int64)
+        for point, weight, others, outside in self._rank_plan:
+            target = columns[point]
+            below = np.zeros(rows.shape[0], dtype=np.uint8)  # at most 254
+            for o in others:
+                below += columns[o] < target
+            if outside:  # #{o : g(o) < g(i)} is g(i) over all points
+                below = target - below
+            rank += np.multiply(below, weight, dtype=np.int64)
+        return rank
 
 
 class FiniteGroup:
@@ -123,18 +245,16 @@ class FiniteGroup:
     lexicographic tie-break, so indices are stable across runs.
     """
 
-    def __init__(self, degree, images, parents, levels, gen_rows):
-        self.degree = int(degree)
+    def __init__(self, chain: StabChain, images, parents, levels, index_of_rank):
+        self.chain = chain
+        self.degree = chain.degree
         self.images = images  # (order, degree) uint8
         self.order = int(images.shape[0])
         self._parents = parents  # (order, 2) int32: [generator slot, parent index]
         self._levels = levels  # BFS level boundaries, levels[k]:levels[k+1]
-        self._key_bits = max(1, (self.degree - 1).bit_length())
-        self._key_plan, key = _key_plan(images, self._key_bits)
-        self._key_order = np.argsort(key, kind="stable").astype(np.int32)
-        self._sorted_keys = key[self._key_order]
+        self._index_of_rank = index_of_rank  # (order,) int32
         # element indices of the input generators, one per BFS generator slot
-        self.generators = self.index_rows(gen_rows).tolist()
+        self.generators = self.index_rows(chain.generators).tolist()
         self._inverses = None
         self._mult_table = None
 
@@ -145,11 +265,10 @@ class FiniteGroup:
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             raise ValueError(f"need rows of length {self.degree}, "
                              f"got shape {rows.shape}")
-        key = _pack(rows, self._key_plan, self._key_bits)
-        pos = np.minimum(np.searchsorted(self._sorted_keys, key), self.order - 1)
-        idx = self._key_order[pos]
-        hit = self._sorted_keys[pos] == key
-        hit &= (self.images[idx] == rows).all(axis=1)
+        # a row that is not a permutation may rank outside 0..order-1
+        rank = np.clip(self.chain.rank(rows), 0, self.order - 1)
+        idx = self._index_of_rank[rank]
+        hit = (np.take(self.images, idx, axis=0) == rows).all(axis=1)
         return np.where(hit, idx, -1)
 
     def perm(self, i: int) -> Permutation:
@@ -216,59 +335,66 @@ class FiniteGroup:
 
 
 def close_generators(degree: int, gens: Iterable[Sequence[int]],
-                     cap: int = ELEMENT_CAP) -> FiniteGroup:
+                     cap: int = ELEMENT_CAP, *,
+                     order: int | None = None) -> FiniteGroup:
     """Enumerate the group generated by ``gens`` on points 0..degree-1.
 
-    Level by level: each generator slot maps the whole frontier at once, the
-    images not yet known are kept in (slot, frontier position) order, and
-    ``np.unique`` sorts them by bytes and keeps each one's first parent.
-    The elements found so far are a sorted array of fixed-width row keys
-    (each row's bytes as one numpy void value), searched with
-    ``np.searchsorted``; the base of the final index is not known until the
-    closure is done.  Raises ElementCapExceeded if the closure would exceed
-    ``cap``.
+    The chain gives |G| first: ElementCapExceeded as soon as it is known to
+    be over ``cap``, and BuildVerificationError if it differs from an
+    ``order`` the caller derived, before anything is allocated.  Then level
+    by level, each generator slot maps the whole frontier at once; a product
+    whose rank is taken must equal the element stored there, and the others
+    join the level with their first (slot, frontier position) as parent.  A
+    level is sorted by rank, which is byte order.  A collision or an
+    enumerated count other than the chain's order raises
+    BuildVerificationError.
     """
-    if not 1 <= degree <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
-    gen_list = []
-    for g in gens:
-        t = tuple(int(x) for x in g)
-        if not is_permutation(t, degree):
-            raise ValueError(f"not a permutation of degree {degree}: {t}")
-        if t not in gen_list:
-            gen_list.append(t)
-    gen_rows = np.array(gen_list, dtype=np.uint8).reshape(-1, degree)
-
-    row_key = np.dtype((np.void, degree))
-    blocks = [np.arange(degree, dtype=np.uint8)[None]]
-    parents = [np.array([[-1, -1]], dtype=np.int32)]
+    chain = StabChain(degree, generator_rows(degree, gens), cap)
+    if order is not None and chain.order != order:
+        raise BuildVerificationError(
+            f"expected order {order}, the stabilizer chain gives {chain.order}")
+    order = chain.order
+    images = np.empty((order, degree), dtype=np.uint8)
+    images[0] = np.arange(degree)
+    parents = np.empty((order, 2), dtype=np.int32)
+    parents[0] = -1
+    index_of_rank = np.full(order, -1, dtype=np.int32)
+    index_of_rank[0] = 0  # the identity is the smallest row
     levels = [0, 1]
-    known = blocks[0].view(row_key).ravel()  # sorted keys of every element
     while levels[-1] > levels[-2]:
-        frontier = blocks[-1]
-        # empty heads keep the concatenations defined without generators
-        fresh = [known[:0]]
-        slots, origins = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-        for slot, grow in enumerate(gen_rows):
-            prod = grow[frontier].view(row_key).ravel()  # gen o x
-            pos = np.minimum(np.searchsorted(known, prod), len(known) - 1)
-            new = np.flatnonzero(known[pos] != prod)
-            fresh.append(prod[new])
-            slots.append(np.full(len(new), slot, dtype=np.int32))
-            origins.append((new + levels[-2]).astype(np.int32))
-        level, first = np.unique(np.concatenate(fresh), return_index=True)
-        if levels[-1] + len(level) > cap:
-            raise ElementCapExceeded(
-                f"group closure exceeds cap of {cap} elements")
-        blocks.append(level.view(np.uint8).reshape(-1, degree))
-        parents.append(np.stack([np.concatenate(slots)[first],
-                                 np.concatenate(origins)[first]], axis=1))
-        known = np.insert(known, np.searchsorted(known, level), level)
-        levels.append(levels[-1] + len(level))
+        start = stop = levels[-1]
+        frontier = images[levels[-2]:start]
+        ranks = [np.empty(0, dtype=np.int64)]
+        for slot, grow in enumerate(chain.generators):
+            prod = grow[frontier]  # gen o x
+            rank = chain.rank(prod)
+            new = np.flatnonzero(index_of_rank[rank] < 0)
+            end = stop + len(new)
+            if end > order:
+                raise BuildVerificationError(
+                    f"the closure passes the chain's order {order}")
+            index_of_rank[rank[new]] = np.arange(stop, end)
+            images[stop:end] = prod[new]
+            # every product, seen or new, must be the element at its rank
+            if not np.array_equal(
+                    np.take(images, index_of_rank[rank], axis=0), prod):
+                raise BuildVerificationError(
+                    "two elements share a rank: the stabilizer chain is wrong")
+            parents[stop:end, 0] = slot
+            parents[stop:end, 1] = new + levels[-2]
+            ranks.append(rank[new])
+            stop = end
+        ranks = np.concatenate(ranks)
+        by_rank = np.argsort(ranks)
+        images[start:stop] = np.take(images[start:stop], by_rank, axis=0)
+        parents[start:stop] = np.take(parents[start:stop], by_rank, axis=0)
+        index_of_rank[ranks[by_rank]] = np.arange(start, stop)
+        levels.append(stop)
     levels.pop()  # the last level found nothing new
-
-    return FiniteGroup(degree, np.concatenate(blocks), np.concatenate(parents),
-                       levels, gen_rows)
+    if levels[-1] != order:
+        raise BuildVerificationError(
+            f"enumerated {levels[-1]} elements, the chain's order is {order}")
+    return FiniteGroup(chain, images, parents, levels, index_of_rank)
 
 
 def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -300,14 +426,12 @@ def _compress(labels: np.ndarray) -> np.ndarray:
 
 
 def _partition(labels: np.ndarray):
-    """(class of each item, smallest item per class, sorted member lists),
-    classes ordered by their smallest item."""
-    reps, class_of, sizes = np.unique(labels, return_inverse=True,
-                                      return_counts=True)
-    members = np.argsort(class_of, kind="stable")
-    blocks = np.split(members, np.cumsum(sizes)[:-1])
-    return (class_of.astype(np.int32), reps.tolist(),
-            [b.tolist() for b in blocks])
+    """(int32 class of each item, smallest item per class) of root labels,
+    classes numbered by their smallest item: a root's number is the count of
+    roots before it."""
+    roots = labels == np.arange(len(labels))
+    number = np.cumsum(roots, dtype=np.int32) - 1
+    return number[labels], np.flatnonzero(roots)
 
 
 class CosetSpace:
@@ -315,43 +439,63 @@ class CosetSpace:
 
     Coset 0 is H itself with the identity as representative; the remaining
     cosets are ordered by their minimal element index (which is also the
-    representative).
+    representative).  ``point`` is a point p with H = Stab(p), or None.
     """
 
-    def __init__(self, group, subgroup_elements, coset_of, reps, cosets):
+    def __init__(self, group, coset_of, reps, point=None):
         self.group = group
-        self.subgroup_elements = subgroup_elements  # sorted element indices of H
         self.coset_of = coset_of  # (order,) int32: element index -> coset index
         self.reps = reps  # representative element index per coset
-        self.cosets = cosets  # list of sorted element-index lists
-        self.h = len(subgroup_elements)
+        self.point = point
+        # sorted element indices of H
+        self.subgroup_elements = np.flatnonzero(coset_of == 0).astype(np.int32)
+        self.h = len(self.subgroup_elements)
         self.n = len(reps)
 
 
+def _stabilized_point(G: FiniteGroup, rows: np.ndarray):
+    """The first point p fixed by every row with |<rows>| |p^G| = |G|, so
+    that <rows> = Stab(p), or None."""
+    fixed = np.flatnonzero((rows == np.arange(G.degree)).all(axis=0))
+    if not len(fixed):
+        return None
+    h = StabChain(G.degree, rows).order
+    orbit_of = np.arange(G.degree)
+    for g in G.generators:
+        orbit_of = merge_labels(orbit_of, G.images[g])
+    sizes = np.bincount(orbit_of, minlength=G.degree)[orbit_of[fixed]]
+    hit = np.flatnonzero(h * sizes == G.order)
+    return int(fixed[hit[0]]) if len(hit) else None
+
+
 def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
-    """Partition G into left cosets of the subgroup generated by ``H_gens``:
-    the classes of x ~ x o s over the generators s.
+    """Partition G into left cosets of the subgroup H generated by
+    ``H_gens``.  When H is the stabilizer of a point p, g H is fixed by g(p),
+    so the cosets are the values of column p numbered by first occurrence;
+    otherwise they are the classes of x ~ x o s over the generators s.
 
     Raises SubgroupNotContained if a generator is outside G (then so is the
     subgroup; otherwise all of it lies in G).
     """
-    gens = []
-    for g in H_gens:
-        t = tuple(int(x) for x in g)
-        if not is_permutation(t, G.degree):
-            raise ValueError(f"not a permutation of degree {G.degree}: {t}")
-        gens.append(t)
-    rows = np.array(gens, dtype=np.uint8).reshape(-1, G.degree)
+    rows = generator_rows(G.degree, H_gens)
     missing = G.index_rows(rows) < 0
     if missing.any():
         raise SubgroupNotContained(
             f"subgroup element {min(map(tuple, rows[missing].tolist()))} "
             f"is not in the group")
+    point = _stabilized_point(G, rows)
+    if point is not None:
+        column = G.images[:, point]
+        values, first = np.unique(column, return_index=True)
+        by_first = np.argsort(first)
+        number = np.empty(G.degree, dtype=np.int32)
+        number[values[by_first]] = np.arange(len(values), dtype=np.int32)
+        return CosetSpace(G, number[column], first[by_first].tolist(), point)
     labels = np.arange(G.order, dtype=np.int64)
     for s in rows:
         labels = merge_labels(labels, G.index_rows(G.images[:, s]))
-    coset_of, reps, cosets = _partition(labels)
-    return CosetSpace(G, cosets[0], coset_of, reps, cosets)
+    coset_of, reps = _partition(labels)
+    return CosetSpace(G, coset_of, reps.tolist())
 
 
 class ConjugacyPartition:
@@ -360,7 +504,7 @@ class ConjugacyPartition:
     def __init__(self, class_of, class_reps, classes):
         self.class_of = class_of  # (order,) int32
         self.class_reps = class_reps  # minimal element index per class
-        self.classes = classes  # list of sorted element-index lists
+        self.classes = classes  # sorted int32 element-index array per class
         self.sizes = [len(c) for c in classes]
 
     @property
@@ -374,22 +518,35 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
     labels = np.arange(G.order, dtype=np.int64)
     for g in G.generators:
         s = G.images[g]
-        conj = s[G.images[:, np.argsort(s)]]  # rows: s o x o s^-1
+        # rows: s o x o s^-1
+        conj = s[np.take(G.images, np.argsort(s), axis=1)]
         labels = merge_labels(labels, G.index_rows(conj))
-    return ConjugacyPartition(*_partition(labels))
+    class_of, reps = _partition(labels)
+    # a stable sort of at most 16-bit keys is a radix sort
+    members = np.argsort(class_of.astype(np.min_scalar_type(len(reps) - 1)),
+                         kind="stable").astype(np.int32)
+    bounds = np.cumsum(np.bincount(class_of))[:-1]
+    return ConjugacyPartition(class_of, reps.tolist(), np.split(members, bounds))
 
 
 def coset_action(G: FiniteGroup, C: CosetSpace) -> np.ndarray:
     """Action table on cosets: row g maps i to the coset of g o rep_i.
 
-    The table is a group homomorphism; rows for non-generators extend the
-    generator rows along the BFS parent words.
+    For the stabilizer of a point p that is the coset numbered by
+    g(rep_i(p)), one gather.  Otherwise the table is a group homomorphism,
+    and rows for non-generators extend the generator rows along the BFS
+    parent words.
     """
     n = C.n
     dtype = np.min_scalar_type(n - 1)  # coset indices never wrap
+    rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
+    if C.point is not None:
+        points = rep_rows[:, C.point]
+        number = np.zeros(G.degree, dtype=dtype)
+        number[points] = np.arange(n)
+        return number[G.images[:, points]]
     rows = np.empty((G.order, n), dtype=dtype)
     rows[0] = np.arange(n, dtype=dtype)
-    rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
     gen_action = np.array(
         [C.coset_of[G.index_rows(G.images[g][rep_rows])]  # g o rep_i
          for g in G.generators], dtype=dtype).reshape(-1, n)
@@ -503,19 +660,15 @@ def orbits_on_subsets(action_rows, n: int, eps: int,
 
 
 def stabilizer_generators(G: FiniteGroup, point: int = 0) -> list[Permutation]:
-    """A small deterministic generating set for the stabilizer of a point.
+    """The strong generators of the stabilizer of a point, from G's chain.
 
-    Takes the first stabilizer element (in element order) outside the
-    subgroup generated so far, until that subgroup is the whole stabilizer;
-    every new generator at least doubles it.
+    The chain's strong generators fixing point 0 generate Stab(0).  For
+    another point p, the chain of G conjugated by the transposition t = (0 p)
+    gives Stab(p) = t Stab_{tGt}(0) t.
     """
-    fixed = np.flatnonzero(G.images[:, point] == point)
-    inside = np.zeros(G.order, dtype=bool)
-    inside[0] = True
-    gens: list[int] = []
-    while True:
-        outside = fixed[~inside[fixed]]
-        if not len(outside):
-            return [G.perm(i) for i in gens]
-        gens.append(int(outside[0]))
-        inside[G.index_rows(close_generators(G.degree, G.images[gens]).images)] = True
+    chain, swap = G.chain, np.arange(G.degree)
+    if point:
+        swap[[0, point]] = point, 0
+        chain = StabChain(G.degree, swap[chain.generators[:, swap]])
+    strong = chain.strong[chain.first_moved >= 1]
+    return [tuple(row) for row in swap[strong[:, swap]].tolist()]

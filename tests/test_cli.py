@@ -146,6 +146,21 @@ def test_bad_file_exits_2(capsys, tmp_path):
     assert "ParseError" in err
 
 
+def test_file_group_over_the_element_cap_exits_2(capsys, tmp_path):
+    # S12, from (0 1) and (0 1 ... 11): rejected by its stabilizer chain
+    # before any element is enumerated
+    path = tmp_path / "s12.json"
+    path.write_text(json.dumps({
+        "degree": 12,
+        "group_generators": [[1, 0] + list(range(2, 12)),
+                             [(i + 1) % 12 for i in range(12)]],
+        "subgroup_generators": [],
+    }))
+    code, out, err = run_main(capsys, "certify", f"file:{path}")
+    assert code == 2 and out == ""
+    assert "ElementCapExceeded" in err
+
+
 def test_unknown_family_exits_2(capsys):
     code, _, err = run_main(capsys, "verify", "wat:7")
     assert code == 2 and "ParseError" in err

@@ -199,7 +199,7 @@ def test_cm_type_element_one_coset_flipped():
     elt = cm_type_element(CMType((0,), 3), m)
     flipped = np.flatnonzero(elt[1]).tolist()
     assert len(flipped) == m.h == 2
-    assert flipped == m.cosets.cosets[0]
+    assert flipped == np.flatnonzero(m.cosets.coset_of == 0).tolist()
     assert elt.sum() == m.h * m.n
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cmred.errors import UnsupportedParameter
+from cmred.errors import BuildVerificationError, UnsupportedParameter
 from cmred.group_zoo import (
     SMALL_FIELD_ORDERS,
     ZooSpec,
@@ -94,6 +94,14 @@ def test_orders_match_derived_formulas():
                            ("sp6f2:+", 1_451_520), ("sp6f2:-", 1_451_520),
                            ("pgl2:13", 2184), ("pgu3:3", 6048)):
         assert zoo_order(spec) == expected, spec
+
+
+def test_build_checks_the_chain_order_before_the_closure(monkeypatch):
+    # a wrong order formula is caught from the stabilizer chain alone
+    monkeypatch.setattr("cmred.group_zoo.zoo_order", lambda spec: 721)
+    with pytest.raises(BuildVerificationError,
+                       match="expected order 721, the stabilizer chain gives 720"):
+        build("sp4f2:+")
 
 
 def test_stabilizer_is_exactly_point_zero_fixers():

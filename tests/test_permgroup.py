@@ -1,13 +1,21 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmred.errors import ElementCapExceeded, SubgroupNotContained, SubsetCapExceeded
+from cmred import permgroup
+from cmred.errors import (
+    BuildVerificationError,
+    ElementCapExceeded,
+    SubgroupNotContained,
+    SubsetCapExceeded,
+)
+from cmred.group_zoo import build
 from cmred.permgroup import (
     ELEMENT_CAP,
     check_subset_cap,
@@ -42,6 +50,28 @@ def sym_group(n):
     swap = [1, 0] + list(range(2, n))
     cyc = list(range(1, n)) + [0]
     return close_generators(n, [tuple(swap), tuple(cyc)])
+
+
+def element_set(degree, gens):
+    """The elements generated by ``gens``, closed by the dict oracle."""
+    return {row.tobytes() for row in dict_close(degree, gens, ELEMENT_CAP)[0]}
+
+
+def byte_positions(images):
+    """Position of each row in the byte-sorted list of the rows."""
+    positions = np.empty(len(images), dtype=np.int64)
+    positions[np.lexsort(images.T[::-1])] = np.arange(len(images))
+    return positions
+
+
+# one or more entries of every zoo family, all of order at most 10^5
+ZOO = ([f"sym:{n}" for n in (1, 2, 3, 4, 5, 8)]
+       + [f"alt:{n}" for n in (1, 3, 4, 5, 8)]
+       + ["cyclic:1", "cyclic:6", "cyclic:64", "dihedral:3", "dihedral:12"]
+       + [f"psl2:{q}" for q in (2, 4, 7, 9, 13)]
+       + [f"pgl2:{q}" for q in (3, 8, 11, 13)]
+       + ["psl3:2", "sp4f2:+", "sp4f2:-", "psu3:2", "pgu3:2", "psu3:3",
+          "pgu3:3"])
 
 
 def test_close_s3():
@@ -96,12 +126,17 @@ def test_mul_inv_consistency():
     assert G.mul(0, 3) == 3 and G.mul(3, 0) == 3
 
 
+def coset_lists(C):
+    """The sorted element indices of each coset, from ``coset_of``."""
+    return [np.flatnonzero(C.coset_of == i).tolist() for i in range(C.n)]
+
+
 def test_left_cosets_s3_stab0():
     G = close_generators(3, S3_GENS)
     C = left_cosets(G, [(0, 2, 1)])
     assert C.n == 3 and C.h == 2
     assert C.reps[0] == 0
-    assert sorted(C.cosets[0]) == sorted(C.subgroup_elements)
+    assert coset_lists(C)[0] == C.subgroup_elements.tolist()
     # two elements share a left coset iff they differ by an H element on the right
     for a in range(G.order):
         for b in range(G.order):
@@ -120,7 +155,7 @@ def test_left_cosets_z6():
 def test_left_cosets_ordering_by_minimal_element():
     G = sym_group(4)
     C = left_cosets(G, [(0, 2, 1, 3), (0, 1, 3, 2)])
-    mins = [min(c) for c in C.cosets]
+    mins = [min(c) for c in coset_lists(C)]
     assert mins == sorted(mins)
     assert C.reps == mins
 
@@ -164,7 +199,7 @@ def test_conjugacy_matches_orbit_oracle():
                         queue.append(y)
             seen |= orbit
             oracle_classes.append(sorted(orbit))
-        assert oracle_classes == P.classes
+        assert oracle_classes == [c.tolist() for c in P.classes]
 
 
 def test_coset_action_is_homomorphism():
@@ -417,19 +452,23 @@ def test_group_layer_matches_dict_oracle(case):
     assert np.array_equal(G.images, images)
     assert np.array_equal(G._parents, parents)
     assert G._levels == levels and G.generators == generators
+    assert np.array_equal(G.chain.rank(G.images), byte_positions(G.images))
     P = conjugacy_classes(G)
     class_of, reps, classes = dict_conjugacy_classes(G)
     assert np.array_equal(P.class_of, class_of)
-    assert (P.class_reps, P.classes) == (reps, classes)
+    assert (P.class_reps, [c.tolist() for c in P.classes]) == (reps, classes)
     for H_gens in subgroups + [stabilizer_generators(G, 0)]:
         C = left_cosets(G, H_gens)
         h_indices, coset_of, reps, cosets = dict_left_cosets(G, H_gens)
         assert np.array_equal(C.coset_of, coset_of)
-        assert (C.subgroup_elements, C.reps, C.cosets) == (h_indices, reps, cosets)
+        assert (C.subgroup_elements.tolist(), C.reps, coset_lists(C)) == \
+            (h_indices, reps, cosets)
         assert (C.h, C.n) == (len(h_indices), len(reps))
     assert G.inverses.tolist() == [G.index_of(inverse_perm(G.perm(i)))
                                    for i in range(G.order)]
-    assert stabilizer_generators(G, 0) == scalar_stabilizer_generators(G, 0)
+    # the same subgroup, whatever the generators
+    assert element_set(G.degree, stabilizer_generators(G, 0)) == \
+        element_set(G.degree, scalar_stabilizer_generators(G, 0))
 
 
 def test_index_rows_identity_and_generators():
@@ -456,8 +495,8 @@ def test_index_rows_outside_group():
 
 
 def test_index_rows_past_63_key_bits():
-    # eight disjoint transpositions on 200 points: the base is 0, 2, ..., 14
-    # at 8 bits a point, so the key is re-ranked before its last point
+    # eight disjoint transpositions on 200 points: the basic orbits are
+    # {0, 1}, {2, 3}, ..., {14, 15}
     degree = 200
     gens = []
     for t in range(8):
@@ -466,9 +505,69 @@ def test_index_rows_past_63_key_bits():
         gens.append(tuple(img))
     G = close_generators(degree, gens)
     assert G.order == 256
-    assert any(table is not None for _, table in G._key_plan)
     assert G.index_rows(G.images).tolist() == list(range(256))
     # fixes every base point but is not the identity
     odd = list(range(degree))
     odd[1], odd[199] = 199, 1
     assert G.index_rows([odd, G.images[255]]).tolist() == [-1, 255]
+
+
+@pytest.mark.parametrize("spec", ZOO)
+def test_rank_is_the_byte_sorted_position_on_the_zoo(spec):
+    G, _ = build(spec)
+    assert G.order == G.chain.order <= 10 ** 5
+    assert np.array_equal(G.chain.rank(G.images), byte_positions(G.images))
+
+
+@pytest.mark.parametrize("spec", ZOO)
+def test_column_and_merge_cosets_agree_on_the_zoo(spec, monkeypatch):
+    G, H_gens = build(spec)
+    C = left_cosets(G, H_gens)
+    assert C.point == 0  # every zoo subgroup is the stabilizer of point 0
+    action = coset_action(G, C)
+    monkeypatch.setattr(permgroup, "_stabilized_point", lambda G, rows: None)
+    M = left_cosets(G, H_gens)
+    assert M.point is None
+    assert np.array_equal(C.coset_of, M.coset_of) and C.reps == M.reps
+    assert np.array_equal(C.subgroup_elements, M.subgroup_elements)
+    assert np.array_equal(action, coset_action(G, M))
+
+
+def test_column_path_only_for_a_whole_point_stabilizer():
+    G = sym_group(4)
+    # fixes 2 and 3, but is smaller than either stabilizer
+    assert left_cosets(G, [(1, 0, 2, 3)]).point is None
+    C = left_cosets(G, stabilizer_generators(G, 3))
+    assert (C.point, C.n, C.h) == (3, 4, 6)
+    assert element_set(4, stabilizer_generators(G, 3)) == {
+        row.tobytes() for row in G.images if row[3] == 3}
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_truncated_chain_is_caught_by_the_closure(level, monkeypatch):
+    # S5's basic orbits have 5, 4, 3 and 2 points; dropping one point from
+    # any of them must make the closure raise, never return a smaller group
+    class Truncated(permgroup.StabChain):
+        def __init__(self, *args):
+            super().__init__(*args)
+            point, orbit = self.orbits[level]
+            self.orbits[level] = (point, orbit[:-1])
+
+    monkeypatch.setattr(permgroup, "StabChain", Truncated)
+    with pytest.raises(BuildVerificationError):
+        close_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+
+
+def test_too_large_group_is_rejected_before_enumeration():
+    # S12 has 479,001,600 elements; the chain passes the cap in milliseconds
+    swap = (1, 0) + tuple(range(2, 12))
+    cycle = tuple((i + 1) % 12 for i in range(12))
+    started = time.monotonic()
+    with pytest.raises(ElementCapExceeded, match=f"cap of {ELEMENT_CAP}"):
+        close_generators(12, [swap, cycle])
+    assert time.monotonic() - started < 1
+
+
+def test_chain_order_must_match_a_derived_order():
+    with pytest.raises(BuildVerificationError, match="order 100"):
+        close_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], order=100)

@@ -1,4 +1,5 @@
-"""Order, class count and 2-transitivity against ``sympy.combinatorics``,
+"""Order, stabilizer chain, class count and 2-transitivity against
+``sympy.combinatorics``,
 an implementation that shares nothing with cmred.  Skipped when sympy is not
 installed; it is not a runtime dependency."""
 
@@ -31,6 +32,24 @@ def sympy_group(degree, gens):
         perms or [sympy_comb.Permutation(list(range(degree)))])
 
 
+def sympy_basic_orbits(S, degree):
+    """(i, sorted orbit) for every point i whose orbit under the pointwise
+    stabilizer of 0..i-1 has more than one point."""
+    orbits = []
+    for i in range(degree):
+        orbit = S.orbit(i)
+        if len(orbit) > 1:
+            orbits.append((i, sorted(orbit)))
+        S = S.stabilizer(i)
+    return orbits
+
+
+def chain_matches_sympy(chain, S):
+    return (chain.order == S.order() and
+            [(i, sorted(o.tolist())) for i, o in chain.orbits]
+            == sympy_basic_orbits(S, chain.degree))
+
+
 def sympy_pair_orbits(S, point=0):
     """Orbits of the point stabilizer on the rest of the point's orbit: the
     orbit count on ordered pairs of distinct points of that orbit."""
@@ -45,6 +64,7 @@ def test_zoo_matches_sympy(spec):
     assert G.order <= 720
     S = sympy_group(G.degree, [G.perm(g) for g in G.generators])
     assert G.order == S.order()
+    assert chain_matches_sympy(G.chain, S)
     model = UnitaryGaloisModel(G, H_gens)
     assert model.classes.count == len(S.conjugacy_classes())
     # every zoo subgroup is the stabilizer of point 0 (trivial for the regular
@@ -65,6 +85,7 @@ def test_random_groups_match_sympy(gens):
     G = close_generators(degree, gens)
     S = sympy_group(degree, gens)
     assert G.order == S.order()
+    assert chain_matches_sympy(G.chain, S)
     assert UnitaryGaloisModel(G, []).classes.count == len(S.conjugacy_classes())
     rows = [G.images[g] for g in G.generators]
     assert is_k_transitive(rows, degree, 1)[0] == S.is_transitive()
