@@ -34,8 +34,9 @@ class UnitaryGaloisModel:
 
     @property
     def generator_action_rows(self):
-        """Action rows of the group generators (enough to generate orbits)."""
-        rows = [self.action[g] for g in self.group.generators]
+        """Action rows of ``G.orbit_generators``, a short generating set of
+        G (enough to generate orbits); the identity row when G is trivial."""
+        rows = [self.action[g] for g in self.group.orbit_generators]
         return rows if rows else [self.action[0]]
 
     def __repr__(self):

@@ -17,12 +17,16 @@ caught by the same full-row compare, as -1.
 
 Partitions are int64 label arrays: ``labels[x]`` is the smallest item of x's
 class, and ``merge_labels`` merges x with ``image[x]`` for every x by hooking
-each root onto the smaller root and pointer jumping.  Conjugacy classes are
-the classes of x ~ s o x o s^-1 for the generators s of G, and orbits on
-ordered k-tuples and on subsets those of a tuple or a subset and its image
-under a generator.  Left cosets of the stabilizer of a point p are read from
-column p of the element list (gH is fixed by g(p)); the cosets of any other
-subgroup are the classes of x ~ x o s for its generators s.
+each root onto the smaller root and pointer jumping.  Any generating set of
+G gives the same partition, so the merges over G run over
+``FiniteGroup.orbit_generators``: the input generators when there are at most
+two, else a set no longer than they, picked once with chain checks.
+Conjugacy classes are the classes of x ~ s o x o s^-1 for those s, and orbits
+on ordered k-tuples and on subsets those of a tuple or a subset and its image
+under the coset action of one of them.  The closure and the BFS parent words
+keep the input generators.  Left cosets of the stabilizer of a point p are
+read from column p of the element list (gH is fixed by g(p)); the cosets of
+any other subgroup are the classes of x ~ x o s for its generators s.
 
 Orbits on size-eps subsets of the n points are indexed by lexicographic rank
 (``itertools.combinations`` order): ``labels[r]`` is the rank of the smallest
@@ -37,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -255,8 +260,31 @@ class FiniteGroup:
         self._index_of_rank = index_of_rank  # (order,) int32
         # element indices of the input generators, one per BFS generator slot
         self.generators = self.index_rows(chain.generators).tolist()
+        self.orbit_generators = self._pick_orbit_generators()
         self._inverses = None
         self._mult_table = None
+
+    def _pick_orbit_generators(self) -> list[int]:
+        """Element indices of a short generating set of G for the orbit
+        merges.  With at most two input generators, those.  Otherwise walk
+        len(generators) - 1 fixed-seed random elements, then the input
+        generators, and keep each one outside the group of those kept so far
+        (it does not sift through their chain), until that group is G.  The
+        input generators when the pick would not be shorter."""
+        gens = self.generators
+        if len(gens) <= 2:
+            return list(gens)
+        rng = random.Random(0)
+        stream = [rng.randrange(self.order) for _ in range(len(gens) - 1)]
+        kept, chain = [], StabChain(self.degree, self.images[:0])
+        for g in stream + gens:
+            if chain._sift(self.images[g][None], 0) is None:
+                continue  # already in the group of the kept elements
+            kept.append(g)
+            chain = StabChain(self.degree, self.images[kept])
+            if chain.order == self.order or len(kept) >= len(gens) - 1:
+                break
+        return kept if chain.order == self.order else list(gens)
 
     def index_rows(self, rows) -> np.ndarray:
         """Element index of each row of an (m, degree) block of image rows,
@@ -410,7 +438,9 @@ def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
         moved = ends != labels
         if not moved.any():
             return labels
-        tail, head = labels[moved], ends[moved]
+        head = ends[moved]
+        del ends  # one full-length int64 array fewer at the peak
+        tail = labels[moved]
         np.minimum.at(labels, tail, head)
         np.minimum.at(labels, head, tail)
         labels = _compress(labels)
@@ -461,7 +491,7 @@ def _stabilized_point(G: FiniteGroup, rows: np.ndarray):
         return None
     h = StabChain(G.degree, rows).order
     orbit_of = np.arange(G.degree)
-    for g in G.generators:
+    for g in G.orbit_generators:
         orbit_of = merge_labels(orbit_of, G.images[g])
     sizes = np.bincount(orbit_of, minlength=G.degree)[orbit_of[fixed]]
     hit = np.flatnonzero(h * sizes == G.order)
@@ -514,13 +544,13 @@ class ConjugacyPartition:
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
     """Exact classes: the orbits of conjugation x -> s o x o s^-1 by the
-    generators s of G."""
+    elements s of ``G.orbit_generators``, which generate G."""
     labels = np.arange(G.order, dtype=np.int64)
-    for g in G.generators:
+    for g in G.orbit_generators:
         s = G.images[g]
-        # rows: s o x o s^-1
-        conj = s[np.take(G.images, np.argsort(s), axis=1)]
-        labels = merge_labels(labels, G.index_rows(conj))
+        # rows s o x o s^-1, dropped before the merge
+        image = G.index_rows(s[np.take(G.images, np.argsort(s), axis=1)])
+        labels = merge_labels(labels, image)
     class_of, reps = _partition(labels)
     # a stable sort of at most 16-bit keys is a radix sort
     members = np.argsort(class_of.astype(np.min_scalar_type(len(reps) - 1)),

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import types
 
 import numpy as np
 import pytest
@@ -9,15 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmred import permgroup
+from cmred.certifier import certify, orbit_table
 from cmred.errors import (
     BuildVerificationError,
     ElementCapExceeded,
     SubgroupNotContained,
     SubsetCapExceeded,
 )
-from cmred.group_zoo import build
+from cmred.galois_model import UnitaryGaloisModel
+from cmred.group_zoo import build, build_zoo_model
 from cmred.permgroup import (
     ELEMENT_CAP,
+    StabChain,
     check_subset_cap,
     close_generators,
     compose,
@@ -395,15 +399,16 @@ def random_group(draw):
 def test_orbits_match_tuple_bfs_and_burnside(G):
     n = G.degree
     rows = [G.images[g] for g in G.generators]
+    picked = [G.images[g] for g in G.orbit_generators]
     burnside = burnside_counts(G.images.tolist(), n)
     for eps in range(n + 1):
-        labels = orbits_on_subsets(rows, n, eps)
-        reps, sizes = orbit_reps_sizes(labels)
         oracle = tuple_bfs_orbits(rows, n, eps)
-        assert [tuple(r) for r in lex_unrank(reps, n, eps).tolist()] == \
-            [o[0] for o in oracle]
-        assert sizes == [len(o) for o in oracle]
-        assert len(reps) == burnside[eps]
+        for action in (rows, picked):
+            reps, sizes = orbit_reps_sizes(orbits_on_subsets(action, n, eps))
+            assert [tuple(r) for r in lex_unrank(reps, n, eps).tolist()] == \
+                [o[0] for o in oracle]
+            assert sizes == [len(o) for o in oracle]
+            assert len(reps) == burnside[eps]
 
 
 def test_stabilizer_generators_generate_full_stabilizer():
@@ -425,6 +430,8 @@ def test_k_transitive_matches_tuple_bfs(G, k):
     rows = [G.images[g] for g in G.generators]
     expected = tuple_bfs_k_transitive(rows, n, k)
     assert is_k_transitive(rows, n, k) == expected
+    picked = [G.images[g] for g in G.orbit_generators]
+    assert is_k_transitive(picked, n, k) == expected
     if G.order <= 720:
         # the whole element table names the same group
         assert is_k_transitive(G.images, n, k) == expected
@@ -571,3 +578,93 @@ def test_too_large_group_is_rejected_before_enumeration():
 def test_chain_order_must_match_a_derived_order():
     with pytest.raises(BuildVerificationError, match="order 100"):
         close_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], order=100)
+
+
+def check_orbit_generators(G):
+    """``orbit_generators`` generates G, is no longer than the input
+    generators, is them when they are at most two, and is deterministic."""
+    picked = G.orbit_generators
+    assert StabChain(G.degree, G.images[picked]).order == G.order
+    assert len(picked) <= len(G.generators)
+    if len(G.generators) <= 2:
+        assert picked == G.generators
+    assert G._pick_orbit_generators() == picked
+
+
+@pytest.mark.parametrize("spec", ZOO)
+def test_orbit_generators_generate_the_zoo_groups(spec):
+    G, _ = build(spec)
+    check_orbit_generators(G)
+    assert build(spec)[0].orbit_generators == G.orbit_generators
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_group())
+def test_orbit_generators_generate_random_groups(G):
+    check_orbit_generators(G)
+
+
+def test_orbit_generators_of_the_trivial_group():
+    G = close_generators(4, [])
+    assert G.generators == [] and G.orbit_generators == []
+    model = UnitaryGaloisModel(G, [])
+    assert [row.tolist() for row in model.generator_action_rows] == [[0]]
+
+
+def test_orbit_generators_shrink_the_wide_zoo_groups():
+    for spec in ("psu3:3", "pgl2:13", "psl2:13"):
+        G, _ = build(spec)
+        assert len(G.generators) >= 24 and len(G.orbit_generators) == 2
+
+
+def test_orbit_generators_keep_an_input_that_cannot_shrink():
+    # (0 1), (2 3), (4 5) generate (Z/2)^3: no two elements generate it
+    gens = [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)]
+    G = close_generators(6, gens)
+    assert G.order == 8 and G.orbit_generators == G.generators
+
+
+def input_generator_partitions(spec, eps_max):
+    """(picked, all inputs) pairs of class labels, orbit tables and
+    certificates: the old merges over every input generator are the oracle."""
+    model = build_zoo_model(spec)
+    G = model.group
+    results = []
+    for gens in (G.orbit_generators, list(G.generators)):
+        G.orbit_generators = gens
+        table = orbit_table(model, eps_max)
+        results.append((conjugacy_classes(G).class_of.tolist(),
+                        table.to_dict(), certify(model, table).to_dict()))
+    return results
+
+
+@pytest.mark.parametrize("spec, eps_max", [
+    ("psu3:3", 3), ("pgl2:13", 14), ("sp4f2:+", 10), ("sp4f2:-", 6),
+    ("psu3:2", 9)])
+def test_picked_merges_match_every_input_generator(spec, eps_max):
+    picked, inputs = input_generator_partitions(spec, eps_max)
+    assert picked == inputs
+
+
+def test_orbit_generators_fall_back_on_the_input_generators(monkeypatch):
+    G, _ = build("psu3:3")
+    stabilizer = np.flatnonzero(G.images[:, 0] == 0).tolist()
+
+    class SubgroupStream:
+        """Stands in for ``random.Random``: every draw fixes point 0, so the
+        draws lie in a proper subgroup of the transitive G."""
+
+        def __init__(self, seed):
+            self.draws = itertools.cycle(stabilizer)
+
+        def randrange(self, stop):
+            return next(self.draws)
+
+    monkeypatch.setattr(permgroup, "random",
+                        types.SimpleNamespace(Random=SubgroupStream))
+    picked = G._pick_orbit_generators()
+    assert StabChain(G.degree, G.images[picked]).order == G.order
+    assert (G.images[picked, 0] != 0).any()  # an input generator was needed
+    expected = conjugacy_classes(G).class_of
+    G.orbit_generators = picked
+    assert np.array_equal(conjugacy_classes(G).class_of, expected)
