@@ -34,6 +34,7 @@ from .group_algebra import (
     indicator_reflex_class_sums,
     unequal,
 )
+from .permgroup import coset_action
 
 SAMPLE_EXHAUSTIVE_LIMIT = 500  # enumerate all size-eps subsets up to this count
 SAMPLE_SIZE = 100  # seeded sample size above the limit
@@ -105,9 +106,10 @@ def cm_class_function_brute(phi: CMType, model: UnitaryGaloisModel,
 
 
 def permutation_character(model: UnitaryGaloisModel) -> ClassFunction:
-    """Fixed-coset counts of the coset action, on the bit-0 classes."""
+    """Fixed-coset counts of the coset action, on the bit-0 classes: one
+    action row per class representative."""
     k = model.classes.count
-    rows = model.action[model.classes.class_reps]
+    rows = coset_action(model.group, model.cosets, model.classes.class_reps)
     fixed = (rows == np.arange(model.n)).sum(axis=1)
     return ClassFunction(model.classes,
                          np.stack([fixed, np.zeros(k, dtype=np.int64)]),
@@ -226,17 +228,21 @@ def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
     in class c} for i != j, with P[i, i] = 0.
 
     eta -> g = sigma_i eta sigma_j^-1 is a bijection from H onto the g with
-    g sigma_j H = sigma_i H, that is action[g, j] = i.  So P[i, j, c] =
-    #{g in c : action[g, j] = i}: one tally over the |G| entries of column j
-    of the coset action.
+    g sigma_j H = sigma_i H.  Conjugation by sigma_j keeps every class and
+    maps those g onto the g' = sigma_j^-1 g sigma_j with g' H =
+    sigma_j^-1 sigma_i H.  So P[i, j, c] = P0[J[j, i], c], where
+    P0[m, c] = #{g in c : g in sigma_m H} is one tally over G and J[j] is
+    the coset-action row of sigma_j^-1, n^2 lookups in all.  Neither the
+    inverses nor the multiplication table of G are read.
     """
+    G, C = model.group, model.cosets
     n, k = model.n, model.classes.count
-    class_of = model.classes.class_of.astype(np.int64)
-    P = np.empty((n, n, k), dtype=np.int64)
-    for j in range(n):
-        # int64 before the arithmetic: the action is uint8 or uint16
-        key = model.action[:, j].astype(np.int64) * k + class_of
-        P[:, j] = np.bincount(key, minlength=n * k).reshape(n, k)
+    # int64 before the arithmetic: coset and class indices are int32
+    P0 = np.bincount(C.coset_of.astype(np.int64) * k + model.classes.class_of,
+                     minlength=n * k).reshape(n, k)
+    rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
+    J = coset_action(G, C, G.index_rows(np.argsort(rep_rows, axis=1)))
+    P = P0[J.T]
     P[np.arange(n), np.arange(n)] = 0
     return P
 

@@ -27,17 +27,13 @@ class UnitaryGaloisModel:
         self.group = G
         self.cosets = left_cosets(G, H_gens)
         self.classes = conjugacy_classes(G)
-        self.action = coset_action(G, self.cosets)
+        # action rows of G.orbit_generators, a short generating set of G
+        # (enough to generate orbits); the identity row when G is trivial
+        self.generator_action_rows = coset_action(
+            G, self.cosets, G.orbit_generators or [0])
         self.n = self.cosets.n
         self.h = self.cosets.h
         self.gamma_order = 2 * G.order
-
-    @property
-    def generator_action_rows(self):
-        """Action rows of ``G.orbit_generators``, a short generating set of
-        G (enough to generate orbits); the identity row when G is trivial."""
-        rows = [self.action[g] for g in self.group.orbit_generators]
-        return rows if rows else [self.action[0]]
 
     def __repr__(self):
         return (f"UnitaryGaloisModel(|G|={self.group.order}, "
@@ -77,7 +73,7 @@ def act(x, phi: CMType, model: UnitaryGaloisModel) -> CMType:
     """Galois action on CM types: (g, 0) pushes the subset through the coset
     action; (g, 1) additionally complements (rho swaps the signature)."""
     g, bit = x
-    row = model.action[g]
+    row = coset_action(model.group, model.cosets, [g])[0]
     moved = CMType(tuple(int(row[i]) for i in phi.indices), model.n)
     return moved.complement() if bit else moved
 

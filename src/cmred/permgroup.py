@@ -27,6 +27,8 @@ under the coset action of one of them.  The closure and the BFS parent words
 keep the input generators.  Left cosets of the stabilizer of a point p are
 read from column p of the element list (gH is fixed by g(p)); the cosets of
 any other subgroup are the classes of x ~ x o s for its generators s.
+``coset_action`` builds the action rows of the elements it is given only:
+the row of g holds the coset of each g o rep_i, looked up by rank.
 
 Orbits on size-eps subsets of the n points are indexed by lexicographic rank
 (``itertools.combinations`` order): ``labels[r]`` is the rank of the smallest
@@ -250,13 +252,12 @@ class FiniteGroup:
     lexicographic tie-break, so indices are stable across runs.
     """
 
-    def __init__(self, chain: StabChain, images, parents, levels, index_of_rank):
+    def __init__(self, chain: StabChain, images, parents, index_of_rank):
         self.chain = chain
         self.degree = chain.degree
         self.images = images  # (order, degree) uint8
         self.order = int(images.shape[0])
         self._parents = parents  # (order, 2) int32: [generator slot, parent index]
-        self._levels = levels  # BFS level boundaries, levels[k]:levels[k+1]
         self._index_of_rank = index_of_rank  # (order,) int32
         # element indices of the input generators, one per BFS generator slot
         self.generators = self.index_rows(chain.generators).tolist()
@@ -418,11 +419,10 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
         parents[start:stop] = np.take(parents[start:stop], by_rank, axis=0)
         index_of_rank[ranks[by_rank]] = np.arange(start, stop)
         levels.append(stop)
-    levels.pop()  # the last level found nothing new
     if levels[-1] != order:
         raise BuildVerificationError(
             f"enumerated {levels[-1]} elements, the chain's order is {order}")
-    return FiniteGroup(chain, images, parents, levels, index_of_rank)
+    return FiniteGroup(chain, images, parents, index_of_rank)
 
 
 def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -469,14 +469,13 @@ class CosetSpace:
 
     Coset 0 is H itself with the identity as representative; the remaining
     cosets are ordered by their minimal element index (which is also the
-    representative).  ``point`` is a point p with H = Stab(p), or None.
+    representative).
     """
 
-    def __init__(self, group, coset_of, reps, point=None):
+    def __init__(self, group, coset_of, reps):
         self.group = group
         self.coset_of = coset_of  # (order,) int32: element index -> coset index
         self.reps = reps  # representative element index per coset
-        self.point = point
         # sorted element indices of H
         self.subgroup_elements = np.flatnonzero(coset_of == 0).astype(np.int32)
         self.h = len(self.subgroup_elements)
@@ -520,7 +519,7 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
         by_first = np.argsort(first)
         number = np.empty(G.degree, dtype=np.int32)
         number[values[by_first]] = np.arange(len(values), dtype=np.int32)
-        return CosetSpace(G, number[column], first[by_first].tolist(), point)
+        return CosetSpace(G, number[column], first[by_first].tolist())
     labels = np.arange(G.order, dtype=np.int64)
     for s in rows:
         labels = merge_labels(labels, G.index_rows(G.images[:, s]))
@@ -559,33 +558,13 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
     return ConjugacyPartition(class_of, reps.tolist(), np.split(members, bounds))
 
 
-def coset_action(G: FiniteGroup, C: CosetSpace) -> np.ndarray:
-    """Action table on cosets: row g maps i to the coset of g o rep_i.
-
-    For the stabilizer of a point p that is the coset numbered by
-    g(rep_i(p)), one gather.  Otherwise the table is a group homomorphism,
-    and rows for non-generators extend the generator rows along the BFS
-    parent words.
-    """
-    n = C.n
-    dtype = np.min_scalar_type(n - 1)  # coset indices never wrap
+def coset_action(G: FiniteGroup, C: CosetSpace, elements) -> np.ndarray:
+    """(len(elements), n) rows of the action on cosets: the row of g maps
+    coset i to the coset of g o rep_i."""
     rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
-    if C.point is not None:
-        points = rep_rows[:, C.point]
-        number = np.zeros(G.degree, dtype=dtype)
-        number[points] = np.arange(n)
-        return number[G.images[:, points]]
-    rows = np.empty((G.order, n), dtype=dtype)
-    rows[0] = np.arange(n, dtype=dtype)
-    gen_action = np.array(
-        [C.coset_of[G.index_rows(G.images[g][rep_rows])]  # g o rep_i
-         for g in G.generators], dtype=dtype).reshape(-1, n)
-    for start, stop in zip(G._levels[1:], G._levels[2:]):
-        lev = np.arange(start, stop)
-        slots = G._parents[lev, 0]
-        par = G._parents[lev, 1]
-        rows[lev] = np.take_along_axis(gen_action[slots], rows[par], axis=1)
-    return rows
+    products = G.images[np.asarray(elements, dtype=np.int64)][:, rep_rows]
+    return C.coset_of[G.index_rows(products.reshape(-1, G.degree))].reshape(
+        -1, C.n)
 
 
 def is_k_transitive(action_rows, n: int, k: int) -> tuple[bool, int]:
@@ -593,7 +572,7 @@ def is_k_transitive(action_rows, n: int, k: int) -> tuple[bool, int]:
     k-tuples of distinct points.
 
     ``action_rows`` may be any family of action permutations whose closure is
-    the acting group (the generator rows suffice; the full table also works).
+    the acting group, such as the rows of a generating set.
     Every ordered k-tuple is ranked in mixed radix n, and each row's image of
     the n**k ranks is merged into the labels before the next row's is built.
     """
@@ -684,8 +663,9 @@ def orbits_on_subsets(action_rows, n: int, eps: int,
     subsets = lex_unrank(np.arange(math.comb(n, eps)), n, eps)
     labels = np.arange(subsets.shape[0], dtype=np.int64)
     for row in action_rows:
-        labels = merge_labels(
-            labels, lex_rank(np.sort(np.asarray(row)[subsets], axis=1), n))
+        # images in the subsets' own dtype, the smallest that holds n - 1
+        row = np.asarray(row, dtype=subsets.dtype)
+        labels = merge_labels(labels, lex_rank(np.sort(row[subsets], axis=1), n))
     return labels
 
 

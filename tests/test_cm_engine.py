@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+import tracemalloc
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from cmred.cm_engine import (
     permutation_character,
     subset_sweep,
 )
+from cmred.cli import parse_spec
 from cmred.errors import (
     BruteCapExceeded,
     IntegerBoundExceeded,
@@ -56,9 +59,11 @@ from cmred.permgroup import (
     SUBSET_CAP,
     TABLE_CAP,
     close_generators,
+    coset_action,
 )
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
+S9_OVER_S6 = Path(__file__).parent / "fixtures" / "s9_over_s6.json"
 
 
 def s3_model():
@@ -340,7 +345,7 @@ def test_induced_character_past_255_cosets():
     # S6 over the trivial subgroup has 720 cosets, more than uint8 indexes
     m = s6_model([])
     assert m.n == 720
-    assert m.action.max() == 719
+    assert coset_action(m.group, m.cosets, range(m.group.order)).max() == 719
     rep = check_induced_character(m)
     assert rep.passed, rep.witness
     assert permutation_character(m).values[0][0] == 720
@@ -548,15 +553,33 @@ def test_pair_tensor_matches_lookup_on_the_zoo():
 
 
 def test_pair_tensor_past_the_action_dtype():
-    # n k = 120 * 7 = 840 past 255 with a uint8 action (S5 over trivial H),
-    # and a uint16 action (A6 over trivial H, n = 360)
-    for spec, dtype in (("sym:5", np.uint8), ("alt:6", np.uint16)):
+    # tally keys past 255 (S5 over trivial H: n k = 120 * 7 = 840) and
+    # coset indices past 255 (A6 over trivial H, n = 360)
+    for spec in ("sym:5", "alt:6"):
         m = UnitaryGaloisModel(build(spec)[0], [])
-        assert m.n == m.group.order and m.action.dtype == dtype
+        assert m.n == m.group.order
         P = pair_tensor(m)
         assert np.array_equal(P, pair_tensor_by_lookup(m))
         # over trivial H each ordered pair i != j is one element
         assert (P.sum(axis=2) == 1 - np.eye(m.n, dtype=np.int64)).all()
+
+
+def test_s9_over_s6_model_and_pair_tensor_stay_small():
+    # |G| = 362,880 and n = 504: an action row for every element would be
+    # 349 MiB on its own
+    _, degree, group_gens, subgroup_gens = parse_spec(f"file:{S9_OVER_S6}")
+    G = close_generators(degree, group_gens)
+    tracemalloc.start()
+    try:
+        m = UnitaryGaloisModel(G, subgroup_gens)
+        P = pair_tensor(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (G.order, m.n, m.h) == (362_880, 504, 720)
+    assert peak < 128 * 2 ** 20, peak / 2 ** 20
+    # each ordered pair i != j collects all of H
+    assert (P.sum(axis=2) == m.h * (1 - np.eye(m.n, dtype=np.int64))).all()
 
 
 def test_pair_residual_sees_a_changed_triple():
@@ -775,7 +798,7 @@ def test_whole_suite_on_random_groups(case):
         assert not np.any(residual), s
     assert np.array_equal(sweep.P, pair_tensor_by_lookup(m))
     # the coset action is a homomorphism: act[ab] = act[a] o act[b]
-    act_rows = m.action
+    act_rows = coset_action(m.group, m.cosets, range(m.group.order))
     everything = np.arange(m.group.order)[:, None, None]
     assert np.array_equal(act_rows[m.group.mult_table],
                           act_rows[everything, act_rows[None]])

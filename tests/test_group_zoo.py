@@ -289,19 +289,21 @@ def test_psl2_5_pair_orbit_size_thirty():
     # oracle: the orbit of the pair (0, 1) is its image under every element
     m = build_zoo_model("psl2:5")
     assert m.n == 6 and m.group.order == 60
-    orbit = {(int(row[0]), int(row[1])) for row in m.action}
+    from cmred.permgroup import coset_action, is_k_transitive
+    table = coset_action(m.group, m.cosets, range(m.group.order))
+    orbit = {(int(row[0]), int(row[1])) for row in table}
     assert len(orbit) == 30
-    from cmred.permgroup import is_k_transitive
     ok, orbits = is_k_transitive(m.generator_action_rows, m.n, 2)
     assert ok and orbits == 1
 
 
 def test_coset_action_homomorphism_sampled_on_larger_groups():
     import random
+    from cmred.permgroup import coset_action
     rng = random.Random(6)
     for spec in ("psl3:2", "sp4f2:+"):
         m = build_zoo_model(spec)
-        act = m.action
+        act = coset_action(m.group, m.cosets, range(m.group.order))
         for _ in range(300):
             a = rng.randrange(m.group.order)
             b = rng.randrange(m.group.order)

@@ -6,7 +6,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmred import permgroup
@@ -22,11 +22,13 @@ from cmred.group_zoo import build, build_zoo_model
 from cmred.permgroup import (
     ELEMENT_CAP,
     StabChain,
+    _stabilized_point,
     check_subset_cap,
     close_generators,
     compose,
     conjugacy_classes,
     coset_action,
+    generator_rows,
     identity_perm,
     inverse_perm,
     is_k_transitive,
@@ -37,6 +39,7 @@ from cmred.permgroup import (
     stabilizer_generators,
 )
 from group_oracle import (
+    bytes_index,
     dict_close,
     dict_conjugacy_classes,
     dict_left_cosets,
@@ -210,7 +213,7 @@ def test_coset_action_is_homomorphism():
     for gens in (S3_GENS, [(1, 2, 3, 0)], [(1, 0, 2, 3), (1, 2, 3, 0)]):
         G = close_generators(len(gens[0]), gens)
         C = left_cosets(G, [])
-        act = coset_action(G, C)
+        act = coset_action(G, C, range(G.order))
         for a in range(G.order):
             for b in range(G.order):
                 ab = G.mul(a, b)
@@ -220,7 +223,7 @@ def test_coset_action_is_homomorphism():
 def test_coset_action_matches_direct_definition():
     G = sym_group(4)
     C = left_cosets(G, stabilizer_generators(G, 0))
-    act = coset_action(G, C)
+    act = coset_action(G, C, range(G.order))
     for g in range(G.order):
         direct = [C.coset_of[G.mul(g, C.reps[i])] for i in range(C.n)]
         assert list(act[g]) == direct
@@ -229,7 +232,7 @@ def test_coset_action_matches_direct_definition():
 def test_coset_action_s3_natural():
     G = close_generators(3, S3_GENS)
     C = left_cosets(G, [(0, 2, 1)])
-    act = coset_action(G, C)
+    act = coset_action(G, C, range(G.order))
     # isomorphic to the natural action on 3 points: same multiset of cycle types
     def cycle_type(row):
         seen, ct = set(), []
@@ -251,7 +254,7 @@ def test_coset_action_s3_natural():
 def test_coset_action_regular_is_fixed_point_free():
     G = close_generators(4, Z4_GEN)
     C = left_cosets(G, [])
-    act = coset_action(G, C)
+    act = coset_action(G, C, range(G.order))
     assert list(act[0]) == [0, 1, 2, 3]
     for g in range(1, 4):
         assert all(act[g][i] != i for i in range(4))
@@ -260,14 +263,14 @@ def test_coset_action_regular_is_fixed_point_free():
 def test_two_transitive_s3():
     G = close_generators(3, S3_GENS)
     C = left_cosets(G, [(0, 2, 1)])
-    act = coset_action(G, C)
+    act = coset_action(G, C, range(G.order))
     ok, orbits = is_k_transitive(act, C.n, 2)
     assert ok and orbits == 1
 
 
 def test_regular_z4_not_two_transitive():
     G = close_generators(4, Z4_GEN)
-    act = coset_action(G, left_cosets(G, []))
+    act = coset_action(G, left_cosets(G, []), range(G.order))
     ok, orbits = is_k_transitive(act, 4, 2)
     assert not ok and orbits == 3  # ordered pairs split by rotation difference
 
@@ -275,7 +278,8 @@ def test_regular_z4_not_two_transitive():
 def test_k_transitive_implies_lower():
     for gens, n in ((S3_GENS, 3), ([(1, 2, 3, 0)], 4)):
         G = close_generators(n, gens)
-        act = coset_action(G, left_cosets(G, stabilizer_generators(G, 0)))
+        C = left_cosets(G, stabilizer_generators(G, 0))
+        act = coset_action(G, C, range(G.order))
         rows = [act[g] for g in G.generators]
         best = 0
         for k in range(1, min(4, len(act[0])) + 1):
@@ -293,7 +297,8 @@ def orbit_reps_sizes(labels):
 
 def test_orbits_on_subsets_s4():
     G = sym_group(4)
-    act = coset_action(G, left_cosets(G, stabilizer_generators(G, 0)))
+    C = left_cosets(G, stabilizer_generators(G, 0))
+    act = coset_action(G, C, range(G.order))
     rows = [act[g] for g in G.generators]
     labels = orbits_on_subsets(rows, 4, 2)
     assert orbit_reps_sizes(labels) == ([0], [6])
@@ -308,7 +313,7 @@ def test_orbits_on_subsets_z4():
         canon = min(tuple(sorted(((p + k) % 4 for p in s))) for k in range(4))
         oracle.setdefault(canon, set()).add(s)
     G = close_generators(4, [rot])
-    act = coset_action(G, left_cosets(G, []))
+    act = coset_action(G, left_cosets(G, []), range(G.order))
     labels = orbits_on_subsets([act[g] for g in range(4)], 4, 2)
     reps, sizes = orbit_reps_sizes(labels)
     assert sorted(sizes) == sorted(len(v) for v in oracle.values()) == [2, 4]
@@ -320,14 +325,15 @@ def test_orbits_on_subsets_z4():
 
 def test_orbits_empty_subset():
     G = close_generators(3, S3_GENS)
-    act = coset_action(G, left_cosets(G, []))
+    act = coset_action(G, left_cosets(G, []), range(G.order))
     labels = orbits_on_subsets(act, G.order, 0)
     assert labels.tolist() == [0]
 
 
 def test_orbit_sizes_sum_to_binomial():
     G = sym_group(4)
-    act = coset_action(G, left_cosets(G, stabilizer_generators(G, 0)))
+    C = left_cosets(G, stabilizer_generators(G, 0))
+    act = coset_action(G, C, range(G.order))
     rows = [act[g] for g in G.generators]
     for eps in range(5):
         labels = orbits_on_subsets(rows, 4, eps)
@@ -336,7 +342,8 @@ def test_orbit_sizes_sum_to_binomial():
 
 def test_subset_cap():
     G = sym_group(4)
-    act = coset_action(G, left_cosets(G, stabilizer_generators(G, 0)))
+    C = left_cosets(G, stabilizer_generators(G, 0))
+    act = coset_action(G, C, range(G.order))
     with pytest.raises(SubsetCapExceeded):
         orbits_on_subsets(act, 4, 2, cap=3)
     with pytest.raises(SubsetCapExceeded):
@@ -348,7 +355,7 @@ def test_subset_cap():
 
 def test_orbit_canonical_order():
     G = close_generators(4, Z4_GEN)
-    act = coset_action(G, left_cosets(G, []))
+    act = coset_action(G, left_cosets(G, []), range(G.order))
     labels = orbits_on_subsets([act[g] for g in range(4)], 4, 2)
     # each label is the smallest rank in its orbit, and a fixed point
     assert (labels <= np.arange(len(labels))).all()
@@ -437,6 +444,16 @@ def test_k_transitive_matches_tuple_bfs(G, k):
         assert is_k_transitive(G.images, n, k) == expected
 
 
+def bfs_levels(parents):
+    """BFS level boundaries of the element list, read from the parents:
+    an element is one level below its parent."""
+    depth = [0]
+    for parent in parents[1:, 1].tolist():
+        depth.append(depth[parent] + 1)
+    assert depth == sorted(depth)  # the list is in BFS level order
+    return np.searchsorted(depth, range(max(depth) + 2)).tolist()
+
+
 @st.composite
 def group_with_subgroups(draw):
     """A random group of degree <= 7 and two random subgroup generator
@@ -458,7 +475,7 @@ def test_group_layer_matches_dict_oracle(case):
     images, parents, levels, generators = dict_close(degree, gens, ELEMENT_CAP)
     assert np.array_equal(G.images, images)
     assert np.array_equal(G._parents, parents)
-    assert G._levels == levels and G.generators == generators
+    assert bfs_levels(G._parents) == levels and G.generators == generators
     assert np.array_equal(G.chain.rank(G.images), byte_positions(G.images))
     P = conjugacy_classes(G)
     class_of, reps, classes = dict_conjugacy_classes(G)
@@ -476,6 +493,22 @@ def test_group_layer_matches_dict_oracle(case):
     # the same subgroup, whatever the generators
     assert element_set(G.degree, stabilizer_generators(G, 0)) == \
         element_set(G.degree, scalar_stabilizer_generators(G, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_with_subgroups())
+def test_coset_action_matches_dict_cosets(case):
+    # random H: the column path and the merge path of left_cosets both run
+    _, _, G, subgroups = case
+    assume(G.order <= 120)  # |G| n lookups per subgroup in the oracle
+    index = bytes_index(G)
+    for H_gens in subgroups + [stabilizer_generators(G, 0)]:
+        C = left_cosets(G, H_gens)
+        _, coset_of, reps, _ = dict_left_cosets(G, H_gens)
+        # row of g o rep_i, looked up by its bytes
+        oracle = [[coset_of[index[G.images[g][G.images[r]].tobytes()]]
+                   for r in reps] for g in range(G.order)]
+        assert coset_action(G, C, range(G.order)).tolist() == oracle
 
 
 def test_index_rows_identity_and_generators():
@@ -530,22 +563,27 @@ def test_rank_is_the_byte_sorted_position_on_the_zoo(spec):
 def test_column_and_merge_cosets_agree_on_the_zoo(spec, monkeypatch):
     G, H_gens = build(spec)
     C = left_cosets(G, H_gens)
-    assert C.point == 0  # every zoo subgroup is the stabilizer of point 0
-    action = coset_action(G, C)
-    monkeypatch.setattr(permgroup, "_stabilized_point", lambda G, rows: None)
+    # every zoo subgroup is the stabilizer of point 0
+    assert _stabilized_point(G, generator_rows(G.degree, H_gens)) == 0
+    action = coset_action(G, C, range(G.order))
+    asked = []  # the merge path runs when no stabilized point is found
+    monkeypatch.setattr(permgroup, "_stabilized_point",
+                        lambda G, rows: asked.append(len(rows)))
     M = left_cosets(G, H_gens)
-    assert M.point is None
+    assert asked == [len(generator_rows(G.degree, H_gens))]
     assert np.array_equal(C.coset_of, M.coset_of) and C.reps == M.reps
     assert np.array_equal(C.subgroup_elements, M.subgroup_elements)
-    assert np.array_equal(action, coset_action(G, M))
+    assert np.array_equal(action, coset_action(G, M, range(G.order)))
 
 
 def test_column_path_only_for_a_whole_point_stabilizer():
     G = sym_group(4)
     # fixes 2 and 3, but is smaller than either stabilizer
-    assert left_cosets(G, [(1, 0, 2, 3)]).point is None
-    C = left_cosets(G, stabilizer_generators(G, 3))
-    assert (C.point, C.n, C.h) == (3, 4, 6)
+    assert _stabilized_point(G, generator_rows(4, [(1, 0, 2, 3)])) is None
+    H_gens = stabilizer_generators(G, 3)
+    C = left_cosets(G, H_gens)
+    assert _stabilized_point(G, generator_rows(4, H_gens)) == 3
+    assert (C.n, C.h) == (4, 6)
     assert element_set(4, stabilizer_generators(G, 3)) == {
         row.tobytes() for row in G.images if row[3] == 3}
 
@@ -632,6 +670,7 @@ def input_generator_partitions(spec, eps_max):
     results = []
     for gens in (G.orbit_generators, list(G.generators)):
         G.orbit_generators = gens
+        model.generator_action_rows = coset_action(G, model.cosets, gens)
         table = orbit_table(model, eps_max)
         results.append((conjugacy_classes(G).class_of.tolist(),
                         table.to_dict(), certify(model, table).to_dict()))
