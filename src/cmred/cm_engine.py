@@ -5,8 +5,8 @@ The brute path counts the class sums of the CM-type indicator times its
 reflex on the indicator's support, through the multiplication table of G
 (``group_algebra.indicator_reflex_class_sums``); the closed-form path
 assembles the same class function from the trace, the permutation
-character, and conjugated double-coset counts, for a whole block of subsets
-at once.  Both give int64 numerators over fixed per-class denominators
+character, and double-coset counts gathered from the pair tensor by subset
+size.  Both give int64 numerators over fixed per-class denominators
 (``ClassFunction``), compared by cross-multiplying with zero tolerance.
 
 ``closed-form``, ``pair-reduction``, ``cm0-membership`` and
@@ -39,7 +39,6 @@ from .permgroup import coset_action
 SAMPLE_EXHAUSTIVE_LIMIT = 500  # enumerate all size-eps subsets up to this count
 SAMPLE_SIZE = 100  # seeded sample size above the limit
 INT64_MAX = 2 ** 63 - 1
-CONTRACT_ENTRIES = 1 << 16  # bound on the (rows, n, k) temporary of a block
 
 
 @dataclass
@@ -213,14 +212,14 @@ def closed_denominators(model: UnitaryGaloisModel) -> np.ndarray:
                                                    dtype=np.int64)
 
 
-def _indicator(subsets, n: int) -> np.ndarray:
-    """(m, n) int64 0/1 rows, one per subset."""
-    lens = [len(s) for s in subsets]
-    X = np.zeros((len(subsets), n), dtype=np.int64)
-    X[np.repeat(np.arange(len(subsets)), lens),
-      np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64,
-                  count=sum(lens))] = 1
-    return X
+def _by_size(subsets):
+    """(rows, S) per subset size e present, smallest first: the positions of
+    the size-e subsets in ``subsets`` and their (m, e) int64 members."""
+    lens = np.fromiter(map(len, subsets), dtype=np.int64, count=len(subsets))
+    for e in np.flatnonzero(np.bincount(lens)).tolist():
+        rows = np.flatnonzero(lens == e)
+        yield rows, np.array([subsets[r] for r in rows.tolist()],
+                             dtype=np.int64)
 
 
 def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
@@ -255,19 +254,19 @@ def closed_block(subsets, model: UnitaryGaloisModel,
     term T_c = sum over ordered pairs i != j of the subset of P[i, j, c]
     (P = ``pair_tensor(model)``).  Valid beyond the brute cap.
 
+    T is gathered one size e at a time: for the subsets (of distinct
+    cosets) with members S (m, e), it sums P[S[:, a], S] over a and members.
+
     bit 1 = 2 (eps h |c| (n - chi(c)) - |G| T_c) and bit 0 = D_c / 2 - bit 1,
     i.e. eps / n - eps chi / n^2 - |G| T_c / (h n^2 |c|) and 1/2 minus it.
     """
     n, h, k = model.n, model.h, model.classes.count
-    X = _indicator(subsets, n)
-    eps = X.sum(axis=1)
-    flat = P.reshape(n, n * k)
-    T = np.zeros((len(X), k), dtype=np.int64)
-    step = max(1, CONTRACT_ENTRIES // (n * k))
-    for start in range(0, len(X), step):
-        x = X[start:start + step]
-        T[start:start + step] = ((x @ flat).reshape(len(x), n, k)
-                                 * x[..., None]).sum(axis=1)
+    eps = np.zeros(len(subsets), dtype=np.int64)
+    T = np.zeros((len(subsets), k), dtype=np.int64)
+    for rows, S in _by_size(subsets):
+        eps[rows] = S.shape[1]
+        for a in range(S.shape[1]):
+            T[rows] += P[S[:, a, None], S].sum(axis=1)
     return _closed_numerators(eps, T, permutation_character(model).numerators[0],
                               np.asarray(model.classes.sizes, dtype=np.int64),
                               n, h)
@@ -377,33 +376,33 @@ def pair_residuals(subsets, model: UnitaryGaloisModel, P: np.ndarray,
     function minus the pair/singleton/empty combination
     sum_{pairs} f - (eps - 2) sum_{singles} f + C(eps - 1, 2) f(empty),
     every term a closed function of its own subset.  Raises
-    IntegerBoundExceeded first when the sums could leave int64."""
+    IntegerBoundExceeded first when the sums could leave int64.
+
+    The pairs {i, j} (key i n + j) and singletons (diagonal key i n + i) are
+    marked, computed as one closed block and gathered by key, size by size."""
     n = model.n
-    X = _indicator(subsets, n)
-    eps = X.sum(axis=1)
-    check_closed_bound(model, int(eps.max(initial=0)))
+    groups = list(_by_size(subsets))
+    check_closed_bound(model, max((S.shape[1] for _, S in groups), default=0))
     if closed is None:
         closed = closed_block(subsets, model, P)
-    owner, pair_keys = [], []
-    for s, members in enumerate(subsets):
-        for i, j in itertools.combinations(members, 2):
-            owner.append(s)
-            pair_keys.append(i * n + j)
-    keys, pair_row = np.unique(np.array(pair_keys, dtype=np.int64),
-                               return_inverse=True)
-    singles = np.flatnonzero(X.any(axis=0))
-    parts = closed_block([()] + [(i,) for i in singles.tolist()]
-                         + [divmod(key, n) for key in keys.tolist()], model, P)
-    empty, single_part = parts[0], parts[1:1 + len(singles)]
-    pair_part = parts[1 + len(singles):]
-    pair_sum = np.zeros_like(closed)
-    np.add.at(pair_sum, np.array(owner, dtype=np.int64), pair_part[pair_row])
-    on_singles = np.zeros((n,) + closed.shape[1:], dtype=np.int64)
-    on_singles[singles] = single_part
-    single_sum = (X @ on_singles.reshape(n, -1)).reshape(closed.shape)
-    eps = eps[:, None, None]
-    return (closed - pair_sum + (eps - 2) * single_sum
-            - (eps - 1) * (eps - 2) // 2 * empty)
+    marked = np.zeros(n * n, dtype=bool)
+    for _, S in groups:
+        a, b = np.triu_indices(S.shape[1], 1)
+        marked[S[:, a] * n + S[:, b]] = marked[S * (n + 1)] = True
+    keys = np.flatnonzero(marked)
+    parts = closed_block([()] + [tuple({*divmod(key, n)})
+                                 for key in keys.tolist()], model, P)
+    empty, parts = parts[0], parts[1:]
+    out = np.empty_like(closed)
+    for rows, S in groups:
+        e = S.shape[1]
+        a, b = np.triu_indices(e, 1)
+        pairs = np.searchsorted(keys, S[:, a] * n + S[:, b])
+        singles = np.searchsorted(keys, S * (n + 1))
+        out[rows] = (closed[rows] - parts[pairs].sum(axis=1)
+                     + (e - 2) * parts[singles].sum(axis=1)
+                     - (e - 1) * (e - 2) // 2 * empty)
+    return out
 
 
 def check_pair_reduction_suite(sweep: SubsetSweep) -> IdentityReport:

@@ -64,6 +64,7 @@ from cmred.permgroup import (
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 S9_OVER_S6 = Path(__file__).parent / "fixtures" / "s9_over_s6.json"
+S5_OVER_C2 = Path(__file__).parent / "fixtures" / "s5_over_c2.json"
 
 
 def s3_model():
@@ -481,7 +482,7 @@ def test_linear_functional_skeleton():
                 assert lhs == rhs
 
 
-def test_closed_block_matches_one_at_a_time(monkeypatch):
+def test_closed_block_matches_one_at_a_time():
     for make in (s3_model, z6_model_h2, s4_model):
         m = make()
         subsets = [s for eps in range(m.n + 1)
@@ -493,10 +494,13 @@ def test_closed_block_matches_one_at_a_time(monkeypatch):
             assert np.array_equal(
                 num, cm_class_function_closed(CMType(s, m.n), m).numerators)
         assert not pair_residuals(subsets, m, P).any()
-        # one subset per contraction chunk gives the same block
-        monkeypatch.setattr(cm_engine, "CONTRACT_ENTRIES", 1)
-        assert np.array_equal(closed_block(subsets, m, P), block)
-        monkeypatch.undo()
+        # sizes mixed and members reversed: each row lands where its
+        # subset is, whatever the order of the block and of its members
+        order = list(range(len(subsets)))
+        random.Random(m.n).shuffle(order)
+        shuffled = [subsets[i][::-1] for i in order]
+        assert np.array_equal(closed_block(shuffled, m, P), block[order])
+        assert not pair_residuals(shuffled, m, P).any()
 
 
 def zoo_specs():
@@ -580,6 +584,24 @@ def test_s9_over_s6_model_and_pair_tensor_stay_small():
     assert peak < 128 * 2 ** 20, peak / 2 ** 20
     # each ordered pair i != j collects all of H
     assert (P.sum(axis=2) == m.h * (1 - np.eye(m.n, dtype=np.int64))).all()
+
+
+def test_pair_reduction_of_every_size_stays_small():
+    # S5 over <(0 1)(2 3)>, n = 60: 5,822 subsets of every size 0..60, whose
+    # (subset, pair) incidences number 3,355,330
+    _, degree, group_gens, subgroup_gens = parse_spec(f"file:{S5_OVER_C2}")
+    m = UnitaryGaloisModel(close_generators(degree, group_gens), subgroup_gens)
+    sweep = subset_sweep(m, None, 0, brute_cap=0)
+    assert (m.n, len(sweep.subsets)) == (60, 5822)
+    tracemalloc.start()
+    try:
+        rep = check_pair_reduction_suite(sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.to_dict()
+    assert rep.detail == {"subsets_checked": 5822}
+    assert peak < 64 * 2 ** 20, peak / 2 ** 20
 
 
 def test_pair_residual_sees_a_changed_triple():
