@@ -155,7 +155,7 @@ def run(config: RunConfig):
         sweep = subset_sweep(model, identity_eps, config.seed, config.brute_cap)
         checks = [rep.to_dict() for rep in (
             check_closed_form(sweep),
-            check_induced_character(model),
+            check_induced_character(sweep),
             check_pair_reduction_suite(sweep),
             check_cm0_suite(sweep),
             check_galois_invariance(sweep, pairs=50),

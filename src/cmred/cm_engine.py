@@ -9,11 +9,11 @@ character, and double-coset counts gathered from the pair tensor by subset
 size.  Both give int64 numerators over fixed per-class denominators
 (``ClassFunction``), compared by cross-multiplying with zero tolerance.
 
-``closed-form``, ``pair-reduction``, ``cm0-membership`` and
-``galois-invariance`` take one seeded subset sweep (``subset_sweep``), built
-once per run: the subsets are drawn once, the pair tensor of the closed form
-is built once, the closed functions are computed as one block, and the brute
-functions once each, when the brute cap allows.
+A CM type is a sorted tuple of coset indices (see ``galois_model``).  Every
+check takes one seeded subset sweep (``subset_sweep``), built once per run:
+the subsets are drawn once, the pair tensor and the permutation character of
+the closed form are computed once, the closed functions as one block, and
+the brute functions once each, when the brute cap allows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BruteCapExceeded, IntegerBoundExceeded
-from .galois_model import CMType, UnitaryGaloisModel, act
+from .galois_model import UnitaryGaloisModel, act
 from .group_algebra import (
     BRUTE_CAP,
     ClassFunction,
@@ -65,15 +65,6 @@ class IdentityReport:
         return out
 
 
-def cm_type_element(phi: CMType, model: UnitaryGaloisModel) -> np.ndarray:
-    """Indicator of the CM type on Gamma: bit 1 on the cosets in the subset,
-    bit 0 elsewhere; total mass hn."""
-    in_phi = np.zeros(model.n, dtype=bool)
-    in_phi[list(phi.indices)] = True
-    flipped = in_phi[model.cosets.coset_of]
-    return np.stack([~flipped, flipped]).astype(np.int64)
-
-
 def brute_skip_reason(model: UnitaryGaloisModel, brute_cap: int) -> str | None:
     """Why the brute path cannot run on this model, or None when it can."""
     if model.gamma_order <= min(brute_cap, BRUTE_CAP):
@@ -82,11 +73,12 @@ def brute_skip_reason(model: UnitaryGaloisModel, brute_cap: int) -> str | None:
             f"{min(brute_cap, BRUTE_CAP)}")
 
 
-def cm_class_function_brute(phi: CMType, model: UnitaryGaloisModel,
+def cm_class_function_brute(phi, model: UnitaryGaloisModel,
                             brute_cap: int = BRUTE_CAP) -> ClassFunction:
-    """Class means of the convolution of the CM type with its reflex,
-    normalized by 1/|Gamma| (definition-level path): class sums over
-    |c| |Gamma|.
+    """Class means of the convolution of the CM type ``phi`` (a subset of
+    coset indices) with its reflex, normalized by 1/|Gamma| (definition-level
+    path): class sums over |c| |Gamma|.  The CM type's indicator on Gamma
+    has bit 1 on the elements of the cosets in ``phi``, bit 0 elsewhere.
 
     The class sums are counted, not read off the whole product: the bit-1
     sum over a class c is the number of pairs (y, z) of G x G with
@@ -99,7 +91,9 @@ def cm_class_function_brute(phi: CMType, model: UnitaryGaloisModel,
     reason = brute_skip_reason(model, brute_cap)
     if reason is not None:
         raise BruteCapExceeded(reason)
-    sums = indicator_reflex_class_sums(cm_type_element(phi, model)[1],
+    in_phi = np.zeros(model.n, dtype=bool)
+    in_phi[list(phi)] = True
+    sums = indicator_reflex_class_sums(in_phi[model.cosets.coset_of],
                                        model.group, model.classes)
     return ClassFunction(model.classes, sums, _brute_denominators(model))
 
@@ -153,10 +147,12 @@ def compare_class_functions(name: str, lhs: ClassFunction, rhs: ClassFunction,
                           detail or {})
 
 
-def check_induced_character(model: UnitaryGaloisModel) -> IdentityReport:
-    """Conjugate-subgroup counts equal h times the permutation character."""
+def check_induced_character(sweep: SubsetSweep) -> IdentityReport:
+    """Conjugate-subgroup counts equal h times the sweep's permutation
+    character."""
+    model = sweep.model
     lhs = conjugate_subgroup_sum(model)
-    rhs = permutation_character(model).scale(model.h)
+    rhs = sweep.chi.scale(model.h)
     return compare_class_functions("induced-character", lhs, rhs,
                                    detail={"classes": model.classes.count})
 
@@ -246,13 +242,14 @@ def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
     return P
 
 
-def closed_block(subsets, model: UnitaryGaloisModel,
-                 P: np.ndarray) -> np.ndarray:
+def closed_block(subsets, model: UnitaryGaloisModel, P: np.ndarray,
+                 chi: ClassFunction) -> np.ndarray:
     """Closed-form numerators of a block of subsets, shape (m, 2, k), over
     ``closed_denominators``: the half-trace, trace and permutation-character
     terms scaled by the signature, plus the conjugation-averaged double-coset
     term T_c = sum over ordered pairs i != j of the subset of P[i, j, c]
-    (P = ``pair_tensor(model)``).  Valid beyond the brute cap.
+    (P = ``pair_tensor(model)``, chi = ``permutation_character(model)``,
+    both computed once by the caller).  Valid beyond the brute cap.
 
     T is gathered one size e at a time: for the subsets (of distinct
     cosets) with members S (m, e), it sums P[S[:, a], S] over a and members.
@@ -267,7 +264,7 @@ def closed_block(subsets, model: UnitaryGaloisModel,
         eps[rows] = S.shape[1]
         for a in range(S.shape[1]):
             T[rows] += P[S[:, a, None], S].sum(axis=1)
-    return _closed_numerators(eps, T, permutation_character(model).numerators[0],
+    return _closed_numerators(eps, T, chi.numerators[0],
                               np.asarray(model.classes.sizes, dtype=np.int64),
                               n, h)
 
@@ -280,12 +277,12 @@ def _closed_numerators(eps, T, chi, size, n: int, h: int) -> np.ndarray:
     return np.stack([h * n * n * size - bit1, bit1], axis=1)
 
 
-def cm_class_function_closed(phi: CMType, model: UnitaryGaloisModel) -> ClassFunction:
-    """Closed-form path for one CM type: a block of one, with its own pair
-    tensor."""
-    return ClassFunction(model.classes,
-                         closed_block([phi.indices], model, pair_tensor(model))[0],
-                         closed_denominators(model))
+def cm_class_function_closed(phi, model: UnitaryGaloisModel) -> ClassFunction:
+    """Closed-form path for one CM type (a subset of coset indices): a block
+    of one, with its own pair tensor and permutation character."""
+    block = closed_block([phi], model, pair_tensor(model),
+                         permutation_character(model))
+    return ClassFunction(model.classes, block[0], closed_denominators(model))
 
 
 def sample_subsets(n: int, eps: int, rng: random.Random):
@@ -304,10 +301,11 @@ def sample_subsets(n: int, eps: int, rng: random.Random):
 @dataclass
 class SubsetSweep:
     """The subsets of sizes 0..eps_max of one model drawn with ``seed``,
-    stratum by stratum, the model's pair tensor P, the closed numerators of
-    each subset ((m, 2, k) over ``closed_denominators``) and either their
-    brute numerators (over the class sizes times |Gamma|) or the reason the
-    brute cap rules them out."""
+    stratum by stratum (sorted tuples of coset indices), the model's pair
+    tensor P and permutation character chi, each computed once per run, the
+    closed numerators of each subset ((m, 2, k) over
+    ``closed_denominators``) and either their brute numerators (over the
+    class sizes times |Gamma|) or the reason the brute cap rules them out."""
 
     model: UnitaryGaloisModel
     seed: int
@@ -315,6 +313,7 @@ class SubsetSweep:
     subsets: list
     sampled_eps: list
     P: np.ndarray
+    chi: ClassFunction
     closed: np.ndarray
     brute: np.ndarray | None
     brute_skipped: str | None
@@ -323,9 +322,9 @@ class SubsetSweep:
 def subset_sweep(model: UnitaryGaloisModel, eps_max: int | None, seed: int,
                  brute_cap: int = BRUTE_CAP) -> SubsetSweep:
     """Draw the seeded subsets of sizes 0..eps_max (every size when None),
-    build the pair tensor, and compute the closed functions as one block
-    and, under the brute cap, the brute functions, one
-    ``cm_class_function_brute`` call each."""
+    build the pair tensor and the permutation character, and compute the
+    closed functions as one block and, under the brute cap, the brute
+    functions, one ``cm_class_function_brute`` call each."""
     eps_max = model.n if eps_max is None else min(eps_max, model.n)
     rng = random.Random(seed)
     subsets, sampled = [], []
@@ -334,13 +333,13 @@ def subset_sweep(model: UnitaryGaloisModel, eps_max: int | None, seed: int,
         subsets += block
         if not exhaustive:
             sampled.append(eps)
-    P = pair_tensor(model)
-    closed = closed_block(subsets, model, P)
+    P, chi = pair_tensor(model), permutation_character(model)
+    closed = closed_block(subsets, model, P, chi)
     reason = brute_skip_reason(model, brute_cap)
     brute = None if reason is not None else np.stack([
-        cm_class_function_brute(CMType(s, model.n), model, brute_cap).numerators
+        cm_class_function_brute(s, model, brute_cap).numerators
         for s in subsets])
-    return SubsetSweep(model, seed, eps_max, subsets, sampled, P, closed,
+    return SubsetSweep(model, seed, eps_max, subsets, sampled, P, chi, closed,
                        brute, reason)
 
 
@@ -371,6 +370,7 @@ def check_closed_form(sweep: SubsetSweep) -> IdentityReport:
 
 
 def pair_residuals(subsets, model: UnitaryGaloisModel, P: np.ndarray,
+                   chi: ClassFunction,
                    closed: np.ndarray | None = None) -> np.ndarray:
     """Numerators, over ``closed_denominators``, of each subset's closed
     function minus the pair/singleton/empty combination
@@ -384,14 +384,14 @@ def pair_residuals(subsets, model: UnitaryGaloisModel, P: np.ndarray,
     groups = list(_by_size(subsets))
     check_closed_bound(model, max((S.shape[1] for _, S in groups), default=0))
     if closed is None:
-        closed = closed_block(subsets, model, P)
+        closed = closed_block(subsets, model, P, chi)
     marked = np.zeros(n * n, dtype=bool)
     for _, S in groups:
         a, b = np.triu_indices(S.shape[1], 1)
         marked[S[:, a] * n + S[:, b]] = marked[S * (n + 1)] = True
     keys = np.flatnonzero(marked)
     parts = closed_block([()] + [tuple({*divmod(key, n)})
-                                 for key in keys.tolist()], model, P)
+                                 for key in keys.tolist()], model, P, chi)
     empty, parts = parts[0], parts[1:]
     out = np.empty_like(closed)
     for rows, S in groups:
@@ -409,7 +409,7 @@ def check_pair_reduction_suite(sweep: SubsetSweep) -> IdentityReport:
     """Every sampled subset's closed function is the pair/singleton/empty
     combination of closed functions, exactly."""
     residuals = pair_residuals(sweep.subsets, sweep.model, sweep.P,
-                               sweep.closed)
+                               sweep.chi, sweep.closed)
     den = closed_denominators(sweep.model)
     hit = _first_unequal(residuals, den, np.zeros_like(residuals),
                          np.ones_like(den))
@@ -476,23 +476,23 @@ def check_galois_invariance(sweep: SubsetSweep,
                             pairs: int = 50) -> IdentityReport:
     """Equivalent CM types have equal class functions (closed path): the
     pairs (x, phi), phi of size at most the sweep's eps_max, are drawn with
-    the sweep's seed first, then every x phi and phi is computed in one
-    block with the sweep's pair tensor."""
+    the sweep's seed first, then every x phi is computed by one ``act`` call,
+    and every x phi and phi in one block with the sweep's pair tensor and
+    permutation character."""
     model = sweep.model
     rng = random.Random(sweep.seed)
     gammas, phis = [], []
     for _ in range(pairs):
         gammas.append((rng.randrange(model.group.order), rng.randrange(2)))
         eps = rng.randrange(sweep.eps_max + 1)
-        phis.append(CMType(tuple(rng.sample(range(model.n), eps)), model.n))
-    block = closed_block([act(x, phi, model).indices
-                          for x, phi in zip(gammas, phis)]
-                         + [phi.indices for phi in phis], model, sweep.P)
+        phis.append(tuple(sorted(rng.sample(range(model.n), eps))))
+    block = closed_block(act(model, gammas, phis) + phis, model, sweep.P,
+                         sweep.chi)
     den = closed_denominators(model)
     hit = _first_unequal(block[:pairs], den, block[pairs:], den)
     if hit is None:
         return IdentityReport("galois-invariance", True, None, {"pairs": pairs})
     p, witness = hit
-    witness.update(subset=[i + 1 for i in phis[p].indices],
+    witness.update(subset=[i + 1 for i in phis[p]],
                    gamma=list(gammas[p]))
     return IdentityReport("galois-invariance", False, witness)

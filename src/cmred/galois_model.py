@@ -1,23 +1,16 @@
-"""The unitary group model: (G, H, cosets, Gamma = G x Z/2, rho) plus CM types.
+"""The unitary group model: (G, H, cosets, Gamma = G x Z/2, rho) and the
+Galois action on CM types.
 
-CM types are stored as subsets of the coset indices {0..n-1}; the bit
-generator rho acts as complementation at the subset level, the bit-0 part of
-Gamma acts through the coset action.
+A CM type of signature (n - eps, eps) is a sorted tuple of eps coset indices
+in {0..n-1}, everywhere in cmred.  The bit-0 part of Gamma acts through the
+coset action; the bit generator rho acts as complementation.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import numpy as np
 
-from .permgroup import (
-    SUBSET_CAP,
-    FiniteGroup,
-    check_subset_cap,
-    conjugacy_classes,
-    coset_action,
-    left_cosets,
-)
+from .permgroup import FiniteGroup, conjugacy_classes, coset_action, left_cosets
 
 
 class UnitaryGaloisModel:
@@ -40,47 +33,17 @@ class UnitaryGaloisModel:
                 f"n={self.n}, h={self.h})")
 
 
-@dataclass(frozen=True)
-class CMType:
-    """A CM type of signature (n - eps, eps), parametrized by a subset of
-    the coset indices."""
-
-    indices: tuple
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
-        if self.indices and not (0 <= self.indices[0] and self.indices[-1] < self.n):
-            raise ValueError(f"subset {self.indices} out of range for n={self.n}")
-
-    @property
-    def eps(self) -> int:
-        return len(self.indices)
-
-    def complement(self) -> "CMType":
-        members = set(self.indices)
-        return CMType(tuple(i for i in range(self.n) if i not in members), self.n)
-
-    def __contains__(self, i) -> bool:
-        return i in set(self.indices)
-
-
-def signature(phi: CMType, model: UnitaryGaloisModel) -> tuple[int, int]:
-    return (model.n - phi.eps, phi.eps)
-
-
-def act(x, phi: CMType, model: UnitaryGaloisModel) -> CMType:
-    """Galois action on CM types: (g, 0) pushes the subset through the coset
-    action; (g, 1) additionally complements (rho swaps the signature)."""
-    g, bit = x
-    row = coset_action(model.group, model.cosets, [g])[0]
-    moved = CMType(tuple(int(row[i]) for i in phi.indices), model.n)
-    return moved.complement() if bit else moved
-
-
-def enumerate_cm_types(model: UnitaryGaloisModel, eps: int,
-                       cap: int = SUBSET_CAP) -> list[CMType]:
-    """All CM types of signature (n - eps, eps) in lexicographic order."""
-    n = model.n
-    check_subset_cap(n, eps, cap)
-    return [CMType(s, n) for s in itertools.combinations(range(n), eps)]
+def act(model: UnitaryGaloisModel, gammas, subsets) -> list[tuple]:
+    """Galois action on a block of CM types: the i-th pair (g, bit) of
+    ``gammas`` moves the i-th subset.  (g, 0) pushes the subset through the
+    coset action; (g, 1) also complements it (rho swaps the signature).  One
+    ``coset_action`` call gives the rows of every g; each result is a sorted
+    tuple."""
+    rows = coset_action(model.group, model.cosets, [g for g, _ in gammas])
+    moved = []
+    for (_, bit), row, s in zip(gammas, rows, subsets):
+        mask = np.zeros(model.n, dtype=bool)
+        mask[row[list(s)]] = True
+        # mask != 1 is the complement
+        moved.append(tuple(np.flatnonzero(mask != bit).tolist()))
+    return moved

@@ -1,11 +1,12 @@
 """From-scratch constructors for the example groups, as permutation groups
 with the correct point stabilizers.
 
-Matrix families are enumerated by BFS from fixed generator matrices and then
-converted to permutations of their natural point set (projective points,
-quadratic forms, isotropic lines).  Correctness never leans on the generator
-choices: every build re-derives the group order, the point count, and form
-preservation, and raises BuildVerificationError on any mismatch.
+Matrix families act by fixed generator matrices on their natural point set
+(projective points, quadratic forms, isotropic lines), and the group is
+closed from those permutations; no matrix group is enumerated.  Correctness
+never leans on the generator choices: every build re-derives the group
+order, the point count, and form preservation, and raises
+BuildVerificationError on any mismatch.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildVerificationError, UnsupportedParameter
-from .galois_model import UnitaryGaloisModel
 from .permgroup import FiniteGroup, close_generators, stabilizer_generators
 
 SMALL_FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
@@ -146,14 +146,6 @@ def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(F, A, B):
-    n = len(A)
-    return tuple(
-        tuple(functools.reduce(F.add, (F.mul(A[i][k], B[k][j]) for k in range(n)))
-              for j in range(n))
-        for i in range(n))
-
-
 def mat_vec(F, A, v):
     n = len(A)
     return tuple(
@@ -175,28 +167,6 @@ def mat_det(F, A):
             total = F.add(total, F.mul(A[0][j], minor))
         return total
     raise ValueError("determinant implemented for n <= 3")
-
-
-def close_matrices(F, gens, cap=2_000_000):
-    """BFS closure of a matrix generating set (deterministic order)."""
-    n = len(gens[0])
-    ident = mat_identity(n)
-    seen = {ident: 0}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in gens:
-            for x in frontier:
-                y = mat_mul(F, g, x)
-                if y not in seen:
-                    if len(order) >= cap:
-                        raise BuildVerificationError("matrix closure exceeded cap")
-                    seen[y] = len(order)
-                    order.append(y)
-                    new.append(y)
-        frontier = new
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +295,6 @@ def base_quadratic_mask(m, sign):
     return mask
 
 
-def polarizing_form_masks(m):
-    """All quadratic forms whose polarization is the standard alternating
-    form: the base form shifted by every linear functional."""
-    dim = 2 * m
-    base = base_quadratic_mask(m, "+")
-    masks = []
-    for a in range(1 << dim):
-        mask = 0
-        for v in range(1 << dim):
-            bit = quadratic_form_value(base, v) ^ (bin(a & v).count("1") & 1)
-            mask |= bit << v
-        masks.append(mask)
-    return masks
-
-
 def _apply_matrix_to_form(vec_map, mask, dim):
     # (x . Q)(v) = Q(x^{-1} v); vec_map must be the map of x^{-1}
     out = 0
@@ -404,31 +359,6 @@ def symplectic_group_order(m):
     order = 1 << (m * m)
     for i in range(1, m + 1):
         order *= (1 << (2 * i)) - 1
-    return order
-
-
-def enumerate_symplectic_matrices(m, cap=10_000):
-    """Full matrix enumeration by BFS over all transvections (column-bitmask
-    representation); only sensible for m = 2."""
-    dirs = tuple(range(1, 1 << (2 * m)))
-    gens = [_transvection_cols(u, m) for u in dirs]
-    ident = tuple(1 << k for k in range(2 * m))
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in gens:
-            for x in frontier:
-                y = _colmat_mul(g, x)
-                if y not in seen:
-                    if len(order) >= cap:
-                        raise BuildVerificationError(
-                            "symplectic matrix closure exceeded cap")
-                    seen.add(y)
-                    order.append(y)
-                    new.append(y)
-        frontier = new
     return order
 
 
@@ -680,8 +610,3 @@ def build(spec) -> tuple[FiniteGroup, list]:
         spec = parse_zoo_spec(spec)
     G = close_generators(*_zoo_action(spec), order=zoo_order(spec))
     return G, stabilizer_generators(G, 0)
-
-
-def build_zoo_model(spec) -> UnitaryGaloisModel:
-    G, H_gens = build(spec)
-    return UnitaryGaloisModel(G, H_gens)

@@ -63,24 +63,8 @@ SUBSET_CAP = 5_000_000
 Permutation = tuple  # image tuple: p[i] = image of point i
 
 
-def identity_perm(degree: int) -> Permutation:
-    return tuple(range(degree))
-
-
 def is_permutation(images: Sequence[int], degree: int) -> bool:
     return len(images) == degree and sorted(images) == list(range(degree))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """p after q: (p o q)[i] = p[q[i]]."""
-    return tuple(p[j] for j in q)
-
-
-def inverse_perm(p: Permutation) -> Permutation:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
 
 
 def generator_rows(degree: int, gens: Iterable[Sequence[int]]) -> np.ndarray:
@@ -300,28 +284,6 @@ class FiniteGroup:
         hit = (np.take(self.images, idx, axis=0) == rows).all(axis=1)
         return np.where(hit, idx, -1)
 
-    def perm(self, i: int) -> Permutation:
-        return tuple(int(x) for x in self.images[i])
-
-    def index_of(self, p: Permutation) -> int:
-        """Element index of an image tuple; KeyError if not in the group."""
-        row = np.asarray(p)
-        if row.shape == (self.degree,):
-            i = int(self.index_rows(row[None])[0])
-            if i >= 0:
-                return i
-        raise KeyError(p)
-
-    def __contains__(self, p) -> bool:
-        try:
-            self.index_of(p)
-        except (KeyError, TypeError, ValueError):
-            return False
-        return True
-
-    def __len__(self) -> int:
-        return self.order
-
     @property
     def inverses(self) -> np.ndarray:
         if self._inverses is None:
@@ -352,15 +314,6 @@ class FiniteGroup:
             slot, parent = self._parents[e]
             table[e] = gen_rows[slot][table[parent]]
         return table
-
-    def mul(self, a: int, b: int) -> int:
-        t = self.mult_table
-        if t is not None:
-            return int(t[a, b])
-        return int(self.index_rows(self.images[a][self.images[b]][None])[0])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverses[a])
 
 
 def close_generators(degree: int, gens: Iterable[Sequence[int]],

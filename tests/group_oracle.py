@@ -10,6 +10,8 @@ class and coset numbering the vectorised versions must reproduce.
 
 import numpy as np
 
+from perm_oracle import mul, perm
+
 
 def bytes_index(G):
     """Element index of each row of ``G.images``, keyed by its bytes."""
@@ -111,9 +113,9 @@ def scalar_stabilizer_generators(G, point):
             nxt = []
             for x in frontier:
                 for g in gens:
-                    y = G.mul(g, x)
+                    y = mul(G, g, x)
                     if y not in closure:
                         closure.add(y)
                         nxt.append(y)
             frontier = nxt
-    return [G.perm(i) for i in gens]
+    return [perm(G, i) for i in gens]

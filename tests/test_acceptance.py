@@ -25,9 +25,6 @@ from cmred.group_zoo import (
     _frobenius_table,
     _unitary_generators,
     base_quadratic_mask,
-    build_zoo_model,
-    close_matrices,
-    enumerate_symplectic_matrices,
     hermitian_form,
     mat_vec,
     preserves_J,
@@ -36,6 +33,8 @@ from cmred.group_zoo import (
     symplectic_group_order,
     unitary_group_order,
 )
+from matrix_oracle import close_matrices, enumerate_symplectic_matrices
+from perm_oracle import build_zoo_model
 
 SEED = 7
 
@@ -106,7 +105,7 @@ def test_criterion_1_closed_form_cross_check(sweeps):
 def test_criterion_2_induced_character_identity(models):
     specs = BRUTE_MODELS + ("sp6f2:+", "sp6f2:-")
     for spec in specs:
-        rep = check_induced_character(models(spec))
+        rep = check_induced_character(subset_sweep(models(spec), 0, SEED))
         assert rep.passed, (spec, rep.witness)
     _announce(2, "conjugate-subgroup sum equals h times the permutation "
                  "character on every class", True)

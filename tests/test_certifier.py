@@ -4,9 +4,9 @@ import numpy as np
 
 from cmred.certifier import certify, orbit_table
 from cmred.galois_model import UnitaryGaloisModel
-from cmred.group_zoo import build_zoo_model
 from cmred.permgroup import close_generators
 from orbit_oracle import oracle_orbit_table
+from perm_oracle import build_zoo_model
 
 
 def certificate(spec):

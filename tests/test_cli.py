@@ -8,9 +8,11 @@ import pytest
 
 import cmred
 from cmred.cli import RunConfig, main, parse_spec, render_json, run
+from cmred.cm_engine import check_galois_invariance, subset_sweep
 from cmred.errors import ParseError
+from cmred.galois_model import UnitaryGaloisModel
 from cmred.group_algebra import BRUTE_CAP
-from cmred.group_zoo import ZooSpec
+from cmred.group_zoo import ZooSpec, build
 
 
 def run_main(capsys, *argv):
@@ -238,6 +240,39 @@ def test_verify_builds_the_pair_tensor_and_each_stratum_once(monkeypatch):
         shown = 2 if eps_max is None else eps_max
         assert sorted(report["orbits"]) == [str(e) for e in range(shown + 1)]
         assert sorted(report["certificate"]["orbit_counts"]) == ["0", "1", "2"]
+
+
+def test_verify_computes_the_coset_action_inputs_once(monkeypatch):
+    import cmred.cm_engine as cm_engine
+    import cmred.permgroup as permgroup
+
+    coset_action = permgroup.coset_action
+    permutation_character = cm_engine.permutation_character
+    calls = {"coset_action": 0, "chi": 0}
+
+    def counted_action(*args):
+        calls["coset_action"] += 1
+        return coset_action(*args)
+
+    def counted_chi(model):
+        calls["chi"] += 1
+        return permutation_character(model)
+
+    # every module that imported coset_action by name calls the counter
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmred.") and \
+                getattr(module, "coset_action", None) is coset_action:
+            monkeypatch.setattr(module, "coset_action", counted_action)
+    monkeypatch.setattr(cm_engine, "permutation_character", counted_chi)
+    # the model's generator rows, the pair tensor, the permutation
+    # character and the Galois action of galois-invariance's 50 pairs
+    report, code = run(RunConfig(command="verify", spec="sp4f2:+", eps_max=3))
+    assert code == 0 and len(report["checks"]) == 5
+    assert calls == {"coset_action": 4, "chi": 1}
+    sweep = subset_sweep(UnitaryGaloisModel(*build("sym:4")), None, 0)
+    calls.update(coset_action=0)
+    assert check_galois_invariance(sweep, pairs=50).passed
+    assert calls["coset_action"] == 1
 
 
 def test_skipped_cap_reported(capsys):

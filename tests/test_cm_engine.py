@@ -31,7 +31,6 @@ from cmred.cm_engine import (
     closed_denominators,
     cm_class_function_brute,
     cm_class_function_closed,
-    cm_type_element,
     compare_class_functions,
     conjugate_subgroup_sum,
     pair_residuals,
@@ -45,7 +44,7 @@ from cmred.errors import (
     IntegerBoundExceeded,
     UnsupportedParameter,
 )
-from cmred.galois_model import CMType, UnitaryGaloisModel, act, enumerate_cm_types
+from cmred.galois_model import UnitaryGaloisModel, act
 from cmred.group_algebra import (
     BRUTE_CAP,
     ClassFunction,
@@ -53,7 +52,7 @@ from cmred.group_algebra import (
     convolve,
     reflex,
 )
-from cmred.group_zoo import build, build_zoo_model, parse_zoo_spec, zoo_order
+from cmred.group_zoo import build, parse_zoo_spec, zoo_order
 from cmred.permgroup import (
     ELEMENT_CAP,
     SUBSET_CAP,
@@ -61,6 +60,7 @@ from cmred.permgroup import (
     close_generators,
     coset_action,
 )
+from perm_oracle import build_zoo_model, index_of, inv, mul
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 S9_OVER_S6 = Path(__file__).parent / "fixtures" / "s9_over_s6.json"
@@ -83,6 +83,11 @@ def z6_model_h2():
 def s4_model():
     G = close_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
     return UnitaryGaloisModel(G, [(0, 2, 1, 3), (0, 2, 3, 1)])
+
+
+def cm_types(m, eps):
+    """Every CM type of signature (n - eps, eps), in lexicographic order."""
+    return list(itertools.combinations(range(m.n), eps))
 
 
 # Test-local exact group-algebra elements: {(g, bit): Fraction} dicts.
@@ -114,7 +119,7 @@ def closed_form_via_algebra(phi, model):
     group-algebra element (conjugating by every group element), then project
     to class values."""
     G, n, h = model.group, model.n, model.h
-    eps = phi.eps
+    eps = len(phi)
     tr = {(g, 0): Fraction(1) for g in range(G.order)}
     chi = permutation_character(model)
     chi_elt = {(g, 0): evaluate(chi, (g, 0)) for g in range(G.order)}
@@ -123,14 +128,14 @@ def closed_form_via_algebra(phi, model):
               (Fraction(eps, n * n), one_minus_rho(chi_elt)))
     dcounts = {}
     reps = model.cosets.reps
-    for i in phi.indices:
-        for j in phi.indices:
+    for i in phi:
+        for j in phi:
             if i == j:
                 continue
             for eta in model.cosets.subgroup_elements:
-                m = G.mul(G.mul(reps[i], eta), G.inv(reps[j]))
+                m = mul(G, mul(G, reps[i], eta), inv(G, reps[j]))
                 for x in range(G.order):
-                    c = G.mul(G.mul(x, m), G.inv(x))
+                    c = mul(G, mul(G, x, m), inv(G, x))
                     dcounts[c] = dcounts.get(c, 0) + 1
     dterm = {(g, 0): Fraction(v) for g, v in dcounts.items()}
     acc = add((1, acc), (Fraction(1, h * n * n), one_minus_rho(dterm)))
@@ -144,9 +149,9 @@ def conjugate_subgroup_oracle(model):
     assert G.order <= 720
     counts = [0] * G.order
     for x in range(G.order):
-        xinv = G.inv(x)
+        xinv = inv(G, x)
         for eta in model.cosets.subgroup_elements:
-            counts[G.mul(G.mul(x, eta), xinv)] += 1
+            counts[mul(G, mul(G, x, eta), xinv)] += 1
     for members in model.classes.classes:
         assert len({counts[m] for m in members}) == 1
     return [[counts[rep], 0] for rep in model.classes.class_reps]
@@ -162,6 +167,15 @@ def trace(m):
     imaginary quadratic subfield, as a group-algebra element."""
     return np.stack([np.ones(m.group.order, dtype=np.int64),
                      np.zeros(m.group.order, dtype=np.int64)])
+
+
+def cm_type_element(phi, m):
+    """Indicator of the CM type on Gamma: bit 1 on the cosets in the subset,
+    bit 0 elsewhere; total mass hn."""
+    in_phi = np.zeros(m.n, dtype=bool)
+    in_phi[list(phi)] = True
+    flipped = in_phi[m.cosets.coset_of]
+    return np.stack([~flipped, flipped]).astype(np.int64)
 
 
 def raw_convolution(phi, m):
@@ -188,7 +202,7 @@ def assert_same_brute(f, g, context):
 def test_trace_element():
     # the CM type of the empty subset is the trace
     m = s3_model()
-    tr = cm_type_element(CMType((), 3), m)
+    tr = cm_type_element((), m)
     assert tr.shape == (2, 6)
     assert tr[0].tolist() == [1] * 6 and not tr[1].any()
     assert tr.sum() == m.h * m.n
@@ -197,12 +211,12 @@ def test_trace_element():
 
 def test_cm_type_element_empty_is_trace():
     m = s3_model()
-    assert np.array_equal(cm_type_element(CMType((), 3), m), trace(m))
+    assert np.array_equal(cm_type_element((), m), trace(m))
 
 
 def test_cm_type_element_one_coset_flipped():
     m = s3_model()
-    elt = cm_type_element(CMType((0,), 3), m)
+    elt = cm_type_element((0,), m)
     flipped = np.flatnonzero(elt[1]).tolist()
     assert len(flipped) == m.h == 2
     assert flipped == np.flatnonzero(m.cosets.coset_of == 0).tolist()
@@ -214,7 +228,7 @@ def test_cm_type_element_mass():
     m = z4_model()
     for _ in range(5):
         s = tuple(sorted(rng.sample(range(4), rng.randrange(5))))
-        elt = cm_type_element(CMType(s, 4), m)
+        elt = cm_type_element(s, m)
         assert elt.sum() == m.h * m.n
         assert np.array_equal(elt[0] + elt[1], np.ones(m.group.order))
 
@@ -222,10 +236,10 @@ def test_cm_type_element_mass():
 def test_reflex_support_matches_inverted_cosets():
     # support of the reflex: bit 1 exactly on the sets H sigma_j^-1
     m = s3_model()
-    phi = CMType((1,), 3)
+    phi = (1,)
     G = m.group
     r = reflex(cm_type_element(phi, m), G)
-    expected_bit1 = {G.mul(eta, G.inv(m.cosets.reps[1]))
+    expected_bit1 = {mul(G, eta, inv(G, m.cosets.reps[1]))
                      for eta in m.cosets.subgroup_elements}
     got_bit1 = set(np.flatnonzero(r[1]).tolist())
     assert got_bit1 == expected_bit1
@@ -236,7 +250,7 @@ def test_reflex_convolution_identity_value():
     # normalized by 1/|Gamma|, the value at the identity is 1/2
     for m in (s3_model(), z4_model(), z6_model_h2()):
         for eps in range(m.n + 1):
-            for phi in enumerate_cm_types(m, eps):
+            for phi in cm_types(m, eps):
                 a = raw_convolution(phi, m)
                 assert Fraction(int(a[0, 0]), m.gamma_order) == Fraction(1, 2)
                 # the brute class function is its class projection
@@ -247,7 +261,7 @@ def test_reflex_convolution_identity_value():
 
 def test_reflex_convolution_rho_balance():
     m = s3_model()
-    for phi in enumerate_cm_types(m, 2):
+    for phi in cm_types(m, 2):
         a = raw_convolution(phi, m)
         assert np.array_equal(2 * (a[0] + a[1]),
                               np.full(m.group.order, m.gamma_order))
@@ -255,14 +269,14 @@ def test_reflex_convolution_rho_balance():
 
 def test_reflex_convolution_empty_set_is_half_trace():
     m = s3_model()
-    a = raw_convolution(CMType((), 3), m)
+    a = raw_convolution((), m)
     assert np.array_equal(2 * a, m.gamma_order * trace(m))
 
 
 def test_raw_convolution_mass_at_identity():
     # unnormalized value at the identity is hn: sum of the squared indicator
     m = s3_model()
-    elt = cm_type_element(CMType((), 3), m)
+    elt = cm_type_element((), m)
     raw = convolve(elt, reflex(elt, m.group), m.group)
     assert raw[0, 0] == m.h * m.n
 
@@ -270,7 +284,7 @@ def test_raw_convolution_mass_at_identity():
 def test_brute_cap_guard():
     m = s3_model()
     with pytest.raises(BruteCapExceeded, match="12 exceeds brute cap 4"):
-        cm_class_function_brute(CMType((), 3), m, brute_cap=4)
+        cm_class_function_brute((), m, brute_cap=4)
     # past the cap the sweep holds the reason and closed-form is skipped
     sweep = subset_sweep(m, None, 0, brute_cap=4)
     assert sweep.brute is None
@@ -281,28 +295,30 @@ def test_brute_cap_guard():
     # table: the guard fires before the model is touched
     past_table = types.SimpleNamespace(gamma_order=2 * (TABLE_CAP + 1))
     with pytest.raises(BruteCapExceeded):
-        cm_class_function_brute(CMType((), 1), past_table,
+        cm_class_function_brute((), past_table,
                                 brute_cap=10 * BRUTE_CAP)
 
 
 def test_brute_class_function_basics():
     m = s3_model()
-    f = cm_class_function_brute(CMType((), 3), m)
+    f = cm_class_function_brute((), m)
     for c in range(m.classes.count):
         assert f.values[c][0] == Fraction(1, 2)
         assert f.values[c][1] == 0
     for eps in range(4):
-        for phi in enumerate_cm_types(m, eps):
+        for phi in cm_types(m, eps):
             assert evaluate(cm_class_function_brute(phi, m), (0, 0)) == Fraction(1, 2)
 
 
 def test_brute_invariant_under_action():
     m = s3_model()
     rng = random.Random(8)
+    gammas, phis = [], []
     for _ in range(20):
-        x = (rng.randrange(m.group.order), rng.randrange(2))
-        phi = CMType(tuple(rng.sample(range(3), rng.randrange(4))), 3)
-        assert cm_class_function_brute(act(x, phi, m), m) == \
+        gammas.append((rng.randrange(m.group.order), rng.randrange(2)))
+        phis.append(tuple(sorted(rng.sample(range(3), rng.randrange(4)))))
+    for moved, phi in zip(act(m, gammas, phis), phis):
+        assert cm_class_function_brute(moved, m) == \
             cm_class_function_brute(phi, m)
 
 
@@ -310,8 +326,8 @@ def test_permutation_character_values():
     m = s3_model()
     chi = permutation_character(m)
     assert evaluate(chi, (0, 0)) == m.n
-    assert evaluate(chi, (m.group.index_of((0, 2, 1)), 0)) == 1
-    assert evaluate(chi, (m.group.index_of((1, 2, 0)), 0)) == 0
+    assert evaluate(chi, (index_of(m.group, (0, 2, 1)), 0)) == 1
+    assert evaluate(chi, (index_of(m.group, (1, 2, 0)), 0)) == 0
     z3 = UnitaryGaloisModel(close_generators(3, [(1, 2, 0)]), [])
     chi3 = permutation_character(z3)
     assert [v[0] for v in chi3.values] == [3, 0, 0]
@@ -322,8 +338,8 @@ def test_conjugate_subgroup_sum_values():
     m = s3_model()
     f = conjugate_subgroup_sum(m)
     assert evaluate(f, (0, 0)) == m.group.order
-    t = m.group.index_of((0, 2, 1))
-    c3 = m.group.index_of((1, 2, 0))
+    t = index_of(m.group, (0, 2, 1))
+    c3 = index_of(m.group, (1, 2, 0))
     assert evaluate(f, (t, 0)) == 2
     assert evaluate(f, (c3, 0)) == 0
 
@@ -338,7 +354,7 @@ def test_conjugate_subgroup_sum_paths_agree():
 
 def test_induced_character_identity():
     for m in (s3_model(), z6_model_h2(), s4_model(), z4_model()):
-        rep = check_induced_character(m)
+        rep = check_induced_character(subset_sweep(m, 0, 0))
         assert rep.passed, rep.witness
 
 
@@ -347,9 +363,10 @@ def test_induced_character_past_255_cosets():
     m = s6_model([])
     assert m.n == 720
     assert coset_action(m.group, m.cosets, range(m.group.order)).max() == 719
-    rep = check_induced_character(m)
+    sweep = subset_sweep(m, 0, 0)
+    rep = check_induced_character(sweep)
     assert rep.passed, rep.witness
-    assert permutation_character(m).values[0][0] == 720
+    assert sweep.chi.values[0][0] == 720
 
 
 def test_compare_reports_perturbed_fixture():
@@ -366,17 +383,17 @@ def test_compare_reports_perturbed_fixture():
 
 def test_closed_form_empty_and_singleton():
     m = s3_model()
-    f = cm_class_function_closed(CMType((), 3), m)
+    f = cm_class_function_closed((), m)
     assert all(v == [Fraction(1, 2), Fraction(0)] for v in f.values)
     for i in range(3):
-        got = cm_class_function_closed(CMType((i,), 3), m)
-        assert got.values == closed_form_via_algebra(CMType((i,), 3), m)
+        got = cm_class_function_closed((i,), m)
+        assert got.values == closed_form_via_algebra((i,), m)
 
 
 def test_closed_form_matches_literal_assembly():
     for m in (s3_model(), z4_model(), s4_model()):
         for eps in range(m.n + 1):
-            for phi in enumerate_cm_types(m, eps):
+            for phi in cm_types(m, eps):
                 assert cm_class_function_closed(phi, m).values == \
                     closed_form_via_algebra(phi, m)
 
@@ -384,7 +401,7 @@ def test_closed_form_matches_literal_assembly():
 def test_closed_form_equals_brute():
     for m in (s3_model(), z4_model(), z6_model_h2(), s4_model()):
         for eps in range(m.n + 1):
-            for phi in enumerate_cm_types(m, eps):
+            for phi in cm_types(m, eps):
                 assert cm_class_function_closed(phi, m) == \
                     cm_class_function_brute(phi, m)
 
@@ -397,9 +414,9 @@ def test_check_closed_form_suites():
 
 def test_pair_reduction_degenerate_cases():
     m = s4_model()
-    subsets = [phi.indices for eps in (0, 1, 2)
-               for phi in enumerate_cm_types(m, eps)]
-    assert not pair_residuals(subsets, m, pair_tensor(m)).any()
+    subsets = [phi for eps in (0, 1, 2) for phi in cm_types(m, eps)]
+    assert not pair_residuals(subsets, m, pair_tensor(m),
+                              permutation_character(m)).any()
     rep = check_pair_reduction_suite(subset_sweep(m, 2, 0))
     assert rep.passed, rep.witness
     assert rep.detail == {"subsets_checked": len(subsets)}
@@ -407,18 +424,19 @@ def test_pair_reduction_degenerate_cases():
 
 def test_pair_reduction_s4_triple():
     m = s4_model()
-    assert not pair_residuals([(0, 1, 2)], m, pair_tensor(m)).any()
+    assert not pair_residuals([(0, 1, 2)], m, pair_tensor(m),
+                              permutation_character(m)).any()
     # cross-check the residual through the brute path, whose functions all
     # share the denominators |c| |Gamma|
-    phi = CMType((0, 1, 2), 4)
+    phi = (0, 1, 2)
 
     def brute(s):
-        return cm_class_function_brute(CMType(s, 4), m).numerators
+        return cm_class_function_brute(s, m).numerators
 
-    residual = brute(phi.indices)
-    for pair in itertools.combinations(phi.indices, 2):
+    residual = brute(phi)
+    for pair in itertools.combinations(phi, 2):
         residual = residual - brute(pair)
-    for i in phi.indices:
+    for i in phi:
         residual = residual + brute((i,))
     residual = residual - brute(())  # (eps-1)(eps-2)/2 = 1
     assert not residual.any()
@@ -426,22 +444,22 @@ def test_pair_reduction_s4_triple():
 
 def test_pair_reduction_all_sizes_including_full():
     for m in (s3_model(), z4_model(), s4_model()):
-        P = pair_tensor(m)
+        P, chi = pair_tensor(m), permutation_character(m)
         for eps in range(m.n + 1):
-            for phi in enumerate_cm_types(m, eps):
-                assert not pair_residuals([phi.indices], m, P).any()
+            for phi in cm_types(m, eps):
+                assert not pair_residuals([phi], m, P, chi).any()
 
 
 def test_cm0_membership():
     m = s3_model()
     for eps in range(4):
-        for phi in enumerate_cm_types(m, eps):
+        for phi in cm_types(m, eps):
             c, witness = check_cm0_membership(cm_class_function_brute(phi, m))
             assert witness is None and c == Fraction(1, 2)
     half_trace = class_project(trace(m), m.classes).scale(Fraction(1, 2))
     c, witness = check_cm0_membership(half_trace)
     assert witness is None and c == Fraction(1, 2)
-    t = m.group.index_of((0, 2, 1))
+    t = index_of(m.group, (0, 2, 1))
     delta_t = np.zeros((2, m.group.order), dtype=np.int64)
     delta_t[0, t] = 1
     bad = class_project(delta_t, m.classes)
@@ -469,16 +487,16 @@ def test_linear_functional_skeleton():
             return sum(lam[c][b] * f.values[c][b] for c in range(k) for b in (0, 1))
 
         for eps in range(m.n + 1):
-            for phi in enumerate_cm_types(m, eps):
+            for phi in cm_types(m, eps):
                 lhs = L(cm_class_function_closed(phi, m))
                 rhs = Fraction(0)
-                for pair in itertools.combinations(phi.indices, 2):
-                    rhs += L(cm_class_function_closed(CMType(pair, 4), m))
-                rhs -= (phi.eps - 2) * sum(
-                    L(cm_class_function_closed(CMType((i,), 4), m))
-                    for i in phi.indices)
-                rhs += Fraction((phi.eps - 1) * (phi.eps - 2), 2) * \
-                    L(cm_class_function_closed(CMType((), 4), m))
+                eps = len(phi)
+                for pair in itertools.combinations(phi, 2):
+                    rhs += L(cm_class_function_closed(pair, m))
+                rhs -= (eps - 2) * sum(
+                    L(cm_class_function_closed((i,), m)) for i in phi)
+                rhs += Fraction((eps - 1) * (eps - 2), 2) * \
+                    L(cm_class_function_closed((), m))
                 assert lhs == rhs
 
 
@@ -487,20 +505,19 @@ def test_closed_block_matches_one_at_a_time():
         m = make()
         subsets = [s for eps in range(m.n + 1)
                    for s in itertools.combinations(range(m.n), eps)]
-        P = pair_tensor(m)
-        block = closed_block(subsets, m, P)
+        P, chi = pair_tensor(m), permutation_character(m)
+        block = closed_block(subsets, m, P, chi)
         assert block.shape == (len(subsets), 2, m.classes.count)
         for s, num in zip(subsets, block):
-            assert np.array_equal(
-                num, cm_class_function_closed(CMType(s, m.n), m).numerators)
-        assert not pair_residuals(subsets, m, P).any()
+            assert np.array_equal(num, cm_class_function_closed(s, m).numerators)
+        assert not pair_residuals(subsets, m, P, chi).any()
         # sizes mixed and members reversed: each row lands where its
         # subset is, whatever the order of the block and of its members
         order = list(range(len(subsets)))
         random.Random(m.n).shuffle(order)
         shuffled = [subsets[i][::-1] for i in order]
-        assert np.array_equal(closed_block(shuffled, m, P), block[order])
-        assert not pair_residuals(shuffled, m, P).any()
+        assert np.array_equal(closed_block(shuffled, m, P, chi), block[order])
+        assert not pair_residuals(shuffled, m, P, chi).any()
 
 
 def zoo_specs():
@@ -527,7 +544,7 @@ def test_brute_count_matches_the_convolution_on_the_zoo():
         m = build_zoo_model(spec)
         n = m.n
         for eps in sorted({0, 1, n // 2, (n + 1) // 2, n - 1, n}):
-            phi = CMType(tuple(sorted(rng.sample(range(n), eps))), n)
+            phi = tuple(sorted(rng.sample(range(n), eps)))
             assert_same_brute(cm_class_function_brute(phi, m),
                               brute_by_convolution(phi, m), (spec, eps))
             sides.add(int(np.sign(2 * eps * m.h - m.group.order)))
@@ -537,14 +554,14 @@ def test_brute_count_matches_the_convolution_on_the_zoo():
 def test_brute_count_one_row_at_a_time(monkeypatch):
     for spec in ("sp4f2:-", "psu3:2", "dihedral:7"):
         m = build_zoo_model(spec)
-        phis = [CMType(s, m.n) for eps in range(m.n + 1)
+        phis = [s for eps in range(m.n + 1)
                 for s in itertools.islice(
                     itertools.combinations(range(m.n), eps), 3)]
         expected = [brute_by_convolution(phi, m) for phi in phis]
         monkeypatch.setattr(group_algebra, "CHUNK_ROWS", 1)
         for phi, g in zip(phis, expected):
             assert_same_brute(cm_class_function_brute(phi, m), g,
-                              (spec, phi.indices))
+                              (spec, phi))
         monkeypatch.undo()
 
 
@@ -568,6 +585,57 @@ def test_pair_tensor_past_the_action_dtype():
         assert (P.sum(axis=2) == 1 - np.eye(m.n, dtype=np.int64)).all()
 
 
+def file_model(path):
+    _, degree, group_gens, subgroup_gens = parse_spec(f"file:{path}")
+    return UnitaryGaloisModel(close_generators(degree, group_gens),
+                              subgroup_gens)
+
+
+def marginal_failures(P, m):
+    """Which marginals of a pair tensor P of m are wrong: each row and each
+    column should sum to |c| - |H cap c|, the whole tensor to
+    (n - chi(c)) |c|."""
+    classes = m.classes
+    size = np.asarray(classes.sizes, dtype=np.int64)
+    in_H = np.bincount(classes.class_of[m.cosets.subgroup_elements],
+                       minlength=classes.count)
+    chi = permutation_character(m).numerators[0]
+    return [name for name, holds in (
+        ("rows", (P.sum(axis=1) == size - in_H).all()),
+        ("columns", (P.sum(axis=0) == size - in_H).all()),
+        ("total", (P.sum(axis=(0, 1)) == (m.n - chi) * size).all()))
+        if not holds]
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "sp4f2:-", "psu3:3", "cyclic:6",
+                                  "psl2:7", "file:s5_over_c2"])
+def test_pair_tensor_marginals(spec):
+    # (eta, j) -> eta sigma_j^-1 runs once over G, so row i counts each g
+    # with sigma_i g in c once, less the j = i terms: the conjugates of c's
+    # members by sigma_i that lie in H.  Columns likewise, and the n rows
+    # sum to n (|c| - |H cap c|) = (n - chi(c)) |c|.
+    m = file_model(S5_OVER_C2) if spec.startswith("file:") \
+        else build_zoo_model(spec)
+    P = pair_tensor(m)
+    assert marginal_failures(P, m) == []
+    # the tripled double-coset term breaks all three
+    assert marginal_failures(3 * P, m) == ["rows", "columns", "total"]
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "sp4f2:-", "cyclic:6", "psl2:7"])
+def test_brute_functions_agree_on_inverse_classes(spec):
+    # swapping y and u in the support count maps y u^-1 in c to u y^-1 in
+    # c^-1, and |c^-1| = |c|, so the numerators agree
+    m = build_zoo_model(spec)
+    classes = m.classes
+    inverse_class = classes.class_of[m.group.inverses[classes.class_reps]]
+    sweep = subset_sweep(m, None, 7)
+    assert np.array_equal(sweep.brute[:, :, inverse_class], sweep.brute)
+    # cyclic:6 and psl2:7 have classes other than their inverses
+    real = (inverse_class == np.arange(classes.count)).all()
+    assert real == (spec in ("sym:4", "sp4f2:-"))
+
+
 def test_s9_over_s6_model_and_pair_tensor_stay_small():
     # |G| = 362,880 and n = 504: an action row for every element would be
     # 349 MiB on its own
@@ -589,8 +657,7 @@ def test_s9_over_s6_model_and_pair_tensor_stay_small():
 def test_pair_reduction_of_every_size_stays_small():
     # S5 over <(0 1)(2 3)>, n = 60: 5,822 subsets of every size 0..60, whose
     # (subset, pair) incidences number 3,355,330
-    _, degree, group_gens, subgroup_gens = parse_spec(f"file:{S5_OVER_C2}")
-    m = UnitaryGaloisModel(close_generators(degree, group_gens), subgroup_gens)
+    m = file_model(S5_OVER_C2)
     sweep = subset_sweep(m, None, 0, brute_cap=0)
     assert (m.n, len(sweep.subsets)) == (60, 5822)
     tracemalloc.start()
@@ -607,10 +674,10 @@ def test_pair_reduction_of_every_size_stays_small():
 def test_pair_residual_sees_a_changed_triple():
     m = s4_model()
     subsets = list(itertools.combinations(range(4), 3))
-    P = pair_tensor(m)
-    closed = closed_block(subsets, m, P)
+    P, chi = pair_tensor(m), permutation_character(m)
+    closed = closed_block(subsets, m, P, chi)
     closed[2, 1, 0] += 1
-    bad = pair_residuals(subsets, m, P, closed).any(axis=(1, 2))
+    bad = pair_residuals(subsets, m, P, chi, closed).any(axis=(1, 2))
     assert bad.tolist() == [False, False, True, False]
     # the same change in a sweep: both checks name the subset, 1-based
     sweep = subset_sweep(m, 3, 0)
@@ -627,27 +694,32 @@ def test_pair_residual_sees_a_changed_triple():
 
 
 def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
-    calls = {"brute": 0, "block": 0, "pairs": 0}
+    calls = {"brute": 0, "block": 0, "pairs": 0, "chi": 0}
     brute, block = cm_engine.cm_class_function_brute, cm_engine.closed_block
 
     def counted_brute(phi, model, brute_cap=BRUTE_CAP):
         calls["brute"] += 1
         return brute(phi, model, brute_cap)
 
-    def counted_block(subsets, model, P):
+    def counted_block(subsets, model, P, chi):
         calls["block"] += 1
-        return block(subsets, model, P)
+        return block(subsets, model, P, chi)
 
     def counted_pairs(model):
         calls["pairs"] += 1
         return pair_tensor(model)
 
+    def counted_chi(model):
+        calls["chi"] += 1
+        return permutation_character(model)
+
     monkeypatch.setattr(cm_engine, "cm_class_function_brute", counted_brute)
     monkeypatch.setattr(cm_engine, "closed_block", counted_block)
     monkeypatch.setattr(cm_engine, "pair_tensor", counted_pairs)
+    monkeypatch.setattr(cm_engine, "permutation_character", counted_chi)
     m = s4_model()
     sweep = subset_sweep(m, 9, 3)  # eps_max is clipped to n
-    assert calls == {"brute": 16, "block": 1, "pairs": 1}
+    assert calls == {"brute": 16, "block": 1, "pairs": 1, "chi": 1}
     assert len(sweep.subsets) == 16 and sweep.brute.shape == sweep.closed.shape
     assert (sweep.seed, sweep.eps_max) == (3, 4)
     assert check_closed_form(sweep).detail == {"subsets_checked": 16,
@@ -655,8 +727,10 @@ def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
     assert check_pair_reduction_suite(sweep).detail == {"subsets_checked": 16}
     assert check_cm0_suite(sweep).detail == {"functions_checked": 32}
     assert check_galois_invariance(sweep).detail == {"pairs": 50}
-    # the sweep, the pair parts, galois-invariance; one pair tensor for all
-    assert calls == {"brute": 16, "block": 3, "pairs": 1}
+    assert check_induced_character(sweep).passed
+    # the sweep, the pair parts, galois-invariance; one pair tensor and one
+    # permutation character for all
+    assert calls == {"brute": 16, "block": 3, "pairs": 1, "chi": 1}
     # past the brute cap the closed functions alone are checked
     sweep = subset_sweep(m, None, 3, brute_cap=4)
     assert calls["brute"] == 16
@@ -683,7 +757,7 @@ def test_cm0_checks_the_whole_class_table():
     sweep = subset_sweep(m, None, 0)
     assert check_cm0_suite(sweep).passed
     rng = random.Random(5)
-    f = cm_class_function_brute(CMType((0, 1), 4), m)
+    f = cm_class_function_brute((0, 1), m)
     assert reread_members(f, rng) is None
     # move the last member of the last class to class 0, in the table only
     g = m.classes.classes[-1][-1]
@@ -760,15 +834,14 @@ def model_and_subsets(draw):
 @given(model_and_subsets())
 def test_integer_closed_form_on_random_groups(case):
     m, subsets = case
-    P = pair_tensor(m)
-    block = closed_block(subsets, m, P)
+    P, chi = pair_tensor(m), permutation_character(m)
+    block = closed_block(subsets, m, P, chi)
     for s, num in zip(subsets, block):
-        phi = CMType(s, m.n)
-        closed = cm_class_function_closed(phi, m)
+        closed = cm_class_function_closed(s, m)
         assert np.array_equal(closed.numerators, num)
-        assert closed.values == closed_form_via_algebra(phi, m)
-        assert closed == cm_class_function_brute(phi, m)
-    assert not pair_residuals(subsets, m, P, block).any()
+        assert closed.values == closed_form_via_algebra(s, m)
+        assert closed == cm_class_function_brute(s, m)
+    assert not pair_residuals(subsets, m, P, chi, block).any()
 
 
 @st.composite
@@ -796,7 +869,7 @@ def model_and_sweep_args(draw):
 def test_whole_suite_on_random_groups(case):
     m, eps_max, seed = case
     sweep = subset_sweep(m, eps_max, seed)
-    for rep in (check_closed_form(sweep), check_induced_character(m),
+    for rep in (check_closed_form(sweep), check_induced_character(sweep),
                 check_pair_reduction_suite(sweep), check_cm0_suite(sweep),
                 check_galois_invariance(sweep, pairs=50)):
         assert rep.to_dict()["status"] == "pass", rep.to_dict()
@@ -805,11 +878,11 @@ def test_whole_suite_on_random_groups(case):
     brute = dict(zip(sweep.subsets, sweep.brute))
     for s, num in brute.items():
         assert np.array_equal(
-            num, brute_by_convolution(CMType(s, m.n), m).numerators), s
+            num, brute_by_convolution(s, m).numerators), s
 
     def f(s):
         if s not in brute:
-            brute[s] = cm_class_function_brute(CMType(s, m.n), m).numerators
+            brute[s] = cm_class_function_brute(s, m).numerators
         return brute[s]
 
     for s in sweep.subsets:

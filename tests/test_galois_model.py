@@ -3,22 +3,18 @@ import random
 
 import pytest
 
+from cmred.cm_engine import sample_subsets
 from cmred.errors import SubsetCapExceeded
-from cmred.galois_model import (
-    CMType,
-    UnitaryGaloisModel,
-    act,
-    enumerate_cm_types,
-    signature,
-)
-from cmred.permgroup import close_generators
+from cmred.galois_model import UnitaryGaloisModel, act
+from cmred.permgroup import check_subset_cap, close_generators
+from perm_oracle import mul
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 
 
 def gamma_mul(G, x, y):
     """Product in Gamma = G x Z/2 of (element index, bit) pairs."""
-    return (G.mul(x[0], y[0]), x[1] ^ y[1])
+    return (mul(G, x[0], y[0]), x[1] ^ y[1])
 
 
 def s3_model():
@@ -27,6 +23,15 @@ def s3_model():
 
 def z5_model():
     return UnitaryGaloisModel(close_generators(5, [(1, 2, 3, 4, 0)]), [])
+
+
+def all_subsets(n):
+    return [s for eps in range(n + 1)
+            for s in itertools.combinations(range(n), eps)]
+
+
+def signature(s, n):
+    return (n - len(s), len(s))
 
 
 def test_build_s3():
@@ -42,65 +47,79 @@ def test_build_z5_trivial_subgroup():
 
 
 def test_signature():
-    m = z5_model()
+    # the identity keeps a CM type and its signature; rho complements it
     z4 = UnitaryGaloisModel(close_generators(4, [(1, 2, 3, 0)]), [])
-    assert signature(CMType((), 4), z4) == (4, 0)
-    assert signature(CMType((0, 1), 5), m) == (3, 2)
-    m3 = s3_model()
-    assert signature(CMType((0, 1, 2), 3), m3) == (0, 3)
+    assert act(z4, [(0, 0), (0, 1)], [(), ()]) == [(), (0, 1, 2, 3)]
+    moved = act(z5_model(), [(0, 0), (0, 1)], [(0, 1), (0, 1)])
+    assert [signature(s, 5) for s in moved] == [(3, 2), (2, 3)]
+    assert act(s3_model(), [(0, 1)], [(0, 1, 2)]) == [()]
 
 
 def test_act_identity_and_rho():
     m = s3_model()
-    phi = CMType((1,), 3)
-    assert act((0, 0), phi, m) == phi
-    flipped = act((0, 1), phi, m)
-    assert flipped == CMType((0, 2), 3)
-    assert signature(flipped, m) == (1, 2)
+    assert act(m, [(0, 0), (0, 1)], [(1,), (1,)]) == [(1,), (0, 2)]
+    assert act(m, [], []) == []
 
 
 def test_act_is_group_action():
-    # exhaustive over Gamma x Gamma x all subsets for the small model
+    # exhaustive over Gamma x Gamma x all subsets for the small model, as
+    # three blocks: (x y) phi against x (y phi)
     m = s3_model()
     gammas = [(g, b) for g in range(m.group.order) for b in (0, 1)]
-    subsets = [CMType(s, 3) for eps in range(4)
-               for s in itertools.combinations(range(3), eps)]
-    for x in gammas:
-        for y in gammas:
-            for phi in subsets:
-                assert act(gamma_mul(m.group, x, y), phi, m) == \
-                    act(x, act(y, phi, m), m)
+    triples = list(itertools.product(gammas, gammas, all_subsets(3)))
+    xs, ys, phis = (list(t) for t in zip(*triples))
+    assert act(m, [gamma_mul(m.group, x, y) for x, y in zip(xs, ys)], phis) \
+        == act(m, xs, act(m, ys, phis))
     rng = random.Random(19)
     m = z5_model()
+    xs, ys, phis = [], [], []
     for _ in range(60):
-        x = (rng.randrange(m.group.order), rng.randrange(2))
-        y = (rng.randrange(m.group.order), rng.randrange(2))
+        xs.append((rng.randrange(m.group.order), rng.randrange(2)))
+        ys.append((rng.randrange(m.group.order), rng.randrange(2)))
         eps = rng.randrange(m.n + 1)
-        phi = CMType(tuple(rng.sample(range(m.n), eps)), m.n)
-        assert act(gamma_mul(m.group, x, y), phi, m) == act(x, act(y, phi, m), m)
+        phis.append(tuple(sorted(rng.sample(range(m.n), eps))))
+    assert act(m, [gamma_mul(m.group, x, y) for x, y in zip(xs, ys)], phis) \
+        == act(m, xs, act(m, ys, phis))
+
+
+def test_act_matches_the_coset_of_each_product():
+    # g phi = {coset of g o rep_i : i in phi}, one product at a time
+    for m in (s3_model(), z5_model()):
+        G, C = m.group, m.cosets
+        triples = [((g, b), s) for g in range(G.order) for b in (0, 1)
+                   for s in all_subsets(m.n)]
+        moved = act(m, [x for x, _ in triples], [s for _, s in triples])
+        for ((g, bit), s), got in zip(triples, moved):
+            image = {int(C.coset_of[mul(G, g, C.reps[i])]) for i in s}
+            if bit:
+                image = set(range(m.n)) - image
+            assert got == tuple(sorted(image))
 
 
 def test_act_bit0_preserves_eps():
     m = s3_model()
-    for g in range(m.group.order):
-        for phi in enumerate_cm_types(m, 2):
-            assert act((g, 0), phi, m).eps == phi.eps
+    pairs = [((g, 0), s) for g in range(m.group.order)
+             for s in itertools.combinations(range(3), 2)]
+    moved = act(m, [x for x, _ in pairs], [s for _, s in pairs])
+    assert [len(s) for s in moved] == [2] * len(pairs)
 
 
 def test_rho_reverses_signature():
     for m in (s3_model(), z5_model()):
-        for eps in range(m.n + 1):
-            for phi in enumerate_cm_types(m, eps):
-                assert signature(act((0, 1), phi, m), m) == signature(phi, m)[::-1]
+        phis = all_subsets(m.n)
+        moved = act(m, [(0, 1)] * len(phis), phis)
+        for s, t in zip(phis, moved):
+            assert signature(t, m.n) == signature(s, m.n)[::-1]
 
 
 def test_enumerate_counts_and_order():
-    m4 = UnitaryGaloisModel(close_generators(4, [(1, 2, 3, 0)]), [])
-    types = enumerate_cm_types(m4, 2)
-    assert len(types) == 6
-    assert [t.indices for t in types] == sorted(t.indices for t in types)
-    assert len(enumerate_cm_types(s3_model(), 0)) == 1
+    # a stratum of CM types is enumerated in lexicographic order when it is
+    # small; check_subset_cap guards every stratum a command lists
+    types, exhaustive = sample_subsets(4, 2, random.Random(0))
+    assert exhaustive and len(types) == 6 and types == sorted(types)
+    assert sample_subsets(3, 0, random.Random(0)) == ([()], True)
+    check_subset_cap(4, 2, cap=6)
     with pytest.raises(SubsetCapExceeded):
-        enumerate_cm_types(m4, 2, cap=3)
+        check_subset_cap(4, 2, cap=3)
     with pytest.raises(ValueError):
-        enumerate_cm_types(m4, 9)
+        check_subset_cap(4, 9)

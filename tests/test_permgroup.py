@@ -18,19 +18,16 @@ from cmred.errors import (
     SubsetCapExceeded,
 )
 from cmred.galois_model import UnitaryGaloisModel
-from cmred.group_zoo import build, build_zoo_model
+from cmred.group_zoo import build
 from cmred.permgroup import (
     ELEMENT_CAP,
     StabChain,
     _stabilized_point,
     check_subset_cap,
     close_generators,
-    compose,
     conjugacy_classes,
     coset_action,
     generator_rows,
-    identity_perm,
-    inverse_perm,
     is_k_transitive,
     left_cosets,
     lex_rank,
@@ -46,6 +43,17 @@ from group_oracle import (
     scalar_stabilizer_generators,
 )
 from orbit_oracle import burnside_counts, tuple_bfs_k_transitive, tuple_bfs_orbits
+from perm_oracle import (
+    build_zoo_model,
+    compose,
+    contains,
+    identity_perm,
+    index_of,
+    inv,
+    inverse_perm,
+    mul,
+    perm,
+)
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 Z4_GEN = [(1, 2, 3, 0)]
@@ -84,13 +92,13 @@ ZOO = ([f"sym:{n}" for n in (1, 2, 3, 4, 5, 8)]
 def test_close_s3():
     G = close_generators(3, S3_GENS)
     assert G.order == 6
-    assert G.perm(0) == (0, 1, 2)
+    assert perm(G, 0) == identity_perm(3)
 
 
 def test_close_trivial():
     G = close_generators(4, [])
     assert G.order == 1
-    assert G.perm(0) == (0, 1, 2, 3)
+    assert perm(G, 0) == identity_perm(4)
 
 
 def test_close_cyclic():
@@ -111,7 +119,7 @@ def test_element_cap():
 def test_deterministic_element_order():
     G1 = close_generators(3, S3_GENS)
     G2 = close_generators(3, list(reversed(S3_GENS)))
-    assert [G1.perm(i) for i in range(6)] == [G2.perm(i) for i in range(6)]
+    assert [perm(G1, i) for i in range(6)] == [perm(G2, i) for i in range(6)]
 
 
 def test_closure_random_pairs():
@@ -119,7 +127,7 @@ def test_closure_random_pairs():
     for G in (close_generators(3, S3_GENS), sym_group(4), close_generators(4, Z4_GEN)):
         for _ in range(50):
             a, b = rng.randrange(G.order), rng.randrange(G.order)
-            assert compose(G.perm(a), G.perm(b)) in G
+            assert contains(G, compose(perm(G, a), perm(G, b)))
 
 
 def test_mul_inv_consistency():
@@ -127,10 +135,10 @@ def test_mul_inv_consistency():
     rng = random.Random(5)
     for _ in range(100):
         a, b = rng.randrange(G.order), rng.randrange(G.order)
-        assert G.perm(G.mul(a, b)) == compose(G.perm(a), G.perm(b))
-        assert G.perm(G.inv(a)) == inverse_perm(G.perm(a))
+        assert perm(G, mul(G, a, b)) == compose(perm(G, a), perm(G, b))
+        assert perm(G, inv(G, a)) == inverse_perm(perm(G, a))
     assert G.mult_table is not None
-    assert G.mul(0, 3) == 3 and G.mul(3, 0) == 3
+    assert mul(G, 0, 3) == 3 and mul(G, 3, 0) == 3
 
 
 def coset_lists(C):
@@ -148,13 +156,13 @@ def test_left_cosets_s3_stab0():
     for a in range(G.order):
         for b in range(G.order):
             same = C.coset_of[a] == C.coset_of[b]
-            diff = G.mul(G.inv(a), b)
+            diff = mul(G, inv(G, a), b)
             assert same == (diff in set(C.subgroup_elements))
 
 
 def test_left_cosets_z6():
     G = close_generators(6, [(1, 2, 3, 4, 5, 0)])
-    r3 = G.perm(G.index_of((3, 4, 5, 0, 1, 2)))
+    r3 = perm(G, index_of(G, (3, 4, 5, 0, 1, 2)))
     C = left_cosets(G, [r3])
     assert C.n == 3 and C.h == 2
 
@@ -200,7 +208,7 @@ def test_conjugacy_matches_orbit_oracle():
             while queue:
                 x = queue.pop()
                 for g in G.generators:
-                    y = G.mul(G.mul(g, x), G.inv(g))
+                    y = mul(G, mul(G, g, x), inv(G, g))
                     if y not in orbit:
                         orbit.add(y)
                         queue.append(y)
@@ -216,7 +224,7 @@ def test_coset_action_is_homomorphism():
         act = coset_action(G, C, range(G.order))
         for a in range(G.order):
             for b in range(G.order):
-                ab = G.mul(a, b)
+                ab = mul(G, a, b)
                 assert np.array_equal(act[ab], act[a][act[b]])
 
 
@@ -225,7 +233,7 @@ def test_coset_action_matches_direct_definition():
     C = left_cosets(G, stabilizer_generators(G, 0))
     act = coset_action(G, C, range(G.order))
     for g in range(G.order):
-        direct = [C.coset_of[G.mul(g, C.reps[i])] for i in range(C.n)]
+        direct = [C.coset_of[mul(G, g, C.reps[i])] for i in range(C.n)]
         assert list(act[g]) == direct
 
 
@@ -247,7 +255,7 @@ def test_coset_action_s3_natural():
             ct.append(length)
         return tuple(sorted(ct))
     types = sorted(cycle_type(tuple(act[g])) for g in range(6))
-    natural = sorted(cycle_type(G.perm(g)) for g in range(6))
+    natural = sorted(cycle_type(perm(G, g)) for g in range(6))
     assert types == natural
 
 
@@ -425,7 +433,7 @@ def test_stabilizer_generators_generate_full_stabilizer():
         fixed = sum(1 for i in range(G.order) if G.images[i][0] == 0)
         assert H.order == fixed
         for i in range(H.order):
-            assert H.perm(i)[0] == 0
+            assert perm(H, i)[0] == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,11 +467,11 @@ def group_with_subgroups(draw):
     """A random group of degree <= 7 and two random subgroup generator
     lists drawn from its elements (possibly empty)."""
     degree = draw(st.integers(min_value=1, max_value=7))
-    perm = st.permutations(list(range(degree)))
-    gens = draw(st.lists(perm, min_size=0, max_size=3))
+    permutation = st.permutations(list(range(degree)))
+    gens = draw(st.lists(permutation, min_size=0, max_size=3))
     G = close_generators(degree, gens)
     element = st.integers(min_value=0, max_value=G.order - 1)
-    subgroups = [[G.perm(i) for i in draw(st.lists(element, max_size=2))]
+    subgroups = [[perm(G, i) for i in draw(st.lists(element, max_size=2))]
                  for _ in range(2)]
     return degree, gens, G, subgroups
 
@@ -488,7 +496,7 @@ def test_group_layer_matches_dict_oracle(case):
         assert (C.subgroup_elements.tolist(), C.reps, coset_lists(C)) == \
             (h_indices, reps, cosets)
         assert (C.h, C.n) == (len(h_indices), len(reps))
-    assert G.inverses.tolist() == [G.index_of(inverse_perm(G.perm(i)))
+    assert G.inverses.tolist() == [index_of(G, inverse_perm(perm(G, i)))
                                    for i in range(G.order)]
     # the same subgroup, whatever the generators
     assert element_set(G.degree, stabilizer_generators(G, 0)) == \
@@ -517,7 +525,7 @@ def test_index_rows_identity_and_generators():
     gens = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
     assert G.index_rows(gens).tolist() == G.generators
     assert G.index_rows(G.images).tolist() == list(range(G.order))
-    assert G.index_of((1, 2, 3, 4, 0)) == G.generators[1]
+    assert index_of(G, (1, 2, 3, 4, 0)) == G.generators[1]
 
 
 def test_index_rows_outside_group():
@@ -527,9 +535,9 @@ def test_index_rows_outside_group():
     assert G.index_rows(outside).tolist() == [-1, -1, -1]
     assert G.index_rows(outside + [(0, 1, 2, 3, 4)]).tolist() == [-1] * 3 + [0]
     with pytest.raises(KeyError):
-        G.index_of((1, 0, 2, 3, 4))
-    assert (1, 0, 2, 3, 4) not in G
-    assert (0, 1, 2) not in G and (0, 1, 2, 3, 300) not in G
+        index_of(G, (1, 0, 2, 3, 4))
+    assert not contains(G, (1, 0, 2, 3, 4))
+    assert not contains(G, (0, 1, 2)) and not contains(G, (0, 1, 2, 3, 300))
     with pytest.raises(ValueError):
         G.index_rows([(0, 1, 2)])
 

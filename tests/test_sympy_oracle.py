@@ -13,6 +13,7 @@ from cmred.certifier import certify, orbit_table
 from cmred.galois_model import UnitaryGaloisModel
 from cmred.group_zoo import build
 from cmred.permgroup import close_generators, is_k_transitive
+from perm_oracle import perm
 
 # zoo groups of order at most 720: every family, and a sample of the cyclic
 # and dihedral sizes
@@ -62,7 +63,7 @@ def sympy_pair_orbits(S, point=0):
 def test_zoo_matches_sympy(spec):
     G, H_gens = build(spec)
     assert G.order <= 720
-    S = sympy_group(G.degree, [G.perm(g) for g in G.generators])
+    S = sympy_group(G.degree, [perm(G, g) for g in G.generators])
     assert G.order == S.order()
     assert chain_matches_sympy(G.chain, S)
     model = UnitaryGaloisModel(G, H_gens)
