@@ -3,9 +3,9 @@
 Exit codes: 0 when every executed check passes (a negative certificate is not
 a failure), 1 when a mathematical identity check fails, 2 for usage or
 environment errors, among them a reader that closes stdout before the report
-is written.  Reports carry exact rationals as strings and an integer
-millisecond timing field; two runs with the same seed differ at most in the
-timing field.
+is written.  Reports carry exact rationals as strings and a timing field
+(integer milliseconds and the process's peak RSS in KiB); two runs with the
+same seed differ at most in the timing field.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -117,13 +118,20 @@ def _build_from_spec(parsed, config: RunConfig):
                               subgroup_gens)
 
 
+def _timing(started: float) -> dict:
+    """Wall time since ``started`` in ms and the peak RSS so far in KiB
+    (``ru_maxrss`` is in KiB on Linux)."""
+    return {"total_ms": int((time.monotonic() - started) * 1000),
+            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
+
+
 def run(config: RunConfig):
     """Execute a command; returns (report dict, exit code)."""
     started = time.monotonic()
     report = {"version": __version__, "command": config.command}
     if config.command == "zoo-list":
         report["zoo"] = [{"spec": s, "description": d} for s, d in zoo_list()]
-        report["timing"] = {"total_ms": int((time.monotonic() - started) * 1000)}
+        report["timing"] = _timing(started)
         return report, 0
 
     parsed = parse_spec(config.spec)
@@ -168,7 +176,7 @@ def run(config: RunConfig):
         report["orbits"] = table.to_dict(orbit_eps)
     if config.command != "orbits":
         report["certificate"] = certify(model, table).to_dict()
-    report["timing"] = {"total_ms": int((time.monotonic() - started) * 1000)}
+    report["timing"] = _timing(started)
     return report, code
 
 
@@ -207,7 +215,9 @@ def render_text(report: dict) -> str:
                      f"criterion_met={cert['criterion_met']}")
         lines.append(f"  {cert['statement']}")
     if "timing" in report:
-        lines.append(f"  ({report['timing']['total_ms']} ms)")
+        timing = report["timing"]
+        lines.append(f"  ({timing['total_ms']} ms, "
+                     f"peak RSS {timing['peak_rss_kb']} KiB)")
     return "\n".join(lines)
 
 

@@ -13,14 +13,18 @@ the order against its cap, places each new element by its rank, and compares
 each already-seen candidate with the stored element by full row, so a wrong
 chain raises instead of giving a wrong group.  ``FiniteGroup.index_rows``
 looks a block of image rows up by rank and reports a row outside the group,
-caught by the same full-row compare, as -1.
+caught by the same full-row compare, as -1.  A map of elements, such as
+conjugation by s, is looked up ``BLOCK_ROWS`` elements at a time
+(``_mapped``), so no full-size copy of the element rows is made.
 
-Partitions are int64 label arrays: ``labels[x]`` is the smallest item of x's
+Partitions are label arrays: ``labels[x]`` is the smallest item of x's
 class, and ``merge_labels`` merges x with ``image[x]`` for every x by hooking
-each root onto the smaller root and pointer jumping.  Any generating set of
-G gives the same partition, so the merges over G run over
-``FiniteGroup.orbit_generators``: the input generators when there are at most
-two, else a set no longer than they, picked once with chain checks.
+each root onto the smaller root and pointer jumping, in the labels' dtype.
+Partitions of G are int32 (|G| <= ELEMENT_CAP < 2^31); those of tuples and
+subsets are int64.  Any generating set of G gives the same partition, so the
+merges over G run over ``FiniteGroup.orbit_generators``: the input generators
+when there are at most two, else a set no longer than they, picked once with
+chain checks.
 Conjugacy classes are the classes of x ~ s o x o s^-1 for those s, and orbits
 on ordered k-tuples and on subsets those of a tuple or a subset and its image
 under the coset action of one of them.  The closure and the BFS parent words
@@ -59,6 +63,7 @@ ELEMENT_CAP = 2_000_000
 TABLE_CAP = 4_096
 MAX_DEGREE = 255  # image rows are uint8
 SUBSET_CAP = 5_000_000
+BLOCK_ROWS = 1 << 15  # elements per block of an element map
 
 Permutation = tuple  # image tuple: p[i] = image of point i
 
@@ -272,8 +277,8 @@ class FiniteGroup:
         return kept if chain.order == self.order else list(gens)
 
     def index_rows(self, rows) -> np.ndarray:
-        """Element index of each row of an (m, degree) block of image rows,
-        -1 for a row that is not in the group."""
+        """int32 element index of each row of an (m, degree) block of image
+        rows, -1 for a row that is not in the group."""
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             raise ValueError(f"need rows of length {self.degree}, "
@@ -287,13 +292,9 @@ class FiniteGroup:
     @property
     def inverses(self) -> np.ndarray:
         if self._inverses is None:
-            inv_img = np.empty_like(self.images)
-            np.put_along_axis(
-                inv_img, self.images,
-                np.broadcast_to(np.arange(self.degree, dtype=np.uint8),
-                                self.images.shape),
-                axis=1)
-            self._inverses = self.index_rows(inv_img).astype(np.int32)
+            # the inverse of a permutation row is its argsort
+            self._inverses = _mapped(
+                self, lambda rows: np.argsort(rows, axis=1).astype(np.uint8))
         return self._inverses
 
     @property
@@ -378,6 +379,17 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     return FiniteGroup(chain, images, parents, index_of_rank)
 
 
+def _mapped(G: FiniteGroup, f) -> np.ndarray:
+    """int32 element index of ``f(rows)`` for the image rows of every
+    element, one block of ``BLOCK_ROWS`` elements at a time; -1 where f
+    leaves the group."""
+    out = np.empty(G.order, dtype=np.int32)
+    for start in range(0, G.order, BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        out[start:stop] = G.index_rows(f(G.images[start:stop]))
+    return out
+
+
 def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
     """Merge the class of every x with the class of ``image[x]``.
 
@@ -392,7 +404,7 @@ def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
         if not moved.any():
             return labels
         head = ends[moved]
-        del ends  # one full-length int64 array fewer at the peak
+        del ends  # one full-length label array fewer at the peak
         tail = labels[moved]
         np.minimum.at(labels, tail, head)
         np.minimum.at(labels, head, tail)
@@ -412,7 +424,7 @@ def _partition(labels: np.ndarray):
     """(int32 class of each item, smallest item per class) of root labels,
     classes numbered by their smallest item: a root's number is the count of
     roots before it."""
-    roots = labels == np.arange(len(labels))
+    roots = labels == np.arange(len(labels), dtype=labels.dtype)
     number = np.cumsum(roots, dtype=np.int32) - 1
     return number[labels], np.flatnonzero(roots)
 
@@ -473,42 +485,50 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
         number = np.empty(G.degree, dtype=np.int32)
         number[values[by_first]] = np.arange(len(values), dtype=np.int32)
         return CosetSpace(G, number[column], first[by_first].tolist())
-    labels = np.arange(G.order, dtype=np.int64)
+    labels = np.arange(G.order, dtype=np.int32)
     for s in rows:
-        labels = merge_labels(labels, G.index_rows(G.images[:, s]))
+        labels = merge_labels(labels, _mapped(G, lambda x: x[:, s]))  # x o s
     coset_of, reps = _partition(labels)
     return CosetSpace(G, coset_of, reps.tolist())
 
 
 class ConjugacyPartition:
-    """Partition of a group into conjugacy classes."""
+    """Partition of a group into conjugacy classes, numbered by their
+    smallest element index.
 
-    def __init__(self, class_of, class_reps, classes):
+    ``class_of`` (int32 per element) and ``class_reps`` (the smallest element
+    index per class) define it; ``sizes`` are counted from ``class_of``.  The
+    member lists ``classes`` are built on first read only.
+    """
+
+    def __init__(self, class_of, class_reps):
         self.class_of = class_of  # (order,) int32
         self.class_reps = class_reps  # minimal element index per class
-        self.classes = classes  # sorted int32 element-index array per class
-        self.sizes = [len(c) for c in classes]
+        self.sizes = np.bincount(class_of).tolist()
 
     @property
     def count(self) -> int:
         return len(self.class_reps)
 
+    @functools.cached_property
+    def classes(self) -> list[np.ndarray]:
+        """Sorted int32 element-index array per class."""
+        # a stable sort of at most 16-bit keys is a radix sort
+        keys = self.class_of.astype(np.min_scalar_type(self.count - 1))
+        members = np.argsort(keys, kind="stable").astype(np.int32)
+        return np.split(members, np.cumsum(self.sizes)[:-1])
+
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
     """Exact classes: the orbits of conjugation x -> s o x o s^-1 by the
     elements s of ``G.orbit_generators``, which generate G."""
-    labels = np.arange(G.order, dtype=np.int64)
+    labels = np.arange(G.order, dtype=np.int32)
     for g in G.orbit_generators:
         s = G.images[g]
-        # rows s o x o s^-1, dropped before the merge
-        image = G.index_rows(s[np.take(G.images, np.argsort(s), axis=1)])
-        labels = merge_labels(labels, image)
+        s_inv = np.argsort(s)
+        labels = merge_labels(labels, _mapped(G, lambda x: s[x[:, s_inv]]))
     class_of, reps = _partition(labels)
-    # a stable sort of at most 16-bit keys is a radix sort
-    members = np.argsort(class_of.astype(np.min_scalar_type(len(reps) - 1)),
-                         kind="stable").astype(np.int32)
-    bounds = np.cumsum(np.bincount(class_of))[:-1]
-    return ConjugacyPartition(class_of, reps.tolist(), np.split(members, bounds))
+    return ConjugacyPartition(class_of, reps.tolist())
 
 
 def coset_action(G: FiniteGroup, C: CosetSpace, elements) -> np.ndarray:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -558,6 +559,93 @@ def test_index_rows_past_63_key_bits():
     odd = list(range(degree))
     odd[1], odd[199] = 199, 1
     assert G.index_rows([odd, G.images[255]]).tolist() == [-1, 255]
+
+
+def cycle_type(images):
+    seen, lengths = set(), []
+    for start in range(len(images)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = images[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def test_sym8_classes_are_the_cycle_types():
+    # 40,320 elements: conjugation is looked up over more than one block
+    G = sym_group(8)
+    assert G.order > permgroup.BLOCK_ROWS
+    by_type = {}
+    for x, images in enumerate(G.images.tolist()):
+        by_type.setdefault(cycle_type(images), []).append(x)
+    P = conjugacy_classes(G)
+    assert P.count == len(by_type) == 22
+    assert sorted(c.tolist() for c in P.classes) == sorted(by_type.values())
+
+
+def test_sym8_general_cosets_across_blocks():
+    # <(0 1)(2 3)> fixes points but is no point stabilizer: the general path
+    G = sym_group(8)
+    h = (1, 0, 3, 2, 4, 5, 6, 7)
+    C = left_cosets(G, [h])
+    assert _stabilized_point(G, generator_rows(8, [h])) is None
+    rows = list(map(tuple, G.images.tolist()))
+    index = {row: x for x, row in enumerate(rows)}
+    expected = {frozenset({x, index[tuple(row[i] for i in h)]})  # {x, x o h}
+                for x, row in enumerate(rows)}
+    cosets = {}
+    for x, c in enumerate(C.coset_of.tolist()):
+        cosets.setdefault(c, set()).add(x)
+    assert set(map(frozenset, cosets.values())) == expected
+    assert (C.n, C.h) == (len(expected), 2) == (20_160, 2)
+    assert C.reps == [min(cosets[c]) for c in range(C.n)]
+
+
+def test_index_rows_at_the_block_edges():
+    G = sym_group(8)
+    edge = permgroup.BLOCK_ROWS
+    rows = G.images.copy()
+    rows[edge - 1] = 0  # not a permutation
+    rows[edge] = np.arange(8)[::-1] % 7  # 0 twice, no 7
+    idx = G.index_rows(rows)
+    assert idx.dtype == np.int32
+    assert np.flatnonzero(idx < 0).tolist() == [edge - 1, edge]
+    keep = idx >= 0
+    assert np.array_equal(idx[keep], np.arange(G.order)[keep])
+
+
+def test_conjugacy_classes_of_sym9_stay_small():
+    # 362,880 elements; conjugates are looked up a block at a time and the
+    # member lists are not built
+    G = sym_group(9)
+    tracemalloc.start()
+    try:
+        P = conjugacy_classes(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.count == 30
+    assert "classes" not in vars(P)
+    assert peak <= 12 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "psl2:7", "pgl2:13"])
+def test_member_lists_are_lazy_and_unchanged(spec):
+    G, _ = build(spec)
+    P = conjugacy_classes(G)
+    assert "classes" not in vars(P)
+    # the eager construction: a stable argsort of class_of, split by sizes
+    members = np.argsort(P.class_of, kind="stable").astype(np.int32)
+    expected = np.split(members, np.cumsum(np.bincount(P.class_of))[:-1])
+    assert [c.dtype for c in P.classes] == [np.int32] * P.count
+    assert [c.tolist() for c in P.classes] == [c.tolist() for c in expected]
+    assert P.sizes == [len(c) for c in expected]
+    assert P.class_reps == [int(c[0]) for c in expected]
+    assert P.class_of.dtype == np.int32
+    assert all((P.class_of[c] == i).all() for i, c in enumerate(expected))
+    assert P.classes is P.classes  # built once
 
 
 @pytest.mark.parametrize("spec", ZOO)
