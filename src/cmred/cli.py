@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .cm_engine import (
+    brute_skip_reason,
     check_closed_bound,
     check_closed_form,
     check_cm0_suite,
@@ -154,7 +155,7 @@ def run(config: RunConfig):
     if config.command == "verify":
         if config.eps_max is not None:
             identity_eps = config.eps_max
-        elif model.gamma_order <= config.brute_cap:
+        elif brute_skip_reason(model, config.brute_cap) is None:
             identity_eps = model.n
         else:
             identity_eps = 2  # keep the closed path affordable on large groups

@@ -6,8 +6,10 @@ reflex on the indicator's support, through the multiplication table of G
 (``group_algebra.indicator_reflex_class_sums``); the closed-form path
 assembles the same class function from the trace, the permutation
 character, and double-coset counts gathered from the pair tensor by subset
-size.  Both give int64 numerators over fixed per-class denominators
-(``ClassFunction``), compared by cross-multiplying with zero tolerance.
+size.  Both give (2, k) int64 numerators over one denominator per class
+for the whole model, D_c = 2 h n^2 |c| (``closed_denominators``), so every
+comparison is integer equality, with zero tolerance; Fractions are built
+only for witness strings.
 
 A CM type is a sorted tuple of coset indices (see ``galois_model``).  Every
 check takes one seeded subset sweep (``subset_sweep``), built once per run:
@@ -28,12 +30,7 @@ import numpy as np
 
 from .errors import BruteCapExceeded, IntegerBoundExceeded
 from .galois_model import UnitaryGaloisModel, act
-from .group_algebra import (
-    BRUTE_CAP,
-    ClassFunction,
-    indicator_reflex_class_sums,
-    unequal,
-)
+from .group_algebra import BRUTE_CAP, indicator_reflex_class_sums
 from .permgroup import coset_action
 
 SAMPLE_EXHAUSTIVE_LIMIT = 500  # enumerate all size-eps subsets up to this count
@@ -74,11 +71,13 @@ def brute_skip_reason(model: UnitaryGaloisModel, brute_cap: int) -> str | None:
 
 
 def cm_class_function_brute(phi, model: UnitaryGaloisModel,
-                            brute_cap: int = BRUTE_CAP) -> ClassFunction:
+                            brute_cap: int = BRUTE_CAP) -> np.ndarray:
     """Class means of the convolution of the CM type ``phi`` (a subset of
     coset indices) with its reflex, normalized by 1/|Gamma| (definition-level
-    path): class sums over |c| |Gamma|.  The CM type's indicator on Gamma
-    has bit 1 on the elements of the cosets in ``phi``, bit 0 elsewhere.
+    path): (2, k) numerators over ``closed_denominators``, that is the class
+    sums over |c| |Gamma| times n (D_c = 2 h n^2 |c| = n |Gamma| |c|).  The
+    CM type's indicator on Gamma has bit 1 on the elements of the cosets in
+    ``phi``, bit 0 elsewhere.
 
     The class sums are counted, not read off the whole product: the bit-1
     sum over a class c is the number of pairs (y, z) of G x G with
@@ -95,66 +94,59 @@ def cm_class_function_brute(phi, model: UnitaryGaloisModel,
     in_phi[list(phi)] = True
     sums = indicator_reflex_class_sums(in_phi[model.cosets.coset_of],
                                        model.group, model.classes)
-    return ClassFunction(model.classes, sums, _brute_denominators(model))
+    return model.n * sums
 
 
-def permutation_character(model: UnitaryGaloisModel) -> ClassFunction:
-    """Fixed-coset counts of the coset action, on the bit-0 classes: one
-    action row per class representative."""
-    k = model.classes.count
+def permutation_character(model: UnitaryGaloisModel) -> np.ndarray:
+    """Fixed-coset counts of the coset action per class of G, shape (k,):
+    one action row per class representative."""
     rows = coset_action(model.group, model.cosets, model.classes.class_reps)
-    fixed = (rows == np.arange(model.n)).sum(axis=1)
-    return ClassFunction(model.classes,
-                         np.stack([fixed, np.zeros(k, dtype=np.int64)]),
-                         np.ones(k, dtype=np.int64))
+    return (rows == np.arange(model.n)).sum(axis=1)
 
 
-def conjugate_subgroup_sum(model: UnitaryGaloisModel) -> ClassFunction:
-    """The function g -> #{x in G : g in x H x^-1} on the bit-0 classes,
+def conjugate_subgroup_sum(model: UnitaryGaloisModel) -> np.ndarray:
+    """The counts g -> #{x in G : g in x H x^-1} per class of G, shape (k,),
     read from the class partition and H only (never from fixed points).
 
     For g in class c the count is |C_G(g)| |c cap H| = |G| #(H cap c) / |c|
-    (orbit-stabilizer; Isaacs, Character Theory of Finite Groups, (5.2)).
+    (orbit-stabilizer; Isaacs, Character Theory of Finite Groups, (5.2)),
+    a whole number since |G| / |c| = |C_G(g)|.
     """
     classes = model.classes
     tally = np.bincount(classes.class_of[model.cosets.subgroup_elements],
                         minlength=classes.count)
-    return ClassFunction(
-        classes, np.stack([model.group.order * tally, np.zeros_like(tally)]),
-        classes.sizes)
+    size = np.asarray(classes.sizes, dtype=np.int64)
+    return model.group.order // size * tally
 
 
-def _first_unequal(lnum, lden, rnum, rden):
-    """The first unequal value of two stacks of class functions ((m, 2, k)
-    numerators over (k,) denominators), in (row, class, bit) order, as the
-    row and a witness with the class, the bit and both values; or None."""
-    hits = np.argwhere(unequal(lnum, lden, rnum, rden).swapaxes(-1, -2))
+def _first_mismatch(lhs, rhs, den):
+    """The first differing value of two stacks of class functions ((m, 2, k)
+    numerators over the same (k,) denominators), in (row, class, bit)
+    order, as the row and a witness with the class, the bit and both
+    values; or None."""
+    hits = np.argwhere((lhs != rhs).swapaxes(-1, -2))
     if not len(hits):
         return None
     s, c, bit = (int(i) for i in hits[0])
     return s, {"class_index": c, "bit": bit,
-               "lhs": str(Fraction(int(lnum[s, bit, c]), int(lden[c]))),
-               "rhs": str(Fraction(int(rnum[s, bit, c]), int(rden[c])))}
-
-
-def compare_class_functions(name: str, lhs: ClassFunction, rhs: ClassFunction,
-                            detail: dict | None = None) -> IdentityReport:
-    """Exact classwise comparison; the witness is the lexicographically first
-    offending (class, bit) with both values."""
-    hit = _first_unequal(lhs.numerators[None], lhs.denominators,
-                         rhs.numerators[None], rhs.denominators)
-    return IdentityReport(name, hit is None, None if hit is None else hit[1],
-                          detail or {})
+               "lhs": str(Fraction(int(lhs[s, bit, c]), int(den[c]))),
+               "rhs": str(Fraction(int(rhs[s, bit, c]), int(den[c])))}
 
 
 def check_induced_character(sweep: SubsetSweep) -> IdentityReport:
     """Conjugate-subgroup counts equal h times the sweep's permutation
-    character."""
+    character, class by class; both vanish on the bit-1 classes."""
     model = sweep.model
-    lhs = conjugate_subgroup_sum(model)
-    rhs = sweep.chi.scale(model.h)
-    return compare_class_functions("induced-character", lhs, rhs,
-                                   detail={"classes": model.classes.count})
+    lhs, rhs = conjugate_subgroup_sum(model), model.h * sweep.chi
+    detail = {"classes": model.classes.count}
+    bad = np.flatnonzero(lhs != rhs)
+    if not len(bad):
+        return IdentityReport("induced-character", True, None, detail)
+    c = int(bad[0])
+    return IdentityReport("induced-character", False,
+                          {"class_index": c, "bit": 0,
+                           "lhs": str(int(lhs[c])), "rhs": str(int(rhs[c]))},
+                          detail)
 
 
 def _pair_weight(eps: int) -> int:
@@ -187,9 +179,11 @@ def check_closed_bound(model: UnitaryGaloisModel, eps: int) -> None:
     is at most W B_c; D_c <= 2 B_c <= W B_c too.  The check is
     W max_c B_c <= 2^63 - 1.  At the caps eps <= 2 always passes (W = 2,
     W B_c < 2.6e16), and eps = 64 can fail (W = 7938).  The comparisons stay
-    smaller: brute against closed runs only under the table cap
-    (|G| <= 4096), and the other comparisons multiply a numerator by at most
-    |c| or n.
+    smaller: every function of a model shares the denominators D_c, so
+    the checks compare numerators as they are and multiply no two of them.
+    The brute numerators are class sums times n, at most n |G| |c| <=
+    4096^3 < 7e10 under the table cap.  The cm0 witness reads sums[0] |c|,
+    which is D_c / 2 for every function either path builds.
     """
     order, n, h = model.group.order, model.n, model.h
     size = max(model.classes.sizes)
@@ -243,7 +237,7 @@ def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
 
 
 def closed_block(subsets, model: UnitaryGaloisModel, P: np.ndarray,
-                 chi: ClassFunction) -> np.ndarray:
+                 chi: np.ndarray) -> np.ndarray:
     """Closed-form numerators of a block of subsets, shape (m, 2, k), over
     ``closed_denominators``: the half-trace, trace and permutation-character
     terms scaled by the signature, plus the conjugation-averaged double-coset
@@ -264,7 +258,7 @@ def closed_block(subsets, model: UnitaryGaloisModel, P: np.ndarray,
         eps[rows] = S.shape[1]
         for a in range(S.shape[1]):
             T[rows] += P[S[:, a, None], S].sum(axis=1)
-    return _closed_numerators(eps, T, chi.numerators[0],
+    return _closed_numerators(eps, T, chi,
                               np.asarray(model.classes.sizes, dtype=np.int64),
                               n, h)
 
@@ -277,12 +271,12 @@ def _closed_numerators(eps, T, chi, size, n: int, h: int) -> np.ndarray:
     return np.stack([h * n * n * size - bit1, bit1], axis=1)
 
 
-def cm_class_function_closed(phi, model: UnitaryGaloisModel) -> ClassFunction:
+def cm_class_function_closed(phi, model: UnitaryGaloisModel) -> np.ndarray:
     """Closed-form path for one CM type (a subset of coset indices): a block
-    of one, with its own pair tensor and permutation character."""
-    block = closed_block([phi], model, pair_tensor(model),
-                         permutation_character(model))
-    return ClassFunction(model.classes, block[0], closed_denominators(model))
+    of one, with its own pair tensor and permutation character; (2, k)
+    numerators over ``closed_denominators``."""
+    return closed_block([phi], model, pair_tensor(model),
+                        permutation_character(model))[0]
 
 
 def sample_subsets(n: int, eps: int, rng: random.Random):
@@ -302,10 +296,11 @@ def sample_subsets(n: int, eps: int, rng: random.Random):
 class SubsetSweep:
     """The subsets of sizes 0..eps_max of one model drawn with ``seed``,
     stratum by stratum (sorted tuples of coset indices), the model's pair
-    tensor P and permutation character chi, each computed once per run, the
-    closed numerators of each subset ((m, 2, k) over
-    ``closed_denominators``) and either their brute numerators (over the
-    class sizes times |Gamma|) or the reason the brute cap rules them out."""
+    tensor P and permutation character chi (k,), each computed once per run,
+    the closed numerators of each subset ((m, 2, k) over
+    ``closed_denominators``) and either their brute numerators (the same
+    shape, over the same denominators) or the reason the brute cap rules
+    them out."""
 
     model: UnitaryGaloisModel
     seed: int
@@ -313,7 +308,7 @@ class SubsetSweep:
     subsets: list
     sampled_eps: list
     P: np.ndarray
-    chi: ClassFunction
+    chi: np.ndarray
     closed: np.ndarray
     brute: np.ndarray | None
     brute_skipped: str | None
@@ -337,14 +332,9 @@ def subset_sweep(model: UnitaryGaloisModel, eps_max: int | None, seed: int,
     closed = closed_block(subsets, model, P, chi)
     reason = brute_skip_reason(model, brute_cap)
     brute = None if reason is not None else np.stack([
-        cm_class_function_brute(s, model, brute_cap).numerators
-        for s in subsets])
+        cm_class_function_brute(s, model, brute_cap) for s in subsets])
     return SubsetSweep(model, seed, eps_max, subsets, sampled, P, chi, closed,
                        brute, reason)
-
-
-def _brute_denominators(model: UnitaryGaloisModel) -> np.ndarray:
-    return model.gamma_order * np.asarray(model.classes.sizes, dtype=np.int64)
 
 
 def _subset_failure(name: str, sweep: SubsetSweep, s: int,
@@ -360,8 +350,8 @@ def check_closed_form(sweep: SubsetSweep) -> IdentityReport:
     if sweep.brute is None:
         return IdentityReport("closed-form", True,
                               reason=f"cap: {sweep.brute_skipped}")
-    hit = _first_unequal(sweep.brute, _brute_denominators(sweep.model),
-                         sweep.closed, closed_denominators(sweep.model))
+    hit = _first_mismatch(sweep.brute, sweep.closed,
+                          closed_denominators(sweep.model))
     if hit is None:
         return IdentityReport("closed-form", True, None,
                               {"subsets_checked": len(sweep.subsets),
@@ -370,7 +360,7 @@ def check_closed_form(sweep: SubsetSweep) -> IdentityReport:
 
 
 def pair_residuals(subsets, model: UnitaryGaloisModel, P: np.ndarray,
-                   chi: ClassFunction,
+                   chi: np.ndarray,
                    closed: np.ndarray | None = None) -> np.ndarray:
     """Numerators, over ``closed_denominators``, of each subset's closed
     function minus the pair/singleton/empty combination
@@ -410,28 +400,12 @@ def check_pair_reduction_suite(sweep: SubsetSweep) -> IdentityReport:
     combination of closed functions, exactly."""
     residuals = pair_residuals(sweep.subsets, sweep.model, sweep.P,
                                sweep.chi, sweep.closed)
-    den = closed_denominators(sweep.model)
-    hit = _first_unequal(residuals, den, np.zeros_like(residuals),
-                         np.ones_like(den))
+    hit = _first_mismatch(residuals, np.zeros_like(residuals),
+                          closed_denominators(sweep.model))
     if hit is None:
         return IdentityReport("pair-reduction", True, None,
                               {"subsets_checked": len(sweep.subsets)})
     return _subset_failure("pair-reduction", sweep, *hit)
-
-
-def check_cm0_membership(f: ClassFunction):
-    """Return the constant f(g) + f(rho g) if it exists, else a witness dict.
-
-    The class functions attached to CM types must give exactly 1/2.
-    """
-    sums, den = f.numerators.sum(axis=0), f.denominators
-    bad = np.flatnonzero(unequal(sums, den, sums[0], den[0]))
-    if len(bad):
-        c = int(bad[0])
-        return None, {"class_index": c,
-                      "sum": str(Fraction(int(sums[c]), int(den[c]))),
-                      "expected": str(Fraction(int(sums[0]), int(den[0])))}
-    return Fraction(int(sums[0]), int(den[0])), None
 
 
 def _class_table_witness(model: UnitaryGaloisModel) -> dict | None:
@@ -453,21 +427,30 @@ def check_cm0_suite(sweep: SubsetSweep) -> IdentityReport:
     witness = _class_table_witness(model)
     if witness is not None:
         return IdentityReport("cm0-membership", False, witness)
-    kinds = [(sweep.closed, closed_denominators(model))]
-    if sweep.brute is not None:
-        kinds.append((sweep.brute, _brute_denominators(model)))
-    # [subset, kind]: some class sum differs from 1/2
-    bad = np.stack([(2 * num.sum(axis=1) != den).any(axis=1)
-                    for num, den in kinds], axis=1)
+    den = closed_denominators(model)
+    kinds = [sweep.closed] if sweep.brute is None \
+        else [sweep.closed, sweep.brute]
+    # f(g) + f(rho g) per [subset, kind, class], over den
+    sums = np.stack([num.sum(axis=1) for num in kinds], axis=1)
+    bad = (2 * sums != den).any(axis=2)
     hits = np.argwhere(bad)
     if not len(hits):
         return IdentityReport("cm0-membership", True, None,
                               {"functions_checked": bad.size})
     s, kind = (int(i) for i in hits[0])
-    num, den = kinds[kind]
-    constant, witness = check_cm0_membership(
-        ClassFunction(model.classes, num[s], den))
-    witness = witness or {"constant": str(constant), "expected": "1/2"}
+    row = sums[s, kind]
+    # D_c = D_0 |c|, so the value on c equals the one on the identity class
+    # exactly when row[c] = row[0] |c|
+    off = np.flatnonzero(
+        row != row[0] * np.asarray(model.classes.sizes, dtype=np.int64))
+    if len(off):
+        c = int(off[0])
+        witness = {"class_index": c,
+                   "sum": str(Fraction(int(row[c]), int(den[c]))),
+                   "expected": str(Fraction(int(row[0]), int(den[0])))}
+    else:
+        witness = {"constant": str(Fraction(int(row[0]), int(den[0]))),
+                   "expected": "1/2"}
     witness["subset"] = [i + 1 for i in sweep.subsets[s]]
     return IdentityReport("cm0-membership", False, witness)
 
@@ -489,7 +472,7 @@ def check_galois_invariance(sweep: SubsetSweep,
     block = closed_block(act(model, gammas, phis) + phis, model, sweep.P,
                          sweep.chi)
     den = closed_denominators(model)
-    hit = _first_unequal(block[:pairs], den, block[pairs:], den)
+    hit = _first_mismatch(block[:pairs], block[pairs:], den)
     if hit is None:
         return IdentityReport("galois-invariance", True, None, {"pairs": pairs})
     p, witness = hit

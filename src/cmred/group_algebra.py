@@ -4,10 +4,11 @@ A group-algebra element is an int64 array of shape (2, |G|): entry [b, g] is
 the coefficient of (g, b), with g an element index of a FiniteGroup and b in
 {0, 1}.  The bit generator rho = (identity, 1) is central and squares to the
 identity, so the bit components convolve block-wise through the
-multiplication table of G.  Class values are int64 class sums over the
-class sizes; Fractions are built only to print them.  No floating point
-anywhere; callers keep the coefficients small enough that |G| max|a| max|b|
-fits in int64.
+multiplication table of G.  A class function is a plain (2, k) int64 array
+of class sums, one column per class of G and one row per bit; its values
+are the sums over the class sizes.  No floating point and no Fraction
+anywhere; callers keep the coefficients small enough that
+|G| max|a| max|b| fits in int64.
 
 The brute path needs only the class sums of one product, the indicator e of
 a CM type times its reflex: ``indicator_reflex_class_sums`` counts them on
@@ -18,8 +19,6 @@ against.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,60 +81,12 @@ def indicator_reflex_class_sums(mask: np.ndarray, G: FiniteGroup,
     return np.stack([G.order * size - bit1, bit1])
 
 
-def unequal(lnum, lden, rnum, rden) -> np.ndarray:
-    """Elementwise lnum / lden != rnum / rden for int64 numerators over
-    positive int64 denominators (broadcast on the last axis), by
-    cross-multiplying after dividing out the common factor of the
-    denominators.  Callers keep the products inside int64; see
-    ``cm_engine.check_closed_bound``."""
-    g = np.gcd(lden, rden)
-    return lnum * (rden // g) != rnum * (lden // g)
-
-
-class ClassFunction:
-    """Exact rational function constant on the conjugacy classes of Gamma.
-
-    Classes of Gamma are (class of G) x {0, 1} since rho is central.  The
-    value on (class c, bit b) is numerators[b, c] / denominators[c]: int64
-    numerators of shape (2, k) over one positive denominator per class, not
-    reduced.  ``values`` is a read-only view as Fractions, for witnesses and
-    report strings.
-    """
-
-    __slots__ = ("classes", "numerators", "denominators")
-
-    def __init__(self, classes: ConjugacyPartition, numerators, denominators):
-        self.classes = classes
-        self.numerators = np.asarray(numerators, dtype=np.int64)
-        self.denominators = np.asarray(denominators, dtype=np.int64)
-
-    @property
-    def values(self) -> list:
-        """[[bit-0 value, bit-1 value] per class] as Fractions."""
-        return [[Fraction(int(self.numerators[b, c]), int(d)) for b in (0, 1)]
-                for c, d in enumerate(self.denominators)]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ClassFunction)
-                and self.classes is other.classes
-                and not unequal(self.numerators, self.denominators,
-                                other.numerators, other.denominators).any())
-
-    def scale(self, c) -> "ClassFunction":
-        """Multiply by an int or a Fraction (numerator and denominator apart)."""
-        return ClassFunction(self.classes, self.numerators * c.numerator,
-                             self.denominators * c.denominator)
-
-    def __repr__(self):
-        return f"ClassFunction({self.classes.count} classes x 2 bits)"
-
-
-def class_project(a: np.ndarray, classes: ConjugacyPartition) -> ClassFunction:
-    """Average of ``a`` over Gamma-conjugates: the value on a class is the
-    mean of the coefficients over that class (rho is central, so conjugation
-    never moves the bit), kept as the integer class sum over the class size.
-    Idempotent, linear, and mass-preserving."""
+def class_project(a: np.ndarray, classes: ConjugacyPartition) -> np.ndarray:
+    """Average of ``a`` over Gamma-conjugates, as the (2, k) int64 class
+    sums: the value on a class is the mean of the coefficients over that
+    class (rho is central, so conjugation never moves the bit), that is the
+    class sum over the class size.  Idempotent, linear, and mass-preserving."""
     sums = np.zeros((2, classes.count), dtype=np.int64)
     for bit in (0, 1):
         np.add.at(sums[bit], classes.class_of, a[bit])
-    return ClassFunction(classes, sums, classes.sizes)
+    return sums

@@ -251,8 +251,6 @@ class FiniteGroup:
         # element indices of the input generators, one per BFS generator slot
         self.generators = self.index_rows(chain.generators).tolist()
         self.orbit_generators = self._pick_orbit_generators()
-        self._inverses = None
-        self._mult_table = None
 
     def _pick_orbit_generators(self) -> list[int]:
         """Element indices of a short generating set of G for the orbit
@@ -289,22 +287,17 @@ class FiniteGroup:
         hit = (np.take(self.images, idx, axis=0) == rows).all(axis=1)
         return np.where(hit, idx, -1)
 
-    @property
+    @functools.cached_property
     def inverses(self) -> np.ndarray:
-        if self._inverses is None:
-            # the inverse of a permutation row is its argsort
-            self._inverses = _mapped(
-                self, lambda rows: np.argsort(rows, axis=1).astype(np.uint8))
-        return self._inverses
+        # the inverse of a permutation row is its argsort
+        return _mapped(
+            self, lambda rows: np.argsort(rows, axis=1).astype(np.uint8))
 
-    @property
-    def mult_table(self):
-        """Dense table mul[a, b] = index(a o b); only for order <= TABLE_CAP."""
-        if self._mult_table is None and self.order <= TABLE_CAP:
-            self._mult_table = self._build_mult_table()
-        return self._mult_table
-
-    def _build_mult_table(self) -> np.ndarray:
+    @functools.cached_property
+    def mult_table(self) -> np.ndarray | None:
+        """Dense table mul[a, b] = index(a o b); None above TABLE_CAP."""
+        if self.order > TABLE_CAP:
+            return None
         # Left-regular rows extend along BFS words: L_{g o p} = L_g[L_p].
         n = self.order
         table = np.empty((n, n), dtype=np.int32)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import cmred.cm_engine as cm_engine
 import cmred.group_algebra as group_algebra
-from class_oracle import evaluate, reread_members
+from class_oracle import class_values, evaluate, reread_members
 from pair_oracle import pair_tensor_by_lookup
 from cmred.cm_engine import (
     INT64_MAX,
@@ -22,7 +22,6 @@ from cmred.cm_engine import (
     _pair_weight,
     check_closed_bound,
     check_closed_form,
-    check_cm0_membership,
     check_cm0_suite,
     check_galois_invariance,
     check_induced_character,
@@ -31,7 +30,6 @@ from cmred.cm_engine import (
     closed_denominators,
     cm_class_function_brute,
     cm_class_function_closed,
-    compare_class_functions,
     conjugate_subgroup_sum,
     pair_residuals,
     pair_tensor,
@@ -45,13 +43,7 @@ from cmred.errors import (
     UnsupportedParameter,
 )
 from cmred.galois_model import UnitaryGaloisModel, act
-from cmred.group_algebra import (
-    BRUTE_CAP,
-    ClassFunction,
-    class_project,
-    convolve,
-    reflex,
-)
+from cmred.group_algebra import BRUTE_CAP, class_project, convolve, reflex
 from cmred.group_zoo import build, parse_zoo_spec, zoo_order
 from cmred.permgroup import (
     ELEMENT_CAP,
@@ -122,7 +114,8 @@ def closed_form_via_algebra(phi, model):
     eps = len(phi)
     tr = {(g, 0): Fraction(1) for g in range(G.order)}
     chi = permutation_character(model)
-    chi_elt = {(g, 0): evaluate(chi, (g, 0)) for g in range(G.order)}
+    chi_elt = {(g, 0): Fraction(int(chi[model.classes.class_of[g]]))
+               for g in range(G.order)}
     acc = add((Fraction(1, 2), tr),
               (-Fraction(eps, n), one_minus_rho(tr)),
               (Fraction(eps, n * n), one_minus_rho(chi_elt)))
@@ -154,7 +147,7 @@ def conjugate_subgroup_oracle(model):
             counts[mul(G, mul(G, x, eta), xinv)] += 1
     for members in model.classes.classes:
         assert len({counts[m] for m in members}) == 1
-    return [[counts[rep], 0] for rep in model.classes.class_reps]
+    return [counts[rep] for rep in model.classes.class_reps]
 
 
 def s6_model(H_gens):
@@ -187,16 +180,19 @@ def raw_convolution(phi, m):
 
 def brute_by_convolution(phi, m):
     """The brute class function from the whole product, projected to
-    classes, over |c| |Gamma|: the reference for the kernel's support
-    count."""
-    f = class_project(raw_convolution(phi, m), m.classes)
-    return ClassFunction(m.classes, f.numerators,
-                         f.denominators * m.gamma_order)
+    classes: class sums over |c| |Gamma|, that is n times them over
+    ``closed_denominators`` = n |Gamma| |c|.  The reference for the
+    kernel's support count."""
+    return m.n * class_project(raw_convolution(phi, m), m.classes)
+
+
+def values_of(f, m):
+    """The Fraction values of numerators over the model's denominators."""
+    return class_values(f, closed_denominators(m), m.classes)
 
 
 def assert_same_brute(f, g, context):
-    assert np.array_equal(f.numerators, g.numerators), context
-    assert np.array_equal(f.denominators, g.denominators), context
+    assert f.shape == g.shape and np.array_equal(f, g), context
 
 
 def test_trace_element():
@@ -253,10 +249,10 @@ def test_reflex_convolution_identity_value():
             for phi in cm_types(m, eps):
                 a = raw_convolution(phi, m)
                 assert Fraction(int(a[0, 0]), m.gamma_order) == Fraction(1, 2)
-                # the brute class function is its class projection
-                f = class_project(a, m.classes)
-                assert cm_class_function_brute(phi, m) == ClassFunction(
-                    m.classes, f.numerators, f.denominators * m.gamma_order)
+                # the brute class function is its class projection, the
+                # class sums over |c| |Gamma| = D_c / n
+                assert np.array_equal(cm_class_function_brute(phi, m),
+                                      m.n * class_project(a, m.classes))
 
 
 def test_reflex_convolution_rho_balance():
@@ -301,13 +297,14 @@ def test_brute_cap_guard():
 
 def test_brute_class_function_basics():
     m = s3_model()
-    f = cm_class_function_brute((), m)
-    for c in range(m.classes.count):
-        assert f.values[c][0] == Fraction(1, 2)
-        assert f.values[c][1] == 0
+    assert values_of(cm_class_function_brute((), m), m) == \
+        [[Fraction(1, 2), 0]] * m.classes.count
+    den = closed_denominators(m)
     for eps in range(4):
         for phi in cm_types(m, eps):
-            assert evaluate(cm_class_function_brute(phi, m), (0, 0)) == Fraction(1, 2)
+            f = cm_class_function_brute(phi, m)
+            assert f.shape == (2, m.classes.count)
+            assert evaluate(f, den, m.classes, (0, 0)) == Fraction(1, 2)
 
 
 def test_brute_invariant_under_action():
@@ -318,30 +315,30 @@ def test_brute_invariant_under_action():
         gammas.append((rng.randrange(m.group.order), rng.randrange(2)))
         phis.append(tuple(sorted(rng.sample(range(3), rng.randrange(4)))))
     for moved, phi in zip(act(m, gammas, phis), phis):
-        assert cm_class_function_brute(moved, m) == \
-            cm_class_function_brute(phi, m)
+        assert np.array_equal(cm_class_function_brute(moved, m),
+                              cm_class_function_brute(phi, m))
 
 
 def test_permutation_character_values():
     m = s3_model()
     chi = permutation_character(m)
-    assert evaluate(chi, (0, 0)) == m.n
-    assert evaluate(chi, (index_of(m.group, (0, 2, 1)), 0)) == 1
-    assert evaluate(chi, (index_of(m.group, (1, 2, 0)), 0)) == 0
+    assert chi.shape == (m.classes.count,)
+    class_of = m.classes.class_of
+    assert chi[class_of[0]] == m.n
+    assert chi[class_of[index_of(m.group, (0, 2, 1))]] == 1
+    assert chi[class_of[index_of(m.group, (1, 2, 0))]] == 0
     z3 = UnitaryGaloisModel(close_generators(3, [(1, 2, 0)]), [])
-    chi3 = permutation_character(z3)
-    assert [v[0] for v in chi3.values] == [3, 0, 0]
-    assert all(v[1] == 0 for v in chi3.values)
+    assert permutation_character(z3).tolist() == [3, 0, 0]
 
 
 def test_conjugate_subgroup_sum_values():
     m = s3_model()
     f = conjugate_subgroup_sum(m)
-    assert evaluate(f, (0, 0)) == m.group.order
-    t = index_of(m.group, (0, 2, 1))
-    c3 = index_of(m.group, (1, 2, 0))
-    assert evaluate(f, (t, 0)) == 2
-    assert evaluate(f, (c3, 0)) == 0
+    assert f.shape == (m.classes.count,) and f.dtype == np.int64
+    class_of = m.classes.class_of
+    assert f[class_of[0]] == m.group.order
+    assert f[class_of[index_of(m.group, (0, 2, 1))]] == 2
+    assert f[class_of[index_of(m.group, (1, 2, 0))]] == 0
 
 
 def test_conjugate_subgroup_sum_paths_agree():
@@ -349,7 +346,8 @@ def test_conjugate_subgroup_sum_paths_agree():
     models = [s3_model(), z6_model_h2(), s4_model(), z4_model(),
               s6_model([(0, 2, 1, 3, 4, 5), (0, 2, 3, 4, 5, 1)]), s6_model([])]
     for m in models:
-        assert conjugate_subgroup_sum(m).values == conjugate_subgroup_oracle(m)
+        assert conjugate_subgroup_sum(m).tolist() == \
+            conjugate_subgroup_oracle(m)
 
 
 def test_induced_character_identity():
@@ -366,35 +364,36 @@ def test_induced_character_past_255_cosets():
     sweep = subset_sweep(m, 0, 0)
     rep = check_induced_character(sweep)
     assert rep.passed, rep.witness
-    assert sweep.chi.values[0][0] == 720
+    assert sweep.chi[0] == 720
 
 
 def test_compare_reports_perturbed_fixture():
+    # a permutation character off by one on the transposition class: the
+    # witness names that class at bit 0 with both whole counts
     m = s3_model()
-    lhs = conjugate_subgroup_sum(m)
-    rhs = permutation_character(m).scale(m.h)
-    bad = rhs.scale(1)  # copy
-    bad.numerators[0, 1] += 1
-    rep = compare_class_functions("induced-character", lhs, bad)
-    assert not rep.passed
-    assert rep.witness["class_index"] == 1 and rep.witness["bit"] == 0
-    assert rep.witness["lhs"] != rep.witness["rhs"]
+    sweep = subset_sweep(m, 0, 0)
+    t = int(m.classes.class_of[index_of(m.group, (0, 2, 1))])
+    sweep.chi[t] += 1
+    assert check_induced_character(sweep).to_dict() == {
+        "name": "induced-character", "status": "fail",
+        "witness": {"class_index": t, "bit": 0, "lhs": "2", "rhs": "4"},
+        "detail": {"classes": 3}}
 
 
 def test_closed_form_empty_and_singleton():
     m = s3_model()
     f = cm_class_function_closed((), m)
-    assert all(v == [Fraction(1, 2), Fraction(0)] for v in f.values)
+    assert all(v == [Fraction(1, 2), Fraction(0)] for v in values_of(f, m))
     for i in range(3):
         got = cm_class_function_closed((i,), m)
-        assert got.values == closed_form_via_algebra((i,), m)
+        assert values_of(got, m) == closed_form_via_algebra((i,), m)
 
 
 def test_closed_form_matches_literal_assembly():
     for m in (s3_model(), z4_model(), s4_model()):
         for eps in range(m.n + 1):
             for phi in cm_types(m, eps):
-                assert cm_class_function_closed(phi, m).values == \
+                assert values_of(cm_class_function_closed(phi, m), m) == \
                     closed_form_via_algebra(phi, m)
 
 
@@ -402,8 +401,8 @@ def test_closed_form_equals_brute():
     for m in (s3_model(), z4_model(), z6_model_h2(), s4_model()):
         for eps in range(m.n + 1):
             for phi in cm_types(m, eps):
-                assert cm_class_function_closed(phi, m) == \
-                    cm_class_function_brute(phi, m)
+                assert np.array_equal(cm_class_function_closed(phi, m),
+                                      cm_class_function_brute(phi, m))
 
 
 def test_check_closed_form_suites():
@@ -427,11 +426,11 @@ def test_pair_reduction_s4_triple():
     assert not pair_residuals([(0, 1, 2)], m, pair_tensor(m),
                               permutation_character(m)).any()
     # cross-check the residual through the brute path, whose functions all
-    # share the denominators |c| |Gamma|
+    # share the model's denominators
     phi = (0, 1, 2)
 
     def brute(s):
-        return cm_class_function_brute(s, m).numerators
+        return cm_class_function_brute(s, m)
 
     residual = brute(phi)
     for pair in itertools.combinations(phi, 2):
@@ -451,20 +450,65 @@ def test_pair_reduction_all_sizes_including_full():
 
 
 def test_cm0_membership():
+    # S3 over <(1 2)>: classes {id}, the transpositions, the 3-cycles, of
+    # sizes 1, 3, 2; D_c = 2 h n^2 |c| = 36, 108, 72
     m = s3_model()
-    for eps in range(4):
-        for phi in cm_types(m, eps):
-            c, witness = check_cm0_membership(cm_class_function_brute(phi, m))
-            assert witness is None and c == Fraction(1, 2)
-    half_trace = class_project(trace(m), m.classes).scale(Fraction(1, 2))
-    c, witness = check_cm0_membership(half_trace)
-    assert witness is None and c == Fraction(1, 2)
+    den = closed_denominators(m)
+    assert den.tolist() == [36, 108, 72]
+    sweep = subset_sweep(m, None, 0)
+    assert check_cm0_suite(sweep).to_dict() == {
+        "name": "cm0-membership", "status": "pass",
+        "detail": {"functions_checked": 16}}
+    # the half trace, in place of a closed function, is rho-balanced at 1/2
+    sizes = np.asarray(m.classes.sizes)
+    scale = den // sizes  # class sums over |c| -> numerators over D_c
+    row = sweep.subsets.index((0, 1))
+    sweep.closed[row] = class_project(trace(m), m.classes) * scale // 2
+    assert check_cm0_suite(sweep).passed
+    # the class projection of the delta at a transposition is 1/3 on the
+    # transposition class and 0 on the identity class: the "sum" branch
     t = index_of(m.group, (0, 2, 1))
+    assert m.classes.class_of[t] == 1
     delta_t = np.zeros((2, m.group.order), dtype=np.int64)
     delta_t[0, t] = 1
-    bad = class_project(delta_t, m.classes)
-    c, witness = check_cm0_membership(bad)
-    assert c is None and witness is not None
+    sweep.closed[row] = class_project(delta_t, m.classes) * scale
+    assert check_cm0_suite(sweep).to_dict() == {
+        "name": "cm0-membership", "status": "fail",
+        "witness": {"class_index": 1, "sum": "1/3", "expected": "0",
+                    "subset": [1, 2]}}
+
+
+def test_cm0_reports_a_constant_other_than_one_half():
+    # 1 / D_0 = 1/36 added on every class (|c| / D_c): f(g) + f(rho g) is
+    # the same on every class, 19/36
+    m = s3_model()
+    sweep = subset_sweep(m, None, 0)
+    row = sweep.subsets.index((1, 2))
+    sweep.closed[row, 0] += np.asarray(m.classes.sizes)
+    assert check_cm0_suite(sweep).to_dict() == {
+        "name": "cm0-membership", "status": "fail",
+        "witness": {"constant": "19/36", "expected": "1/2",
+                    "subset": [2, 3]}}
+
+
+def test_cm0_fails_on_a_brute_row():
+    # a brute class sum one too high on the transposition class: the
+    # brute numerators are the sums times n, so the value moves by
+    # n / D_c = 1 / (|Gamma| |c|) = 1/36, the closed rows all pass, and
+    # the witness is that of the brute row
+    m = s3_model()
+    sweep = subset_sweep(m, None, 0)
+    row = sweep.subsets.index((0, 2))
+    sweep.brute[row, 1, 1] += m.n
+    assert check_closed_form(sweep).to_dict() == {
+        "name": "closed-form", "status": "fail",
+        "witness": {"class_index": 1, "bit": 1, "lhs": "1/4", "rhs": "2/9",
+                    "subset": [1, 3]},
+        "detail": {"subsets_checked": 6}}
+    assert check_cm0_suite(sweep).to_dict() == {
+        "name": "cm0-membership", "status": "fail",
+        "witness": {"class_index": 1, "sum": "19/36", "expected": "1/2",
+                    "subset": [1, 3]}}
 
 
 def test_cm0_suite_and_invariance():
@@ -484,7 +528,8 @@ def test_linear_functional_skeleton():
                for _ in range(k)]
 
         def L(f):
-            return sum(lam[c][b] * f.values[c][b] for c in range(k) for b in (0, 1))
+            values = values_of(f, m)
+            return sum(lam[c][b] * values[c][b] for c in range(k) for b in (0, 1))
 
         for eps in range(m.n + 1):
             for phi in cm_types(m, eps):
@@ -509,7 +554,7 @@ def test_closed_block_matches_one_at_a_time():
         block = closed_block(subsets, m, P, chi)
         assert block.shape == (len(subsets), 2, m.classes.count)
         for s, num in zip(subsets, block):
-            assert np.array_equal(num, cm_class_function_closed(s, m).numerators)
+            assert np.array_equal(num, cm_class_function_closed(s, m))
         assert not pair_residuals(subsets, m, P, chi).any()
         # sizes mixed and members reversed: each row lands where its
         # subset is, whatever the order of the block and of its members
@@ -599,7 +644,7 @@ def marginal_failures(P, m):
     size = np.asarray(classes.sizes, dtype=np.int64)
     in_H = np.bincount(classes.class_of[m.cosets.subgroup_elements],
                        minlength=classes.count)
-    chi = permutation_character(m).numerators[0]
+    chi = permutation_character(m)
     return [name for name, holds in (
         ("rows", (P.sum(axis=1) == size - in_H).all()),
         ("columns", (P.sum(axis=0) == size - in_H).all()),
@@ -757,8 +802,8 @@ def test_cm0_checks_the_whole_class_table():
     sweep = subset_sweep(m, None, 0)
     assert check_cm0_suite(sweep).passed
     rng = random.Random(5)
-    f = cm_class_function_brute((0, 1), m)
-    assert reread_members(f, rng) is None
+    f, den = cm_class_function_brute((0, 1), m), closed_denominators(m)
+    assert reread_members(f, den, m.classes, rng) is None
     # move the last member of the last class to class 0, in the table only
     g = m.classes.classes[-1][-1]
     m.classes.class_of = m.classes.class_of.copy()
@@ -766,7 +811,7 @@ def test_cm0_checks_the_whole_class_table():
     rep = check_cm0_suite(sweep)
     assert not rep.passed
     assert rep.witness == {"class_index": m.classes.count - 1, "element": g}
-    assert reread_members(f, rng) is not None
+    assert reread_members(f, den, m.classes, rng) is not None
 
 
 def test_int64_bound_at_the_caps():
@@ -838,9 +883,9 @@ def test_integer_closed_form_on_random_groups(case):
     block = closed_block(subsets, m, P, chi)
     for s, num in zip(subsets, block):
         closed = cm_class_function_closed(s, m)
-        assert np.array_equal(closed.numerators, num)
-        assert closed.values == closed_form_via_algebra(s, m)
-        assert closed == cm_class_function_brute(s, m)
+        assert np.array_equal(closed, num)
+        assert values_of(closed, m) == closed_form_via_algebra(s, m)
+        assert np.array_equal(closed, cm_class_function_brute(s, m))
     assert not pair_residuals(subsets, m, P, chi, block).any()
 
 
@@ -874,15 +919,14 @@ def test_whole_suite_on_random_groups(case):
                 check_galois_invariance(sweep, pairs=50)):
         assert rep.to_dict()["status"] == "pass", rep.to_dict()
     # pair reduction on the brute path, whose functions all share the
-    # denominators |c| |Gamma|; parts the sweep did not draw are computed
+    # model's denominators; parts the sweep did not draw are computed
     brute = dict(zip(sweep.subsets, sweep.brute))
     for s, num in brute.items():
-        assert np.array_equal(
-            num, brute_by_convolution(s, m).numerators), s
+        assert np.array_equal(num, brute_by_convolution(s, m)), s
 
     def f(s):
         if s not in brute:
-            brute[s] = cm_class_function_brute(s, m).numerators
+            brute[s] = cm_class_function_brute(s, m)
         return brute[s]
 
     for s in sweep.subsets:

@@ -142,6 +142,18 @@ def test_mul_inv_consistency():
     assert mul(G, 0, 3) == 3 and mul(G, 3, 0) == 3
 
 
+def test_inverses_and_mult_table_are_built_once():
+    # both are cached on first read; above TABLE_CAP the table is None
+    G = sym_group(4)
+    assert "inverses" not in vars(G) and "mult_table" not in vars(G)
+    assert G.inverses is G.inverses and G.mult_table is G.mult_table
+    assert G.mult_table.shape == (24, 24)
+    big = build("sym:7")[0]
+    assert big.order == 5040 > permgroup.TABLE_CAP
+    assert big.mult_table is None and vars(big)["mult_table"] is None
+    assert big.inverses.shape == (5040,)
+
+
 def coset_lists(C):
     """The sorted element indices of each coset, from ``coset_of``."""
     return [np.flatnonzero(C.coset_of == i).tolist() for i in range(C.n)]
