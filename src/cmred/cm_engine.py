@@ -92,8 +92,7 @@ def cm_class_function_brute(phi, model: UnitaryGaloisModel,
         raise BruteCapExceeded(reason)
     in_phi = np.zeros(model.n, dtype=bool)
     in_phi[list(phi)] = True
-    sums = indicator_reflex_class_sums(in_phi[model.cosets.coset_of],
-                                       model.group, model.classes)
+    sums = indicator_reflex_class_sums(in_phi[model.cosets.coset_of], model)
     return model.n * sums
 
 

@@ -8,9 +8,17 @@ coset action; the bit generator rho acts as complementation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .permgroup import FiniteGroup, conjugacy_classes, coset_action, left_cosets
+from .permgroup import (
+    FiniteGroup,
+    _take,
+    conjugacy_classes,
+    coset_action,
+    left_cosets,
+)
 
 
 class UnitaryGaloisModel:
@@ -27,6 +35,18 @@ class UnitaryGaloisModel:
         self.n = self.cosets.n
         self.h = self.cosets.h
         self.gamma_order = 2 * G.order
+
+    @functools.cached_property
+    def product_class(self) -> np.ndarray | None:
+        """Class-of-product table: entry [a, b] is the class of a o b,
+        ``class_of[mult_table]`` in the smallest dtype that holds k - 1
+        (uint8 up to 256 classes); None above TABLE_CAP."""
+        table = self.group.mult_table
+        if table is None:
+            return None
+        class_of = self.classes.class_of.astype(
+            np.min_scalar_type(self.classes.count - 1))
+        return _take(class_of, table)
 
     def __repr__(self):
         return (f"UnitaryGaloisModel(|G|={self.group.order}, "

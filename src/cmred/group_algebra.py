@@ -13,15 +13,21 @@ anywhere; callers keep the coefficients small enough that
 The brute path needs only the class sums of one product, the indicator e of
 a CM type times its reflex: ``indicator_reflex_class_sums`` counts them on
 the support of e (or of its complement) in min(|U|, |G| - |U|)^2 table
-reads.  ``convolve``, ``reflex`` and ``class_project`` compute the whole
-product and its projection; they are the reference the count is tested
-against.
+reads.  It reads the class of each product y u^-1 from the model's
+class-of-product table ``class_of[mult_table]``, built once per model
+(``UnitaryGaloisModel.product_class``), rather than looking up the product
+and then its class.  The table composes the multiplication table with the
+class partition and reads nothing else, so the count stays definitional: it
+never reads the coset action or a closed-form quantity.  ``convolve``,
+``reflex`` and ``class_project`` compute the whole product and its
+projection; they are the reference the count is tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .galois_model import UnitaryGaloisModel
 from .permgroup import TABLE_CAP, ConjugacyPartition, FiniteGroup
 
 BRUTE_CAP = 2 * TABLE_CAP  # |Gamma| = 2|G|: the kernel needs G's mult_table
@@ -51,8 +57,8 @@ def convolve(a: np.ndarray, b: np.ndarray, G: FiniteGroup) -> np.ndarray:
     return out
 
 
-def indicator_reflex_class_sums(mask: np.ndarray, G: FiniteGroup,
-                                classes: ConjugacyPartition) -> np.ndarray:
+def indicator_reflex_class_sums(mask: np.ndarray,
+                                model: UnitaryGaloisModel) -> np.ndarray:
     """Class sums, shape (2, k), of e * reflex(e) for the indicator e of a
     0/1 mask on G (bit 1 on the mask, bit 0 off it): the numerators of
     ``class_project(convolve(e, reflex(e, G), G), classes)``.
@@ -62,20 +68,24 @@ def indicator_reflex_class_sums(mask: np.ndarray, G: FiniteGroup,
     a class c counts the pairs (y, z) in G x G with y z^-1 in c and exactly
     one of y, z in the support U.  Each y has exactly |c| partners z with
     y z^-1 in c, and so has each z, so that is 2 |U| |c| - 2 Q[c], with
-    Q[c] = #{(y, u) in U x U : y u^-1 in c}.
+    Q[c] = #{(y, u) in U x U : y u^-1 in c}, read from the model's
+    class-of-product table.
     The count is symmetric under swapping U with its complement, so Q is
     taken on the smaller of the two, CHUNK_ROWS rows of the table at a time.
     Every (x, y) carries exactly one bit, so bit 0 is |G| |c| minus bit 1.
     """
+    G, classes = model.group, model.classes
     support = np.flatnonzero(mask)
     if 2 * len(support) > G.order:
         support = np.flatnonzero(np.asarray(mask) == 0)
     inverse = G.inverses[support]
-    table, class_of, k = G.mult_table, classes.class_of, classes.count
+    product_class, k = model.product_class, classes.count
     pairs = np.zeros(k, dtype=np.int64)
     for start in range(0, len(support), CHUNK_ROWS):
-        y = support[start:start + CHUNK_ROWS, None]
-        pairs += np.bincount(class_of[table[y, inverse]].ravel(), minlength=k)
+        y = support[start:start + CHUNK_ROWS]
+        # row i, column j: the class of y_i u_j^-1
+        rows = np.take(np.take(product_class, y, axis=0), inverse, axis=1)
+        pairs += np.bincount(rows.ravel(), minlength=k)
     size = np.asarray(classes.sizes, dtype=np.int64)
     bit1 = 2 * (len(support) * size - pairs)
     return np.stack([G.order * size - bit1, bit1])

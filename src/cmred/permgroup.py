@@ -17,14 +17,23 @@ caught by the same full-row compare, as -1.  A map of elements, such as
 conjugation by s, is looked up ``BLOCK_ROWS`` elements at a time
 (``_mapped``), so no full-size copy of the element rows is made.
 
+Gathers by an integer index array (the closure's gen o x, label merges,
+conjugates, rank lookups, subset images and ranks) go through ``_take``:
+``np.take`` on at most ``TAKE_ENTRIES`` index entries at a time, into a
+preallocated output.  On the narrow uint8 and int32 indices used here,
+``np.take`` is faster than fancy indexing ``a[idx]``, but it first copies
+its index to intp, 8 bytes an entry; the chunks keep that copy at 128 KiB
+instead of eight times a whole uint8 index.  Selecting columns by a row of
+degree entries (``x[:, s]``) stays fancy indexing.
+
 Partitions are label arrays: ``labels[x]`` is the smallest item of x's
 class, and ``merge_labels`` merges x with ``image[x]`` for every x by hooking
 each root onto the smaller root and pointer jumping, in the labels' dtype.
-Partitions of G are int32 (|G| <= ELEMENT_CAP < 2^31); those of tuples and
-subsets are int64.  Any generating set of G gives the same partition, so the
-merges over G run over ``FiniteGroup.orbit_generators``: the input generators
-when there are at most two, else a set no longer than they, picked once with
-chain checks.
+Partitions of G are int32 (|G| <= ELEMENT_CAP < 2^31), those of ordered
+k-tuples int32 while n**k < 2^31, and those of subsets int64.  Any
+generating set of G gives the same partition, so the merges over G run over
+``FiniteGroup.orbit_generators``: the input generators when there are at
+most two, else a set no longer than they, picked once with chain checks.
 Conjugacy classes are the classes of x ~ s o x o s^-1 for those s, and orbits
 on ordered k-tuples and on subsets those of a tuple or a subset and its image
 under the coset action of one of them.  The closure and the BFS parent words
@@ -64,6 +73,7 @@ TABLE_CAP = 4_096
 MAX_DEGREE = 255  # image rows are uint8
 SUBSET_CAP = 5_000_000
 BLOCK_ROWS = 1 << 15  # elements per block of an element map
+TAKE_ENTRIES = 1 << 14  # index entries per np.take call (_take)
 
 Permutation = tuple  # image tuple: p[i] = image of point i
 
@@ -201,36 +211,38 @@ class StabChain:
 
     @functools.cached_property
     def _rank_plan(self):
-        """(point, |G^(i+1)|, points to compare, count the complement) per
-        level, deepest first; each level compares on the smaller side."""
-        plan, weight = [], 1
-        for point, orbit in reversed(self.orbits):
+        """(point, |O_i|, points to compare, count the complement) per
+        level, in base order; each level compares on the smaller side."""
+        plan = []
+        for point, orbit in self.orbits:
             inside = np.zeros(self.degree, dtype=bool)
             inside[orbit] = True
             if len(orbit) - 1 <= self.degree - len(orbit):
                 inside[point] = False
-                plan.append((point, weight, np.flatnonzero(inside), False))
+                plan.append((point, len(orbit), np.flatnonzero(inside), False))
             else:
-                plan.append((point, weight, np.flatnonzero(~inside), True))
-            weight *= len(orbit)
+                plan.append((point, len(orbit), np.flatnonzero(~inside), True))
         return plan
 
     def rank(self, rows: np.ndarray) -> np.ndarray:
         """Position of each row, an element of the group, in the byte-sorted
         element list: the sum over levels i of |G^(i+1)| times
-        #{o in O_i : g(o) < g(i)}.  The elements agreeing with g on 0..i-1
-        are g G^(i), and g s(i) runs over g(O_i), each |G^(i+1)| times.  A
-        permutation outside the group gets some rank in 0..|G|-1 too."""
+        #{o in O_i : g(o) < g(i)}, accumulated in base order (Horner's rule,
+        |G^(i+1)| being the product of the deeper |O_j|).  The elements
+        agreeing with g on 0..i-1 are g G^(i), and g s(i) runs over g(O_i),
+        each |G^(i+1)| times.  A permutation outside the group gets some rank
+        in 0..|G|-1 too."""
         columns = np.ascontiguousarray(rows.T)
         rank = np.zeros(rows.shape[0], dtype=np.int64)
-        for point, weight, others, outside in self._rank_plan:
+        for point, size, others, outside in self._rank_plan:
             target = columns[point]
             below = np.zeros(rows.shape[0], dtype=np.uint8)  # at most 254
             for o in others:
                 below += columns[o] < target
             if outside:  # #{o : g(o) < g(i)} is g(i) over all points
                 below = target - below
-            rank += np.multiply(below, weight, dtype=np.int64)
+            rank *= size
+            rank += below
         return rank
 
 
@@ -283,8 +295,13 @@ class FiniteGroup:
                              f"got shape {rows.shape}")
         # a row that is not a permutation may rank outside 0..order-1
         rank = np.clip(self.chain.rank(rows), 0, self.order - 1)
-        idx = self._index_of_rank[rank]
-        hit = (np.take(self.images, idx, axis=0) == rows).all(axis=1)
+        idx = _take(self._index_of_rank, rank)
+        found = _take(self.images, idx)
+        # every row is compared in every column; a column at a time is
+        # faster than a row-wise .all over (m, degree) uint8
+        hit = found[:, 0] == rows[:, 0]
+        for j in range(1, self.degree):
+            hit &= found[:, j] == rows[:, j]
         return np.where(hit, idx, -1)
 
     @functools.cached_property
@@ -299,14 +316,15 @@ class FiniteGroup:
         if self.order > TABLE_CAP:
             return None
         # Left-regular rows extend along BFS words: L_{g o p} = L_g[L_p].
+        # uint16 holds every index: order <= TABLE_CAP < 2^16
         n = self.order
-        table = np.empty((n, n), dtype=np.int32)
-        table[0] = np.arange(n, dtype=np.int32)
-        gen_rows = [self.index_rows(self.images[g][self.images])  # g o b
-                    for g in self.generators]
+        table = np.empty((n, n), dtype=np.uint16)
+        table[0] = np.arange(n)
+        gen_rows = [self.index_rows(_take(self.images[g], self.images))
+                    .astype(np.uint16) for g in self.generators]  # g o b
         for e in range(1, n):
             slot, parent = self._parents[e]
-            table[e] = gen_rows[slot][table[parent]]
+            _take(gen_rows[slot], table[parent], out=table[e])
         return table
 
 
@@ -342,18 +360,19 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
         frontier = images[levels[-2]:start]
         ranks = [np.empty(0, dtype=np.int64)]
         for slot, grow in enumerate(chain.generators):
-            prod = grow[frontier]  # gen o x
+            prod = _take(grow, frontier)  # gen o x
             rank = chain.rank(prod)
-            new = np.flatnonzero(index_of_rank[rank] < 0)
+            at = _take(index_of_rank, rank)
+            new = np.flatnonzero(at < 0)
             end = stop + len(new)
             if end > order:
                 raise BuildVerificationError(
                     f"the closure passes the chain's order {order}")
             index_of_rank[rank[new]] = np.arange(stop, end)
-            images[stop:end] = prod[new]
+            _take(prod, new, out=images[stop:end])
             # every product, seen or new, must be the element at its rank
-            if not np.array_equal(
-                    np.take(images, index_of_rank[rank], axis=0), prod):
+            _take(index_of_rank, rank, out=at)
+            if not np.array_equal(_take(images, at), prod):
                 raise BuildVerificationError(
                     "two elements share a rank: the stabilizer chain is wrong")
             parents[stop:end, 0] = slot
@@ -362,14 +381,31 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
             stop = end
         ranks = np.concatenate(ranks)
         by_rank = np.argsort(ranks)
-        images[start:stop] = np.take(images[start:stop], by_rank, axis=0)
-        parents[start:stop] = np.take(parents[start:stop], by_rank, axis=0)
+        images[start:stop] = _take(images[start:stop], by_rank)
+        parents[start:stop] = _take(parents[start:stop], by_rank)
         index_of_rank[ranks[by_rank]] = np.arange(start, stop)
         levels.append(stop)
     if levels[-1] != order:
         raise BuildVerificationError(
             f"enumerated {levels[-1]} elements, the chain's order is {order}")
     return FiniteGroup(chain, images, parents, index_of_rank)
+
+
+def _take(a: np.ndarray, index, out=None) -> np.ndarray:
+    """``a[index]`` along axis 0, into ``out`` (a new array when None), by
+    ``np.take`` on at most ``TAKE_ENTRIES`` index entries at a time.
+
+    np.take is faster than fancy indexing on narrow integer indices, but it
+    first copies the index to intp (8 bytes an entry); the chunks bound that
+    copy and np.take's buffer of the output."""
+    index = np.asarray(index)
+    if out is None:
+        out = np.empty(index.shape + a.shape[1:], dtype=a.dtype)
+    flat, into = index.reshape(-1), out.reshape((-1,) + a.shape[1:])
+    for start in range(0, flat.size, TAKE_ENTRIES):
+        stop = start + TAKE_ENTRIES
+        a.take(flat[start:stop], axis=0, out=into[start:stop])
+    return out
 
 
 def _mapped(G: FiniteGroup, f) -> np.ndarray:
@@ -392,7 +428,7 @@ def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
     pointers, until both ends of every edge share a root.
     """
     while True:
-        ends = labels[image]
+        ends = _take(labels, image)
         moved = ends != labels
         if not moved.any():
             return labels
@@ -406,11 +442,12 @@ def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
 
 def _compress(labels: np.ndarray) -> np.ndarray:
     """Pointer jumping until every entry names its root."""
+    hop = np.empty_like(labels)
     while True:
-        hop = labels[labels]
+        _take(labels, labels, out=hop)
         if np.array_equal(hop, labels):
             return labels
-        labels = hop
+        labels, hop = hop, labels
 
 
 def _partition(labels: np.ndarray):
@@ -419,7 +456,7 @@ def _partition(labels: np.ndarray):
     roots before it."""
     roots = labels == np.arange(len(labels), dtype=labels.dtype)
     number = np.cumsum(roots, dtype=np.int32) - 1
-    return number[labels], np.flatnonzero(roots)
+    return _take(number, labels), np.flatnonzero(roots)
 
 
 class CosetSpace:
@@ -477,7 +514,7 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
         by_first = np.argsort(first)
         number = np.empty(G.degree, dtype=np.int32)
         number[values[by_first]] = np.arange(len(values), dtype=np.int32)
-        return CosetSpace(G, number[column], first[by_first].tolist())
+        return CosetSpace(G, _take(number, column), first[by_first].tolist())
     labels = np.arange(G.order, dtype=np.int32)
     for s in rows:
         labels = merge_labels(labels, _mapped(G, lambda x: x[:, s]))  # x o s
@@ -519,7 +556,8 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
     for g in G.orbit_generators:
         s = G.images[g]
         s_inv = np.argsort(s)
-        labels = merge_labels(labels, _mapped(G, lambda x: s[x[:, s_inv]]))
+        labels = merge_labels(labels,
+                              _mapped(G, lambda x: _take(s, x[:, s_inv])))
     class_of, reps = _partition(labels)
     return ConjugacyPartition(class_of, reps.tolist())
 
@@ -541,16 +579,21 @@ def is_k_transitive(action_rows, n: int, k: int) -> tuple[bool, int]:
     the acting group, such as the rows of a generating set.
     Every ordered k-tuple is ranked in mixed radix n, and each row's image of
     the n**k ranks is merged into the labels before the next row's is built.
+    Ranks, digits and images are int32 when n**k fits, else int64.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    labels = np.arange(n ** k, dtype=np.int64)
+    dtype = np.int32 if n ** k < 2 ** 31 else np.int64
+    labels = np.arange(n ** k, dtype=dtype)
     digits = [labels // n ** (k - 1 - i) % n for i in range(k)]
+    image = np.empty(n ** k, dtype=dtype)
+    digit = np.empty(n ** k, dtype=dtype)
     for row in action_rows:
-        row = np.asarray(row, dtype=np.int64)
-        image = np.zeros(n ** k, dtype=np.int64)
+        row = np.asarray(row, dtype=dtype)
+        image[:] = 0
         for d in digits:
-            image = image * n + row[d]
+            image *= n
+            image += _take(row, d, out=digit)
         labels = merge_labels(labels, image)
     distinct = np.ones(n ** k, dtype=bool)
     for a, b in itertools.combinations(digits, 2):
@@ -592,8 +635,9 @@ def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     count, eps = subsets.shape
     weights = _lex_weights(n, eps)
     ranks = np.full(count, math.comb(n, eps) - 1, dtype=np.int64)
+    weight = np.empty(count, dtype=np.int64)
     for i in range(eps):
-        ranks -= weights[i][subsets[:, i]]
+        ranks -= _take(weights[i], subsets[:, i], out=weight)
     return ranks
 
 
@@ -631,7 +675,8 @@ def orbits_on_subsets(action_rows, n: int, eps: int,
     for row in action_rows:
         # images in the subsets' own dtype, the smallest that holds n - 1
         row = np.asarray(row, dtype=subsets.dtype)
-        labels = merge_labels(labels, lex_rank(np.sort(row[subsets], axis=1), n))
+        labels = merge_labels(
+            labels, lex_rank(np.sort(_take(row, subsets), axis=1), n))
     return labels
 
 

@@ -1,12 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cmred.cm_engine import sample_subsets
 from cmred.errors import SubsetCapExceeded
 from cmred.galois_model import UnitaryGaloisModel, act
-from cmred.permgroup import check_subset_cap, close_generators
+from cmred.group_zoo import build, zoo_order
+from cmred.permgroup import TABLE_CAP, check_subset_cap, close_generators
 from perm_oracle import mul
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
@@ -123,3 +125,35 @@ def test_enumerate_counts_and_order():
         check_subset_cap(4, 2, cap=3)
     with pytest.raises(ValueError):
         check_subset_cap(4, 9)
+
+
+def zoo_specs():
+    """Every zoo spec whose group has a multiplication table."""
+    params = {"sym": range(1, 10), "alt": range(1, 11),
+              "cyclic": range(1, 65), "dihedral": range(3, 65),
+              "psl2": (2, 3, 4, 5, 7, 8, 9, 11, 13),
+              "pgl2": (2, 3, 4, 5, 7, 8, 9, 11, 13),
+              "psl3": (2,), "sp4f2": "+-", "sp6f2": "+-",
+              "psu3": (2, 3), "pgu3": (2, 3)}
+    specs = [f"{family}:{p}" for family, ps in params.items() for p in ps]
+    return [spec for spec in specs if zoo_order(spec) <= TABLE_CAP]
+
+
+def test_product_class_is_the_class_of_each_product():
+    specs = zoo_specs()
+    assert len(specs) == 162 and "alt:7" in specs and "sym:7" not in specs
+    for spec in specs:
+        m = UnitaryGaloisModel(*build(spec))
+        G, class_of = m.group, m.classes.class_of
+        table = m.product_class
+        assert table is m.product_class  # built once
+        assert table.dtype == np.min_scalar_type(m.classes.count - 1)
+        # entry [y, u^-1] is the class of y u^-1
+        u_inv = G.inverses
+        assert np.array_equal(table[:, u_inv],
+                              class_of[G.mult_table[:, u_inv]]), spec
+
+
+def test_product_class_is_none_past_the_table_cap():
+    m = UnitaryGaloisModel(*build("psu3:3"))
+    assert m.group.order > TABLE_CAP and m.product_class is None

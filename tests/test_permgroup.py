@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cmred import permgroup
 from cmred.certifier import certify, orbit_table
+from cmred.cli import parse_spec
 from cmred.errors import (
     BuildVerificationError,
     ElementCapExceeded,
@@ -19,7 +21,7 @@ from cmred.errors import (
     SubsetCapExceeded,
 )
 from cmred.galois_model import UnitaryGaloisModel
-from cmred.group_zoo import build
+from cmred.group_zoo import _zoo_action, build, parse_zoo_spec, zoo_order
 from cmred.permgroup import (
     ELEMENT_CAP,
     StabChain,
@@ -57,6 +59,7 @@ from perm_oracle import (
 )
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
+FIXTURES = Path(__file__).parent / "fixtures"
 Z4_GEN = [(1, 2, 3, 0)]
 
 
@@ -148,6 +151,8 @@ def test_inverses_and_mult_table_are_built_once():
     assert "inverses" not in vars(G) and "mult_table" not in vars(G)
     assert G.inverses is G.inverses and G.mult_table is G.mult_table
     assert G.mult_table.shape == (24, 24)
+    # TABLE_CAP < 2^16, so every element index fits
+    assert G.mult_table.dtype == np.uint16
     big = build("sym:7")[0]
     assert big.order == 5040 > permgroup.TABLE_CAP
     assert big.mult_table is None and vars(big)["mult_table"] is None
@@ -815,3 +820,90 @@ def test_orbit_generators_fall_back_on_the_input_generators(monkeypatch):
     expected = conjugacy_classes(G).class_of
     G.orbit_generators = picked
     assert np.array_equal(conjugacy_classes(G).class_of, expected)
+
+
+def group_layer(spec):
+    """(degree, group generators, subgroup generators or None for the
+    stabilizer of point 0) of a zoo spec or a ``file:`` fixture, unbuilt."""
+    if spec.startswith("file:"):
+        _, degree, gens, subgroup_gens = parse_spec(f"file:{FIXTURES / spec[5:]}")
+        return degree, gens, subgroup_gens
+    return (*_zoo_action(parse_zoo_spec(spec)), None)
+
+
+def group_layer_outputs(spec):
+    """Every array the group layer gathers with ``_take``, by name."""
+    degree, gens, subgroup_gens = group_layer(spec)
+    G = close_generators(degree, gens)
+    if subgroup_gens is None:
+        subgroup_gens = stabilizer_generators(G, 0)
+    out = {"images": G.images, "parents": G._parents,
+           "index_of_rank": G._index_of_rank, "inverses": G.inverses,
+           "mult_table": G.mult_table}
+    P = conjugacy_classes(G)
+    out["class_of"], out["class_reps"] = P.class_of, P.class_reps
+    # the subgroup, then the cyclic subgroup of the first generator, which
+    # is no point stabilizer here: the merge path, whatever the subgroup's
+    for name, H in (("H", subgroup_gens),
+                    ("cyclic", [G.images[G.generators[0]].tolist()])):
+        C = left_cosets(G, H)
+        column = _stabilized_point(G, generator_rows(degree, H)) is not None
+        out[f"{name}_path"] = "column" if column else "merge"
+        out[f"{name}_coset_of"], out[f"{name}_reps"] = C.coset_of, C.reps
+    C = left_cosets(G, subgroup_gens)
+    rows = coset_action(G, C, G.orbit_generators)
+    out["orbits"] = orbits_on_subsets(rows, C.n, 2)
+    out["2-transitive"] = is_k_transitive(rows, C.n, 2)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "psu3:2", "sp4f2:-",
+                                  "file:s5_over_c2.json"])
+def test_take_chunk_edges(spec, monkeypatch):
+    # a chunk of one index entry, then of one image row, gives every array
+    # of the default chunking
+    expected = group_layer_outputs(spec)
+    degree = group_layer(spec)[0]
+    for entries in (1, degree):
+        monkeypatch.setattr(permgroup, "TAKE_ENTRIES", entries)
+        got = group_layer_outputs(spec)
+        assert got.keys() == expected.keys()
+        for name, value in expected.items():
+            assert np.array_equal(got[name], value), (entries, name)
+            assert np.asarray(got[name]).dtype == np.asarray(value).dtype
+    paths = {expected["H_path"], expected["cyclic_path"]}
+    assert paths == ({"merge"} if spec.startswith("file:")
+                     else {"column", "merge"})
+
+
+def test_close_and_model_of_psu3_3_stay_small():
+    # |G| = 6,048 on 28 points.  The bound is 25% over the 936,902 bytes
+    # the layer peaked at with fancy indexing; np.take on whole indices
+    # (an intp copy of each, 8 bytes an entry) peaks at about 2.4 MB
+    spec = parse_zoo_spec("psu3:3")
+    degree, gens = _zoo_action(spec)
+    tracemalloc.start()
+    try:
+        G = close_generators(degree, gens, order=zoo_order(spec))
+        m = UnitaryGaloisModel(G, stabilizer_generators(G, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (G.order, m.n) == (6048, 28)
+    assert peak <= 1.25 * 936_902, peak
+
+
+def test_k_transitive_of_s9_over_s6_stays_small():
+    # n = 504: 254,016 ordered pairs, ranked in int32
+    _, degree, gens, subgroup_gens = parse_spec(
+        f"file:{FIXTURES / 's9_over_s6.json'}")
+    m = UnitaryGaloisModel(close_generators(degree, gens), subgroup_gens)
+    rows = m.generator_action_rows
+    tracemalloc.start()
+    try:
+        result = is_k_transitive(rows, 504, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.n == 504 and result == (False, 33)
+    assert peak <= 10 * 2 ** 20, peak / 2 ** 20
