@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -6,6 +8,7 @@ from cmred.errors import BuildVerificationError, UnsupportedParameter
 from cmred.group_zoo import (
     SMALL_FIELD_ORDERS,
     ZooSpec,
+    _zoo_action,
     _colmat_vec,
     _frobenius_table,
     base_quadratic_mask,
@@ -21,6 +24,7 @@ from cmred.group_zoo import (
     small_field,
     symplectic_group_order,
     unitary_group_order,
+    zoo_list,
     zoo_order,
     _psi_f2,
     _unitary_generators,
@@ -58,6 +62,31 @@ def test_parse_zoo_spec():
     for bad in ("sym", "nope:3", "sym:x", "sym:99", "psl2:6", "sp4f2:2", "psu3:4"):
         with pytest.raises(UnsupportedParameter):
             parse_zoo_spec(bad)
+
+
+# sha256 of every accepted spec's (spec, degree, generator permutations,
+# zoo_order), then of zoo_list(); recorded when the symplectic families
+# still acted through column matrices
+ZOO_DIGEST = "b48de8fc511b4aa5d2f98bd490fff5f5f64ed769cfd37caeb460a2bd372ca653"
+
+
+def test_every_zoo_action_is_pinned():
+    families = [name.split(":")[0] for name, _ in zoo_list()]
+    specs = []
+    for family in families:
+        for param in [*map(str, range(66)), "+", "-"]:
+            try:
+                specs.append(parse_zoo_spec(f"{family}:{param}"))
+            except UnsupportedParameter:
+                pass
+    assert len(specs) == 172
+    digest = hashlib.sha256()
+    for spec in specs:
+        degree, perms = _zoo_action(spec)
+        digest.update(json.dumps(
+            [str(spec), degree, [list(p) for p in perms], zoo_order(spec)]).encode())
+    digest.update(json.dumps(zoo_list()).encode())
+    assert digest.hexdigest() == ZOO_DIGEST
 
 
 def test_orders_match_derived_formulas():
