@@ -1,12 +1,13 @@
 """From-scratch constructors for the example groups, as permutation groups
 with the correct point stabilizers.
 
-Matrix families act by fixed generator matrices on their natural point set
-(projective points, quadratic forms, isotropic lines), and the group is
-closed from those permutations; no matrix group is enumerated.  Correctness
-never leans on the generator choices: every build re-derives the group
-order, the point count, and form preservation, and raises
-BuildVerificationError on any mismatch.
+The linear and unitary families act by fixed generator matrices on their
+natural point sets (projective points, isotropic lines), the symplectic
+families by transvection maps of the vectors of F2^2m on quadratic forms,
+and the group is closed from those permutations; no matrix group is
+enumerated.  Correctness never leans on the generator choices: every build
+re-derives the group order, the point count, and form preservation, and
+raises BuildVerificationError on any mismatch.
 """
 
 from __future__ import annotations
@@ -236,46 +237,10 @@ def _psi_f2(u, v, m):
             + bin((u >> m) & (v & lo)).count("1")) & 1
 
 
-def _transvection_cols(u, m):
-    """Symplectic transvection v -> v + psi(v, u) u as column bitmasks; an
-    involution over F2."""
-    dim = 2 * m
-    return tuple((1 << k) ^ (u if _psi_f2(1 << k, u, m) else 0)
-                 for k in range(dim))
-
-
-def _colmat_vec(cols, v):
-    out = 0
-    k = 0
-    while v:
-        if v & 1:
-            out ^= cols[k]
-        v >>= 1
-        k += 1
-    return out
-
-
-def _colmat_mul(A, B):
-    return tuple(_colmat_vec(A, b) for b in B)
-
-
-def _colmat_transpose(cols, dim):
-    return tuple(sum(((cols[k] >> j) & 1) << k for k in range(dim))
-                 for j in range(dim))
-
-
-def symplectic_J_cols(m):
-    """Columns of the block matrix [[0, I], [-I, 0]] over F2."""
-    return tuple((1 << (k + m)) if k < m else (1 << (k - m))
-                 for k in range(2 * m))
-
-
-def preserves_J(cols, m):
-    """x^T J x == J on column matrices over F2."""
-    dim = 2 * m
-    J = symplectic_J_cols(m)
-    xt = _colmat_transpose(cols, dim)
-    return _colmat_mul(xt, _colmat_mul(J, cols)) == J
+def _transvection_map(u, m):
+    """The symplectic transvection v -> v + psi(v, u) u as the tuple of its
+    images of all 2^2m vectors; linear, and an involution over F2."""
+    return tuple(v ^ (u if _psi_f2(v, u, m) else 0) for v in range(1 << (2 * m)))
 
 
 def quadratic_form_value(mask, v):
@@ -295,7 +260,7 @@ def base_quadratic_mask(m, sign):
     return mask
 
 
-def _apply_matrix_to_form(vec_map, mask, dim):
+def _apply_to_form(vec_map, mask, dim):
     # (x . Q)(v) = Q(x^{-1} v); vec_map must be the map of x^{-1}
     out = 0
     for v in range(1 << dim):
@@ -307,42 +272,29 @@ def _apply_matrix_to_form(vec_map, mask, dim):
 # is cheap enough; for m=3 this fixed 8-vector set (basis plus e1+e5, e2+e6)
 # closes to the full group, which the build re-verifies against the derived
 # order on every run.
-_SP_TRANSVECTION_DIRS = {
-    2: None,  # None means all nonzero vectors
-    3: (1, 2, 4, 8, 16, 32, 17, 34),
-}
+_SP_TRANSVECTION_DIRS = {2: range(1, 16), 3: (1, 2, 4, 8, 16, 32, 17, 34)}
 
 
 def symplectic_quadratic_action(m, sign):
     """Point set (forms of the chosen type) and generator permutations for
     the symplectic group acting on quadratic forms polarizing to psi."""
-    if sign not in ("+", "-"):
-        raise UnsupportedParameter(f"sign must be '+' or '-', got {sign!r}")
     dim = 2 * m
-    dirs = _SP_TRANSVECTION_DIRS.get(m)
-    if dirs is None:
-        dirs = tuple(range(1, 1 << dim))
-    gens = [_transvection_cols(u, m) for u in dirs]
-    for cols in gens:
-        if not preserves_J(cols, m):
-            raise BuildVerificationError("generator is not symplectic")
-        if _colmat_mul(cols, cols) != tuple(1 << k for k in range(dim)):
+    vec_maps = [_transvection_map(u, m) for u in _SP_TRANSVECTION_DIRS[m]]
+    basis = [1 << k for k in range(dim)]
+    for t in vec_maps:  # linear, so psi on basis pairs is psi everywhere
+        if any(t[t[v]] != v for v in range(1 << dim)):
             raise BuildVerificationError("transvection generator not an involution")
-    vec_maps = [tuple(_colmat_vec(cols, v) for v in range(1 << dim))
-                for cols in gens]
+        if any(_psi_f2(t[a], t[b], m) != _psi_f2(a, b, m)
+               for a in basis for b in basis):
+            raise BuildVerificationError("generator is not symplectic")
 
     base = base_quadratic_mask(m, sign)
     points = [base]
     index = {base: 0}
     frontier = [base]
     while frontier:
-        new = set()
-        for vm in vec_maps:
-            for mask in frontier:
-                y = _apply_matrix_to_form(vm, mask, dim)
-                if y not in index and y not in new:
-                    new.add(y)
-        frontier = sorted(new)
+        frontier = sorted({_apply_to_form(vm, mask, dim) for vm in vec_maps
+                           for mask in frontier} - index.keys())
         for mask in frontier:
             index[mask] = len(points)
             points.append(mask)
@@ -350,7 +302,7 @@ def symplectic_quadratic_action(m, sign):
     if len(points) != expected:
         raise BuildVerificationError(
             f"expected {expected} forms of type {sign}, found {len(points)}")
-    perms = [tuple(index[_apply_matrix_to_form(vm, mask, dim)] for mask in points)
+    perms = [tuple(index[_apply_to_form(vm, mask, dim)] for mask in points)
              for vm in vec_maps]
     return points, perms
 
@@ -437,10 +389,6 @@ def unitary_group_order(q, flavor):
 def unitary_isotropic_action(q, flavor):
     """Points (isotropic lines) and generator permutations for the projective
     (special) unitary group of degree 3."""
-    if q not in (2, 3):
-        raise UnsupportedParameter(f"unitary families support q in {{2, 3}}, got {q}")
-    if flavor not in ("psu", "pgu"):
-        raise UnsupportedParameter(f"flavor must be psu or pgu, got {flavor!r}")
     F = small_field(q * q)
     frob = _frobenius_table(F, q)
     points = isotropic_points(F, frob)
@@ -456,10 +404,13 @@ def unitary_isotropic_action(q, flavor):
 # ---------------------------------------------------------------------------
 # the zoo
 
-_SIGN_FAMILIES = ("sp4f2", "sp6f2")
-_FAMILIES = ("sym", "alt", "cyclic", "dihedral", "psl2", "pgl2", "psl3",
-             "sp4f2", "sp6f2", "psu3", "pgu3")
-PROJECTIVE_FIELD_ORDERS = SMALL_FIELD_ORDERS
+# family -> accepted parameters, in listing order
+_PARAMS = {
+    "sym": range(1, 10), "alt": range(1, 11),
+    "cyclic": range(1, 65), "dihedral": range(3, 65),
+    "psl2": SMALL_FIELD_ORDERS, "pgl2": SMALL_FIELD_ORDERS, "psl3": (2,),
+    "sp4f2": ("+", "-"), "sp6f2": ("+", "-"), "psu3": (2, 3), "pgu3": (2, 3),
+}
 
 
 @dataclass(frozen=True)
@@ -476,10 +427,11 @@ def parse_zoo_spec(text: str) -> ZooSpec:
         raise UnsupportedParameter(
             f"zoo spec must look like family:parameter, got {text!r}")
     family, param = text.split(":", 1)
-    if family not in _FAMILIES:
+    if family not in _PARAMS:
         raise UnsupportedParameter(f"unknown family {family!r}")
-    if family in _SIGN_FAMILIES:
-        if param not in ("+", "-"):
+    accepted = _PARAMS[family]
+    if "+" in accepted:
+        if param not in accepted:
             raise UnsupportedParameter(
                 f"{family} takes parameter '+' or '-', got {param!r}")
         return ZooSpec(family, param)
@@ -487,29 +439,33 @@ def parse_zoo_spec(text: str) -> ZooSpec:
         n = int(param)
     except ValueError:
         raise UnsupportedParameter(f"{family} takes an integer parameter, got {param!r}")
-    ranges = {
-        "sym": range(1, 10), "alt": range(1, 11),
-        "cyclic": range(1, 65), "dihedral": range(3, 65),
-        "psl2": PROJECTIVE_FIELD_ORDERS, "pgl2": PROJECTIVE_FIELD_ORDERS,
-        "psl3": (2,), "psu3": (2, 3), "pgu3": (2, 3),
-    }
-    if n not in ranges[family]:
+    if n not in accepted:
         raise UnsupportedParameter(f"{family}:{n} outside the supported range")
     return ZooSpec(family, str(n))
 
 
+def _shown(family):
+    """A family's accepted parameters as the listing writes them."""
+    params = _PARAMS[family]
+    if isinstance(params, range):
+        return f"{params.start}..{params.stop - 1}"
+    return "{" + ",".join(map(str, params)) + "}"
+
+
 def zoo_list():
     """Specs with display metadata for the CLI listing."""
-    entries = [
-        ("sym:n", "symmetric group, n in 1..9, natural action"),
-        ("alt:n", "alternating group, n in 1..10, natural action; "
+    return [
+        ("sym:n", f"symmetric group, n in {_shown('sym')}, natural action"),
+        ("alt:n", f"alternating group, n in {_shown('alt')}, natural action; "
                   "alt:10 gated"),
-        ("cyclic:n", "cyclic rotation group, n in 1..64, regular action"),
-        ("dihedral:n", "dihedral group, n in 3..64, polygon action"),
+        ("cyclic:n", f"cyclic rotation group, n in {_shown('cyclic')}, "
+                     "regular action"),
+        ("dihedral:n", f"dihedral group, n in {_shown('dihedral')}, "
+                       "polygon action"),
         ("psl2:q", "projective special linear group on the projective line, "
-                   "q in {2,3,4,5,7,8,9,11,13}"),
+                   f"q in {_shown('psl2')}"),
         ("pgl2:q", "projective general linear group on the projective line, "
-                   "q in {2,3,4,5,7,8,9,11,13}"),
+                   f"q in {_shown('pgl2')}"),
         ("psl3:2", "projective special linear group on the 7 points of the "
                    "projective plane over F2"),
         ("sp4f2:+|-", "symplectic group Sp4(F2) on quadratic forms of the "
@@ -517,11 +473,10 @@ def zoo_list():
         ("sp6f2:+|-", "symplectic group Sp6(F2) on quadratic forms of the "
                       "given type (36 or 28 points); large, gated"),
         ("psu3:q", "projective special unitary group on isotropic points, "
-                   "q in {2,3}"),
+                   f"q in {_shown('psu3')}"),
         ("pgu3:q", "projective general unitary group on isotropic points, "
-                   "q in {2,3}"),
+                   f"q in {_shown('pgu3')}"),
     ]
-    return entries
 
 
 def _alternating_gens(points):
@@ -609,4 +564,4 @@ def build(spec) -> tuple[FiniteGroup, list]:
     if isinstance(spec, str):
         spec = parse_zoo_spec(spec)
     G = close_generators(*_zoo_action(spec), order=zoo_order(spec))
-    return G, stabilizer_generators(G, 0)
+    return G, stabilizer_generators(G)

@@ -680,16 +680,8 @@ def orbits_on_subsets(action_rows, n: int, eps: int,
     return labels
 
 
-def stabilizer_generators(G: FiniteGroup, point: int = 0) -> list[Permutation]:
-    """The strong generators of the stabilizer of a point, from G's chain.
-
-    The chain's strong generators fixing point 0 generate Stab(0).  For
-    another point p, the chain of G conjugated by the transposition t = (0 p)
-    gives Stab(p) = t Stab_{tGt}(0) t.
-    """
-    chain, swap = G.chain, np.arange(G.degree)
-    if point:
-        swap[[0, point]] = point, 0
-        chain = StabChain(G.degree, swap[chain.generators[:, swap]])
-    strong = chain.strong[chain.first_moved >= 1]
-    return [tuple(row) for row in swap[strong[:, swap]].tolist()]
+def stabilizer_generators(G: FiniteGroup) -> list[Permutation]:
+    """The strong generators of the stabilizer of point 0, from G's chain:
+    those that fix point 0 generate Stab(0)."""
+    strong = G.chain.strong[G.chain.first_moved >= 1]
+    return [tuple(row) for row in strong.tolist()]

@@ -1,22 +1,16 @@
 """Whole matrix groups over the small fields, enumerated element by element.
 
-The zoo never enumerates a matrix group: it acts with generator matrices on
-points and closes the permutations.  These breadth-first closures over the
-matrices themselves, and the list of every quadratic form that polarizes to
-the alternating form, are the independent side the tests check the built
-actions against.
+The zoo never enumerates a matrix group: it acts with generators on points
+and closes the permutations.  These breadth-first closures over the matrices
+(and, for Sp4(F2), over the maps of all vectors), and the list of every
+quadratic form that polarizes to the alternating form, are the independent
+side the tests check the built actions against.
 """
 
 import functools
 
 from cmred.errors import BuildVerificationError
-from cmred.group_zoo import (
-    _colmat_mul,
-    _transvection_cols,
-    base_quadratic_mask,
-    mat_identity,
-    quadratic_form_value,
-)
+from cmred.group_zoo import base_quadratic_mask, mat_identity, quadratic_form_value
 
 
 def mat_mul(F, A, B):
@@ -53,11 +47,21 @@ def close_matrices(F, gens, cap=2_000_000):
                 lambda g, x: mat_mul(F, g, x), cap)
 
 
-def enumerate_symplectic_matrices(m, cap=10_000):
-    """Full matrix enumeration by BFS over all transvections (column-bitmask
-    representation); only sensible for m = 2."""
-    gens = [_transvection_cols(u, m) for u in range(1, 1 << (2 * m))]
-    return _bfs(tuple(1 << k for k in range(2 * m)), gens, _colmat_mul, cap)
+def psi(u, v, m):
+    """The alternating form sum_i u_i v_{m+i} + u_{m+i} v_i over F2, on
+    vectors written as bitmasks, one coordinate at a time."""
+    return sum((u >> i & 1) * (v >> (m + i) & 1) + (u >> (m + i) & 1) * (v >> i & 1)
+               for i in range(m)) & 1
+
+
+def enumerate_symplectic_maps(m, cap=10_000):
+    """Every product of the transvections v -> v + psi(v, u) u, each as the
+    tuple of its images of all 2^2m vectors, by BFS from the identity; only
+    sensible for m = 2."""
+    vectors = range(1 << (2 * m))
+    gens = [tuple(v ^ (u if psi(v, u, m) else 0) for v in vectors)
+            for u in vectors[1:]]
+    return _bfs(tuple(vectors), gens, lambda g, x: tuple(g[y] for y in x), cap)
 
 
 def polarizing_form_masks(m):

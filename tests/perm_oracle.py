@@ -1,5 +1,5 @@
-"""Permutations as image tuples, element-at-a-time reads of a group, and
-the model of a zoo spec.
+"""Permutations as image tuples, element-at-a-time reads of a group, the
+model of a zoo spec, and the list of zoo specs.
 
 The tuple algebra (identity, composition, inverse) shares no code with
 ``cmred.permgroup``, which works on blocks of uint8 image rows.  The reads
@@ -11,7 +11,7 @@ build literal oracles one product at a time.
 import numpy as np
 
 from cmred.galois_model import UnitaryGaloisModel
-from cmred.group_zoo import build
+from cmred.group_zoo import _PARAMS, build
 
 
 def identity_perm(degree):
@@ -68,3 +68,9 @@ def inv(G, a):
 
 def build_zoo_model(spec):
     return UnitaryGaloisModel(*build(spec))
+
+
+def zoo_specs():
+    """Every spec the zoo accepts, in listing order."""
+    return [f"{family}:{param}" for family, params in _PARAMS.items()
+            for param in params]

@@ -21,19 +21,18 @@ from cmred.cm_engine import (
 )
 from cmred.certifier import certify, orbit_table
 from cmred.group_zoo import (
-    _colmat_vec,
     _frobenius_table,
+    _psi_f2,
     _unitary_generators,
     base_quadratic_mask,
     hermitian_form,
     mat_vec,
-    preserves_J,
     quadratic_form_value,
     small_field,
     symplectic_group_order,
     unitary_group_order,
 )
-from matrix_oracle import close_matrices, enumerate_symplectic_matrices
+from matrix_oracle import close_matrices, enumerate_symplectic_maps
 from perm_oracle import build_zoo_model
 
 SEED = 7
@@ -159,16 +158,17 @@ def test_criterion_7_byte_determinism(capsys):
 
 
 def test_criterion_8_form_preservation():
-    # every enumerated Sp4(F2) matrix is symplectic
-    mats = enumerate_symplectic_matrices(2)
-    assert len(mats) == symplectic_group_order(2)
-    assert all(preserves_J(M, 2) for M in mats)
+    # every enumerated Sp4(F2) map preserves the alternating form
+    maps = enumerate_symplectic_maps(2)
+    assert len(maps) == symplectic_group_order(2)
+    assert all(_psi_f2(t[u], t[v], 2) == _psi_f2(u, v, 2)
+               for t in maps for u in range(16) for v in range(16))
     # orthogonal stabilizers preserve their quadratic form on all 16 vectors
     for sign, expected in (("+", 72), ("-", 120)):
         base = base_quadratic_mask(2, sign)
         preservers = [
-            M for M in mats
-            if all(quadratic_form_value(base, _colmat_vec(M, v))
+            t for t in maps
+            if all(quadratic_form_value(base, t[v])
                    == quadratic_form_value(base, v) for v in range(16))]
         assert len(preservers) == expected
     # every unitary matrix preserves the Hermitian form on a spanning set

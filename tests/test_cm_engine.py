@@ -40,11 +40,10 @@ from cmred.cli import parse_spec
 from cmred.errors import (
     BruteCapExceeded,
     IntegerBoundExceeded,
-    UnsupportedParameter,
 )
 from cmred.galois_model import UnitaryGaloisModel, act
 from cmred.group_algebra import BRUTE_CAP, class_project, convolve, reflex
-from cmred.group_zoo import build, parse_zoo_spec, zoo_order
+from cmred.group_zoo import build, zoo_order
 from cmred.permgroup import (
     ELEMENT_CAP,
     SUBSET_CAP,
@@ -52,7 +51,7 @@ from cmred.permgroup import (
     close_generators,
     coset_action,
 )
-from perm_oracle import build_zoo_model, index_of, inv, mul
+from perm_oracle import build_zoo_model, index_of, inv, mul, zoo_specs
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 S9_OVER_S6 = Path(__file__).parent / "fixtures" / "s9_over_s6.json"
@@ -563,19 +562,6 @@ def test_closed_block_matches_one_at_a_time():
         shuffled = [subsets[i][::-1] for i in order]
         assert np.array_equal(closed_block(shuffled, m, P, chi), block[order])
         assert not pair_residuals(shuffled, m, P, chi).any()
-
-
-def zoo_specs():
-    """Every spec the zoo accepts, each family over its parameter range."""
-    specs = []
-    for family in ("sym", "alt", "cyclic", "dihedral", "psl2", "pgl2", "psl3",
-                   "sp4f2", "sp6f2", "psu3", "pgu3"):
-        for param in [*map(str, range(1, 65)), "+", "-"]:
-            try:
-                specs.append(str(parse_zoo_spec(f"{family}:{param}")))
-            except UnsupportedParameter:
-                pass
-    return specs
 
 
 def test_brute_count_matches_the_convolution_on_the_zoo():

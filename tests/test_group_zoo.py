@@ -9,7 +9,6 @@ from cmred.group_zoo import (
     SMALL_FIELD_ORDERS,
     ZooSpec,
     _zoo_action,
-    _colmat_vec,
     _frobenius_table,
     base_quadratic_mask,
     build,
@@ -18,7 +17,6 @@ from cmred.group_zoo import (
     mat_det,
     mat_vec,
     parse_zoo_spec,
-    preserves_J,
     projective_points,
     quadratic_form_value,
     small_field,
@@ -32,10 +30,11 @@ from cmred.group_zoo import (
 from cmred.permgroup import close_generators, conjugacy_classes, left_cosets
 from matrix_oracle import (
     close_matrices,
-    enumerate_symplectic_matrices,
+    enumerate_symplectic_maps,
     polarizing_form_masks,
+    psi,
 )
-from perm_oracle import build_zoo_model, inv, mul, perm
+from perm_oracle import build_zoo_model, inv, mul, perm, zoo_specs
 
 
 def test_small_fields_construct_and_verify():
@@ -79,7 +78,7 @@ def test_every_zoo_action_is_pinned():
                 specs.append(parse_zoo_spec(f"{family}:{param}"))
             except UnsupportedParameter:
                 pass
-    assert len(specs) == 172
+    assert [str(spec) for spec in specs] == zoo_specs() and len(specs) == 172
     digest = hashlib.sha256()
     for spec in specs:
         degree, perms = _zoo_action(spec)
@@ -194,33 +193,25 @@ def test_sixteen_polarizing_forms_split_into_orbits():
 
 
 def test_every_sp4_matrix_is_symplectic():
-    mats = enumerate_symplectic_matrices(2)
-    assert len(mats) == symplectic_group_order(2) == 720
-    for M in mats:
-        assert preserves_J(M, 2)
-
-
-def test_J_membership_equals_psi_preservation():
-    mats = enumerate_symplectic_matrices(2)
-    for M in mats:
-        vec_map = [_colmat_vec(M, v) for v in range(16)]
-        preserved = all(_psi_f2(vec_map[u], vec_map[v], 2) == _psi_f2(u, v, 2)
-                        for u in range(16) for v in range(16))
-        assert preserved == preserves_J(M, 2) == True  # noqa: E712
+    # the oracle's form, coordinate by coordinate, is the zoo's
+    assert all(psi(u, v, 2) == _psi_f2(u, v, 2)
+               for u in range(16) for v in range(16))
+    maps = enumerate_symplectic_maps(2)
+    assert len(set(maps)) == len(maps) == symplectic_group_order(2) == 720
+    for t in maps:
+        assert all(_psi_f2(t[u], t[v], 2) == _psi_f2(u, v, 2)
+                   for u in range(16) for v in range(16))
 
 
 def test_orthogonal_stabilizers_preserve_their_form():
-    # matrices whose form-action fixes the base point are exactly the
+    # maps whose form-action fixes the base point are exactly the
     # pointwise preservers of the corresponding quadratic form
-    mats = enumerate_symplectic_matrices(2)
+    maps = enumerate_symplectic_maps(2)
     for sign, expected_order in (("+", 72), ("-", 120)):
         base = base_quadratic_mask(2, sign)
-        preservers = []
-        for M in mats:
-            vec_map = [_colmat_vec(M, v) for v in range(16)]
-            if all(quadratic_form_value(base, vec_map[v])
-                   == quadratic_form_value(base, v) for v in range(16)):
-                preservers.append(M)
+        preservers = [t for t in maps
+                      if all(quadratic_form_value(base, t[v])
+                             == quadratic_form_value(base, v) for v in range(16))]
         assert len(preservers) == expected_order
         # and they are exactly the stabilizer of point 0 of the built action
         G, H_gens = build(f"sp4f2:{sign}")

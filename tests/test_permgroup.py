@@ -248,7 +248,7 @@ def test_coset_action_is_homomorphism():
 
 def test_coset_action_matches_direct_definition():
     G = sym_group(4)
-    C = left_cosets(G, stabilizer_generators(G, 0))
+    C = left_cosets(G, stabilizer_generators(G))
     act = coset_action(G, C, range(G.order))
     for g in range(G.order):
         direct = [C.coset_of[mul(G, g, C.reps[i])] for i in range(C.n)]
@@ -304,7 +304,7 @@ def test_regular_z4_not_two_transitive():
 def test_k_transitive_implies_lower():
     for gens, n in ((S3_GENS, 3), ([(1, 2, 3, 0)], 4)):
         G = close_generators(n, gens)
-        C = left_cosets(G, stabilizer_generators(G, 0))
+        C = left_cosets(G, stabilizer_generators(G))
         act = coset_action(G, C, range(G.order))
         rows = [act[g] for g in G.generators]
         best = 0
@@ -323,7 +323,7 @@ def orbit_reps_sizes(labels):
 
 def test_orbits_on_subsets_s4():
     G = sym_group(4)
-    C = left_cosets(G, stabilizer_generators(G, 0))
+    C = left_cosets(G, stabilizer_generators(G))
     act = coset_action(G, C, range(G.order))
     rows = [act[g] for g in G.generators]
     labels = orbits_on_subsets(rows, 4, 2)
@@ -358,7 +358,7 @@ def test_orbits_empty_subset():
 
 def test_orbit_sizes_sum_to_binomial():
     G = sym_group(4)
-    C = left_cosets(G, stabilizer_generators(G, 0))
+    C = left_cosets(G, stabilizer_generators(G))
     act = coset_action(G, C, range(G.order))
     rows = [act[g] for g in G.generators]
     for eps in range(5):
@@ -368,7 +368,7 @@ def test_orbit_sizes_sum_to_binomial():
 
 def test_subset_cap():
     G = sym_group(4)
-    C = left_cosets(G, stabilizer_generators(G, 0))
+    C = left_cosets(G, stabilizer_generators(G))
     act = coset_action(G, C, range(G.order))
     with pytest.raises(SubsetCapExceeded):
         orbits_on_subsets(act, 4, 2, cap=3)
@@ -446,7 +446,7 @@ def test_orbits_match_tuple_bfs_and_burnside(G):
 
 def test_stabilizer_generators_generate_full_stabilizer():
     for G in (sym_group(4), sym_group(5)):
-        gens = stabilizer_generators(G, 0)
+        gens = stabilizer_generators(G)
         H = close_generators(G.degree, gens)
         fixed = sum(1 for i in range(G.order) if G.images[i][0] == 0)
         assert H.order == fixed
@@ -507,7 +507,7 @@ def test_group_layer_matches_dict_oracle(case):
     class_of, reps, classes = dict_conjugacy_classes(G)
     assert np.array_equal(P.class_of, class_of)
     assert (P.class_reps, [c.tolist() for c in P.classes]) == (reps, classes)
-    for H_gens in subgroups + [stabilizer_generators(G, 0)]:
+    for H_gens in subgroups + [stabilizer_generators(G)]:
         C = left_cosets(G, H_gens)
         h_indices, coset_of, reps, cosets = dict_left_cosets(G, H_gens)
         assert np.array_equal(C.coset_of, coset_of)
@@ -517,7 +517,7 @@ def test_group_layer_matches_dict_oracle(case):
     assert G.inverses.tolist() == [index_of(G, inverse_perm(perm(G, i)))
                                    for i in range(G.order)]
     # the same subgroup, whatever the generators
-    assert element_set(G.degree, stabilizer_generators(G, 0)) == \
+    assert element_set(G.degree, stabilizer_generators(G)) == \
         element_set(G.degree, scalar_stabilizer_generators(G, 0))
 
 
@@ -528,7 +528,7 @@ def test_coset_action_matches_dict_cosets(case):
     _, _, G, subgroups = case
     assume(G.order <= 120)  # |G| n lookups per subgroup in the oracle
     index = bytes_index(G)
-    for H_gens in subgroups + [stabilizer_generators(G, 0)]:
+    for H_gens in subgroups + [stabilizer_generators(G)]:
         C = left_cosets(G, H_gens)
         _, coset_of, reps, _ = dict_left_cosets(G, H_gens)
         # row of g o rep_i, looked up by its bytes
@@ -693,11 +693,11 @@ def test_column_path_only_for_a_whole_point_stabilizer():
     G = sym_group(4)
     # fixes 2 and 3, but is smaller than either stabilizer
     assert _stabilized_point(G, generator_rows(4, [(1, 0, 2, 3)])) is None
-    H_gens = stabilizer_generators(G, 3)
+    H_gens = [(1, 0, 2, 3), (1, 2, 0, 3)]  # Stab(3)
     C = left_cosets(G, H_gens)
     assert _stabilized_point(G, generator_rows(4, H_gens)) == 3
     assert (C.n, C.h) == (4, 6)
-    assert element_set(4, stabilizer_generators(G, 3)) == {
+    assert element_set(4, H_gens) == {
         row.tobytes() for row in G.images if row[3] == 3}
 
 
@@ -836,7 +836,7 @@ def group_layer_outputs(spec):
     degree, gens, subgroup_gens = group_layer(spec)
     G = close_generators(degree, gens)
     if subgroup_gens is None:
-        subgroup_gens = stabilizer_generators(G, 0)
+        subgroup_gens = stabilizer_generators(G)
     out = {"images": G.images, "parents": G._parents,
            "index_of_rank": G._index_of_rank, "inverses": G.inverses,
            "mult_table": G.mult_table}
@@ -885,7 +885,7 @@ def test_close_and_model_of_psu3_3_stay_small():
     tracemalloc.start()
     try:
         G = close_generators(degree, gens, order=zoo_order(spec))
-        m = UnitaryGaloisModel(G, stabilizer_generators(G, 0))
+        m = UnitaryGaloisModel(G, stabilizer_generators(G))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
