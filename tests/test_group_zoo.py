@@ -8,7 +8,6 @@ from cmred.errors import BuildVerificationError, UnsupportedParameter
 from cmred.group_zoo import (
     SMALL_FIELD_ORDERS,
     ZooSpec,
-    _zoo_action,
     _frobenius_table,
     base_quadratic_mask,
     build,
@@ -26,6 +25,7 @@ from cmred.group_zoo import (
     zoo_order,
     _psi_f2,
     _unitary_generators,
+    _zoo_action,
 )
 from cmred.permgroup import close_generators, conjugacy_classes, left_cosets
 from matrix_oracle import (
@@ -64,8 +64,8 @@ def test_parse_zoo_spec():
 
 
 # sha256 of every accepted spec's (spec, degree, generator permutations,
-# zoo_order), then of zoo_list(); recorded when the symplectic families
-# still acted through column matrices
+# zoo_order), then of zoo_list(); only a change meant to alter an action or
+# the listing records a new one
 ZOO_DIGEST = "b48de8fc511b4aa5d2f98bd490fff5f5f64ed769cfd37caeb460a2bd372ca653"
 
 
