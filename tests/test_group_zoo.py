@@ -88,6 +88,24 @@ def test_every_zoo_action_is_pinned():
     assert digest.hexdigest() == ZOO_DIGEST
 
 
+# sha256 of every spec of order at most 10^6: its name, then the bytes of
+# its built group's element list, BFS parents and rank index, in listing
+# order; only a change meant to alter an enumeration records a new one
+ELEMENTS_DIGEST = "45aa772194cb04b9c44af98ea7b9bf3c7c9cded5e019418b8aba03a066e86838"
+
+
+def test_every_zoo_enumeration_is_pinned():
+    digest = hashlib.sha256()
+    specs = [spec for spec in zoo_specs() if zoo_order(spec) <= 10 ** 6]
+    assert len(specs) == 169
+    for spec in specs:
+        G, _ = build(spec)
+        digest.update(f"{spec} {G.images.shape}".encode())
+        for array in (G.images, G._parents, G._index_of_rank):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == ELEMENTS_DIGEST
+
+
 def test_orders_match_derived_formulas():
     cases = {
         "sym:4": math.factorial(4),
