@@ -229,7 +229,8 @@ def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
     P0 = np.bincount(C.coset_of.astype(np.int64) * k + model.classes.class_of,
                      minlength=n * k).reshape(n, k)
     rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
-    J = coset_action(G, C, G.index_rows(np.argsort(rep_rows, axis=1)))
+    J = coset_action(G, C, G.index_elements(
+        np.argsort(rep_rows, axis=1), "inverses of the coset representatives"))
     P = P0[J.T]
     P[np.arange(n), np.arange(n)] = 0
     return P

@@ -37,102 +37,53 @@ class SmallField:
 
     Elements are indexed 0..q-1 with 0 and 1 the additive and multiplicative
     identities; for prime powers the index encodes polynomial coefficients
-    base p.  Field axioms are verified exhaustively at construction.
+    base p.  The operations are uint8 tables, read by numpy indexing so that
+    one lookup serves whole arrays of operands: ``add[a, b]``, ``mul[a, b]``,
+    ``neg[a]`` and ``inv[a]`` (``inv[0]`` is 0, not an inverse).  Field
+    axioms are verified exhaustively at construction.
     """
 
     def __init__(self, q: int):
         if q not in SMALL_FIELD_ORDERS:
             raise UnsupportedParameter(f"unsupported field order {q}")
         self.q = q
-        if q in _IRREDUCIBLE_TAILS:
-            p, tail = _IRREDUCIBLE_TAILS[q]
-            deg = len(tail)
-        else:
-            p, tail, deg = q, (), 1
-        self.p = p
-        self.deg = deg
-
-        def to_poly(e):
-            return tuple((e // p ** k) % p for k in range(deg))
-
-        def from_poly(cs):
-            return sum(c * p ** k for k, c in enumerate(cs))
-
-        def poly_mul(a, b):
-            prod = [0] * (2 * deg - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-            for k in range(2 * deg - 2, deg - 1, -1):
-                c = prod[k]
-                if c:
-                    prod[k] = 0
-                    for j, t in enumerate(tail):
-                        prod[k - deg + j] = (prod[k - deg + j] + c * t) % p
-            return tuple(prod[:deg])
-
-        self.add_table = [[0] * q for _ in range(q)]
-        self.mul_table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            pa = to_poly(a)
-            for b in range(q):
-                pb = to_poly(b)
-                self.add_table[a][b] = from_poly(
-                    tuple((x + y) % p for x, y in zip(pa, pb)))
-                self.mul_table[a][b] = from_poly(poly_mul(pa, pb))
-        self.neg_table = [0] * q
-        self.inv_table = [None] * q
-        for a in range(q):
-            for b in range(q):
-                if self.add_table[a][b] == 0:
-                    self.neg_table[a] = b
-                if self.mul_table[a][b] == 1:
-                    self.inv_table[a] = b
+        self.p, tail = _IRREDUCIBLE_TAILS.get(q, (q, ()))
+        deg = max(len(tail), 1)
+        place = self.p ** np.arange(deg)
+        digits = np.arange(q)[:, None] // place % self.p  # coefficient of t^i
+        a, b = digits[:, None, :], digits[None, :, :]
+        # coefficients of t^0..t^(2 deg - 2) of every product, then each t^k
+        # with k >= deg rewritten from the top by t^deg = tail
+        prod = np.zeros((q, q, 2 * deg - 1), dtype=np.int64)
+        for i in range(deg):
+            prod[..., i:i + deg] += a[..., i, None] * b
+        for k in range(2 * deg - 2, deg - 1, -1):
+            prod[..., k - deg:k] += prod[..., k, None] * np.array(tail)
+        self.add = ((a + b) % self.p @ place).astype(np.uint8)
+        self.mul = (prod[..., :deg] % self.p @ place).astype(np.uint8)
+        self.neg = (self.add == 0).argmax(axis=1).astype(np.uint8)
+        self.inv = (self.mul == 1).argmax(axis=1).astype(np.uint8)
         self._verify_axioms()
 
     def _verify_axioms(self):
-        q, add, mul = self.q, self.add_table, self.mul_table
-        for a in range(q):
-            if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
-                raise BuildVerificationError(f"identity axiom fails in F{q}")
-            if a and self.inv_table[a] is None:
-                raise BuildVerificationError(f"no inverse for {a} in F{q}")
-            for b in range(q):
-                if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                    raise BuildVerificationError(f"commutativity fails in F{q}")
-                for c in range(q):
-                    if add[add[a][b]][c] != add[a][add[b][c]]:
-                        raise BuildVerificationError(f"additive assoc fails in F{q}")
-                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        raise BuildVerificationError(f"mult assoc fails in F{q}")
-                    if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                        raise BuildVerificationError(f"distributivity fails in F{q}")
-
-    def add(self, a, b):
-        return self.add_table[a][b]
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
-
-    def neg(self, a):
-        return self.neg_table[a]
-
-    def sub(self, a, b):
-        return self.add_table[a][self.neg_table[b]]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.inv_table[a]
-
-    def pow(self, a, k):
-        out = 1
-        for _ in range(k):
-            out = self.mul_table[out][a]
-        return out
-
-    def units(self):
-        return range(1, self.q)
+        q, add, mul = self.q, self.add, self.mul
+        x = np.arange(q)
+        if not ((add[:, 0] == x).all() and (mul[:, 1] == x).all()
+                and (mul[:, 0] == 0).all()):
+            raise BuildVerificationError(f"identity axiom fails in F{q}")
+        if not (add[x, self.neg] == 0).all():
+            raise BuildVerificationError(f"no negative for some element of F{q}")
+        if not (mul[x[1:], self.inv[1:]] == 1).all():
+            raise BuildVerificationError(f"no inverse for some unit of F{q}")
+        if not ((add == add.T).all() and (mul == mul.T).all()):
+            raise BuildVerificationError(f"commutativity fails in F{q}")
+        # both sides at [a, b, c] for every triple
+        if not (add[add] == add[:, add]).all():
+            raise BuildVerificationError(f"additive assoc fails in F{q}")
+        if not (mul[mul] == mul[:, mul]).all():
+            raise BuildVerificationError(f"mult assoc fails in F{q}")
+        if not (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all():
+            raise BuildVerificationError(f"distributivity fails in F{q}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,71 +92,83 @@ def small_field(q: int) -> SmallField:
 
 
 # ---------------------------------------------------------------------------
-# matrices over a SmallField (row-major tuples of tuples)
+# stacks of matrices over a SmallField, as uint8 arrays (..., n, n)
 
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_vec(F, A, v):
-    n = len(A)
-    return tuple(
-        functools.reduce(F.add, (F.mul(A[i][k], v[k]) for k in range(n)))
-        for i in range(n))
+def _mat_mul(F, A, B):
+    """A @ B over F for broadcast stacks (..., n, k) and (..., k, m)."""
+    terms = F.mul[A[..., :, :, None], B[..., None, :, :]]  # (..., n, k, m)
+    return functools.reduce(lambda x, y: F.add[x, y], np.moveaxis(terms, -2, 0))
 
 
-def mat_det(F, A):
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    if n == 2:
-        return F.sub(F.mul(A[0][0], A[1][1]), F.mul(A[0][1], A[1][0]))
-    if n == 3:
-        total = 0
-        for j in range(3):
-            minor = F.sub(F.mul(A[1][(j + 1) % 3], A[2][(j + 2) % 3]),
-                          F.mul(A[1][(j + 2) % 3], A[2][(j + 1) % 3]))
-            total = F.add(total, F.mul(A[0][j], minor))
-        return total
-    raise ValueError("determinant implemented for n <= 3")
+def _mat_det(F, A):
+    """Determinant over F of each matrix of a stack, by the Leibniz formula."""
+    n = A.shape[-1]
+    det = np.zeros(A.shape[:-2], dtype=np.uint8)
+    for perm in itertools.permutations(range(n)):
+        term = functools.reduce(lambda x, y: F.mul[x, y],
+                                (A[..., i, j] for i, j in enumerate(perm)))
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        det = F.add[det, F.neg[term] if odd else term]
+    return det
+
+
+def _diagonal(columns):
+    """The stack of diagonal matrices with the given diagonal columns."""
+    n = len(columns)
+    out = np.zeros((len(columns[0]), n, n), dtype=np.uint8)
+    for i, column in enumerate(columns):
+        out[:, i, i] = column
+    return out
 
 
 # ---------------------------------------------------------------------------
 # projective actions for PSL / PGL
 
 def projective_points(F, dim):
-    """Normalized representatives (first nonzero coordinate 1), lex order."""
-    pts = []
-    for v in itertools.product(range(F.q), repeat=dim):
-        if any(v):
-            k = next(i for i, x in enumerate(v) if x)
-            if v[k] == 1:
-                pts.append(v)
-    return pts
+    """(count, dim) uint8 normalized representatives (first nonzero
+    coordinate 1), in lex order."""
+    v = np.arange(F.q ** dim)[:, None] // _places(F, dim) % F.q
+    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+    return v[lead == 1].astype(np.uint8)
 
 
-def normalize_point(F, v):
-    k = next(i for i, x in enumerate(v) if x)
-    s = F.inv(v[k])
-    return tuple(F.mul(s, x) for x in v)
+def _places(F, dim):
+    """Place values of the coordinates of a vector read as a base-q code,
+    the first coordinate leading."""
+    return F.q ** np.arange(dim - 1, -1, -1)
 
 
-def matrix_point_perm(F, A, points, index):
-    return tuple(index[normalize_point(F, mat_vec(F, A, p))] for p in points)
+def matrix_point_perms(F, mats, points):
+    """(len(mats), len(points)) index of the image of every point under
+    every matrix, all in one pass: each image vector is scaled to its
+    normalized representative and looked up by its base-q code.  An image
+    that is no listed point (or zero) raises BuildVerificationError."""
+    images = np.swapaxes(_mat_mul(F, mats, points.T), -1, -2)  # (k, P, dim)
+    lead = np.take_along_axis(images, (images != 0).argmax(axis=-1)[..., None],
+                              axis=-1)
+    places = _places(F, points.shape[1])
+    index = np.full(F.q ** points.shape[1], -1)
+    index[points @ places] = np.arange(len(points))
+    perms = index[F.mul[F.inv[lead], images] @ places]
+    if (perms < 0).any():
+        raise BuildVerificationError("a generator maps a point off the point set")
+    return perms
 
 
-def _special_linear_gens(F, dim):
-    """Elementary transvections I + lambda E_ij over all units; these
-    generate the special linear group for every field."""
-    gens = []
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            for lam in F.units():
-                m = [list(r) for r in mat_identity(dim)]
-                m[i][j] = lam
-                gens.append(tuple(tuple(r) for r in m))
+def _linear_generators(F, dim, linear="special"):
+    """(k, dim, dim) elementary transvections I + lambda E_ij over all units,
+    for i != j in lex order and lambda innermost, which generate the special
+    linear group for every field; for ``linear="general"`` then
+    diag(lambda, 1, ..., 1) for the units lambda != 1."""
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
+    units = np.arange(1, F.q)
+    gens = np.tile(np.eye(dim, dtype=np.uint8), (len(pairs) * len(units), 1, 1))
+    rows, cols = np.repeat(np.array(pairs), len(units), axis=0).T
+    gens[np.arange(len(gens)), rows, cols] = np.tile(units, len(pairs))
+    if linear == "general":
+        ones = np.ones(F.q - 2, dtype=np.uint8)
+        gens = np.concatenate(
+            [gens, _diagonal([np.arange(2, F.q)] + [ones] * (dim - 1))])
     return gens
 
 
@@ -213,18 +176,8 @@ def projective_space_action(F, dim, linear="special"):
     """Point permutations generating the projective (special) linear group
     on the normalized points of the projective space."""
     points = projective_points(F, dim)
-    index = {p: i for i, p in enumerate(points)}
-    gens = _special_linear_gens(F, dim)
-    if linear == "general":
-        for lam in F.units():
-            if lam != 1:
-                m = [list(r) for r in mat_identity(dim)]
-                m[0][0] = lam
-                gens.append(tuple(tuple(r) for r in m))
-    perms = []
-    for A in gens:
-        perms.append(matrix_point_perm(F, A, points, index))
-    return points, perms
+    gens = _linear_generators(F, dim, linear)
+    return points, matrix_point_perms(F, gens, points).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -317,64 +270,68 @@ def symplectic_group_order(m):
 # ---------------------------------------------------------------------------
 # unitary groups acting on isotropic points
 
-def hermitian_form(F, frob, u, v):
-    """u_1 v_3^q + u_2 v_2^q + u_3 v_1^q over the quadratic extension."""
-    total = 0
-    for a, b in ((u[0], v[2]), (u[1], v[1]), (u[2], v[0])):
-        total = F.add(total, F.mul(a, frob[b]))
-    return total
-
-
 def _frobenius_table(F, q):
-    return [F.pow(a, q) for a in range(F.q)]
+    """x -> x^q on every element of F, as a uint8 table."""
+    x = np.arange(F.q, dtype=np.uint8)
+    out = np.ones_like(x)
+    for _ in range(q):
+        out = F.mul[out, x]
+    return out
+
+
+def _hermitian_self(F, frob, vectors):
+    """h(v, v) = v_1 v_3^q + v_2 v_2^q + v_3 v_1^q of each vector."""
+    terms = F.mul[vectors, frob[vectors[..., ::-1]]]
+    return functools.reduce(lambda x, y: F.add[x, y], np.moveaxis(terms, -1, 0))
 
 
 def isotropic_points(F, frob):
-    """Normalized isotropic lines, the span of (1,0,0) first, then lex."""
-    pts = [p for p in projective_points(F, 3)
-           if hermitian_form(F, frob, p, p) == 0]
-    e1 = (1, 0, 0)
-    if e1 not in pts:
+    """(count, 3) normalized isotropic lines, the span of (1,0,0) first,
+    then lex."""
+    pts = projective_points(F, 3)
+    pts = pts[_hermitian_self(F, frob, pts) == 0]
+    e1 = (pts == (1, 0, 0)).all(axis=1)
+    if not e1.any():
         raise BuildVerificationError("span of e1 is not isotropic")
-    return [e1] + sorted(p for p in pts if p != e1)
+    return np.concatenate([pts[e1], pts[~e1]])
 
 
 def _unitary_root_elements(F, frob, q):
     """Upper unitriangular form-preserving matrices [[1,a,b],[0,1,-a^q],[0,0,1]]
-    with b + b^q + a^{q+1} = 0; there are q^3 of them."""
-    out = []
-    for a in range(F.q):
-        aq1 = F.mul(a, frob[a])
-        for b in range(F.q):
-            if F.add(F.add(b, frob[b]), aq1) == 0:
-                out.append(((1, a, b), (0, 1, F.neg(frob[a])), (0, 0, 1)))
-    if len(out) != q ** 3:
+    with b + b^q + a^{q+1} = 0, a outer and b inner; there are q^3 of them."""
+    x = np.arange(F.q)
+    a, b = np.nonzero(F.add[F.mul[x, frob][:, None], F.add[x, frob][None, :]] == 0)
+    if len(a) != q ** 3:
         raise BuildVerificationError("root subgroup has wrong size")
+    out = _diagonal([np.ones(len(a), dtype=np.uint8)] * 3)
+    out[:, 0, 1], out[:, 0, 2], out[:, 1, 2] = a, b, F.neg[frob[a]]
     return out
 
 
 def _unitary_generators(F, frob, q, flavor):
-    gens = list(_unitary_root_elements(F, frob, q))
-    norm_one = [lam for lam in F.units() if F.mul(lam, frob[lam]) == 1]
+    """(k, 3, 3) generator matrices: the root elements, the diagonal ones
+    diag(lambda, mu, lambda^-q) (every unit mu of norm 1 for pgu, mu =
+    lambda^(q-1) for psu, lambda outer) and the antidiagonal w.  Each must
+    satisfy A^T J frob(A) = J, J the antidiagonal Gram matrix of the form,
+    and for psu have determinant 1."""
+    units = np.arange(1, F.q)
     if flavor == "pgu":
-        for lam in F.units():
-            for mu in norm_one:
-                gens.append(((lam, 0, 0), (0, mu, 0), (0, 0, F.inv(frob[lam]))))
+        norm_one = units[F.mul[units, frob[units]] == 1]
+        lam = np.repeat(units, len(norm_one))
+        mu = np.tile(norm_one, len(units))
     else:
-        for lam in F.units():
-            mu = F.mul(frob[lam], F.inv(lam))  # lambda^{q-1}
-            gens.append(((lam, 0, 0), (0, mu, 0), (0, 0, F.inv(frob[lam]))))
-    w = ((0, 0, 1), (0, F.neg(1), 0), (1, 0, 0))
-    gens.append(w)
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for A in gens:
-        for u in basis:
-            for v in basis:
-                if hermitian_form(F, frob, mat_vec(F, A, u), mat_vec(F, A, v)) \
-                        != hermitian_form(F, frob, u, v):
-                    raise BuildVerificationError("generator does not preserve the form")
-        if flavor == "psu" and mat_det(F, A) != 1:
-            raise BuildVerificationError("special generator has determinant != 1")
+        lam = units
+        mu = F.mul[frob[units], F.inv[units]]  # lambda^{q-1}
+    w = np.array([[[0, 0, 1], [0, F.neg[1], 0], [1, 0, 0]]], dtype=np.uint8)
+    gens = np.concatenate([_unitary_root_elements(F, frob, q),
+                           _diagonal([lam, mu, F.inv[frob[lam]]]), w])
+    J = np.eye(3, dtype=np.uint8)[::-1]
+    # J frob(A) is frob(A) with its rows reversed
+    gram = _mat_mul(F, np.swapaxes(gens, 1, 2), frob[gens][:, ::-1])
+    if not (gram == J).all():
+        raise BuildVerificationError("generator does not preserve the form")
+    if flavor == "psu" and not (_mat_det(F, gens) == 1).all():
+        raise BuildVerificationError("special generator has determinant != 1")
     return gens
 
 
@@ -395,10 +352,8 @@ def unitary_isotropic_action(q, flavor):
     if len(points) != q ** 3 + 1:
         raise BuildVerificationError(
             f"expected {q ** 3 + 1} isotropic points, found {len(points)}")
-    index = {p: i for i, p in enumerate(points)}
-    perms = [matrix_point_perm(F, A, points, index)
-             for A in _unitary_generators(F, frob, q, flavor)]
-    return points, perms
+    gens = _unitary_generators(F, frob, q, flavor)
+    return points, matrix_point_perms(F, gens, points).tolist()
 
 
 # ---------------------------------------------------------------------------

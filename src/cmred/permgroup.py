@@ -211,8 +211,10 @@ class StabChain:
 
     @functools.cached_property
     def _rank_plan(self):
-        """(point, |O_i|, points to compare, count the complement) per
-        level, in base order; each level compares on the smaller side."""
+        """(the points read, then per level in base order: the position of
+        i among them, |O_i|, the positions of the points to compare, and
+        whether to count the complement); each level compares on the
+        smaller side."""
         plan = []
         for point, orbit in self.orbits:
             inside = np.zeros(self.degree, dtype=bool)
@@ -222,19 +224,34 @@ class StabChain:
                 plan.append((point, len(orbit), np.flatnonzero(inside), False))
             else:
                 plan.append((point, len(orbit), np.flatnonzero(~inside), True))
-        return plan
+        read = sorted({p for p, _, _, _ in plan}.union(
+            *(others.tolist() for _, _, others, _ in plan)))
+        at = {p: k for k, p in enumerate(read)}
+        return np.array(read, dtype=np.intp), [
+            (at[p], size, [at[o] for o in others.tolist()], outside)
+            for p, size, others, outside in plan]
 
     def rank(self, rows: np.ndarray) -> np.ndarray:
-        """Position of each row, an element of the group, in the byte-sorted
-        element list: the sum over levels i of |G^(i+1)| times
+        """int32 position of each row, an element of the group, in the
+        byte-sorted element list: the sum over levels i of |G^(i+1)| times
         #{o in O_i : g(o) < g(i)}, accumulated in base order (Horner's rule,
         |G^(i+1)| being the product of the deeper |O_j|).  The elements
         agreeing with g on 0..i-1 are g G^(i), and g s(i) runs over g(O_i),
-        each |G^(i+1)| times.  A permutation outside the group gets some rank
-        in 0..|G|-1 too."""
-        columns = np.ascontiguousarray(rows.T)
-        rank = np.zeros(rows.shape[0], dtype=np.int64)
-        for point, size, others, outside in self._rank_plan:
+        each |G^(i+1)| times.  Only the columns the levels compare are read.
+
+        Any uint8 row gets a rank, in [0, 255 |G|).  Each digit b_i is a
+        uint8 count (at most |O_i| - 1 <= 254) or g(i) minus a count of
+        points below it (in 0..255), so b_i <= 255.  With P_i the product
+        of the |O_j| for j > i, the rank is sum b_i P_i <= 255 sum P_i, and
+        P_(i-1) = |O_i| P_i >= 2 P_i makes sum P_i < 2 P_0 = 2 |G| / |O_0|
+        <= |G|; every partial sum of Horner's rule is smaller still.  So
+        255 |G| <= 255 ELEMENT_CAP < 2^31 keeps the ranks of the closure's
+        groups in int32; a larger group is ranked in int64."""
+        read, plan = self._rank_plan
+        columns = rows.T[read]  # the columns read, each contiguous
+        dtype = np.int32 if self.order <= ELEMENT_CAP else np.int64
+        rank = np.zeros(rows.shape[0], dtype=dtype)
+        for point, size, others, outside in plan:
             target = columns[point]
             below = np.zeros(rows.shape[0], dtype=np.uint8)  # at most 254
             for o in others:
@@ -261,7 +278,8 @@ class FiniteGroup:
         self._parents = parents  # (order, 2) int32: [generator slot, parent index]
         self._index_of_rank = index_of_rank  # (order,) int32
         # element indices of the input generators, one per BFS generator slot
-        self.generators = self.index_rows(chain.generators).tolist()
+        self.generators = self.index_elements(chain.generators,
+                                              "generators").tolist()
         self.orbit_generators = self._pick_orbit_generators()
 
     def _pick_orbit_generators(self) -> list[int]:
@@ -304,11 +322,20 @@ class FiniteGroup:
             hit &= found[:, j] == rows[:, j]
         return np.where(hit, idx, -1)
 
+    def index_elements(self, rows, what: str) -> np.ndarray:
+        """``index_rows`` of rows that must all be elements: a row outside the
+        group raises BuildVerificationError naming ``what``, the map that made
+        the rows, where a -1 would index the last element."""
+        idx = self.index_rows(rows)
+        if (idx < 0).any():
+            raise BuildVerificationError(f"{what}: a row outside the group")
+        return idx
+
     @functools.cached_property
     def inverses(self) -> np.ndarray:
         # the inverse of a permutation row is its argsort
-        return _mapped(
-            self, lambda rows: np.argsort(rows, axis=1).astype(np.uint8))
+        return _mapped(self, lambda rows: np.argsort(rows, axis=1).astype(
+            np.uint8), "inverse map")
 
     @functools.cached_property
     def mult_table(self) -> np.ndarray | None:
@@ -320,7 +347,8 @@ class FiniteGroup:
         n = self.order
         table = np.empty((n, n), dtype=np.uint16)
         table[0] = np.arange(n)
-        gen_rows = [self.index_rows(_take(self.images[g], self.images))
+        gen_rows = [self.index_elements(_take(self.images[g], self.images),
+                                        "generator product map")
                     .astype(np.uint16) for g in self.generators]  # g o b
         for e in range(1, n):
             slot, parent = self._parents[e]
@@ -354,16 +382,28 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     parents[0] = -1
     index_of_rank = np.full(order, -1, dtype=np.int32)
     index_of_rank[0] = 0  # the identity is the smallest row
+    gens = chain.generators
     levels = [0, 1]
     while levels[-1] > levels[-2]:
         start = stop = levels[-1]
         frontier = images[levels[-2]:start]
-        ranks = [np.empty(0, dtype=np.int64)]
-        for slot, grow in enumerate(chain.generators):
-            prod = _take(grow, frontier)  # gen o x
+        width = len(frontier)
+        # whole slots, as many as keep the batch's product bytes within one
+        # _take chunk's intp index copy
+        per_batch = max(1, TAKE_ENTRIES * np.intp(0).itemsize
+                        // (width * degree))
+        ranks = [np.empty(0, dtype=np.int32)]
+        for first in range(0, len(gens), per_batch):
+            batch = gens[first:first + per_batch]
+            prod = np.empty((len(batch), width, degree), dtype=np.uint8)
+            for grow, out in zip(batch, prod):
+                _take(grow, frontier, out=out)  # gen o x
+            prod = prod.reshape(-1, degree)
             rank = chain.rank(prod)
             at = _take(index_of_rank, rank)
             new = np.flatnonzero(at < 0)
+            if len(batch) > 1:  # keep the first product of each new element
+                new = new[np.unique(rank[new], return_index=True)[1]]
             end = stop + len(new)
             if end > order:
                 raise BuildVerificationError(
@@ -375,8 +415,9 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
             if not np.array_equal(_take(images, at), prod):
                 raise BuildVerificationError(
                     "two elements share a rank: the stabilizer chain is wrong")
-            parents[stop:end, 0] = slot
-            parents[stop:end, 1] = new + levels[-2]
+            slot, position = np.divmod(new, width)
+            parents[stop:end, 0] = slot + first
+            parents[stop:end, 1] = position + levels[-2]
             ranks.append(rank[new])
             stop = end
         ranks = np.concatenate(ranks)
@@ -408,14 +449,14 @@ def _take(a: np.ndarray, index, out=None) -> np.ndarray:
     return out
 
 
-def _mapped(G: FiniteGroup, f) -> np.ndarray:
+def _mapped(G: FiniteGroup, f, what: str) -> np.ndarray:
     """int32 element index of ``f(rows)`` for the image rows of every
-    element, one block of ``BLOCK_ROWS`` elements at a time; -1 where f
-    leaves the group."""
+    element, one block of ``BLOCK_ROWS`` elements at a time; f, the map
+    ``what``, must keep the group (``FiniteGroup.index_elements``)."""
     out = np.empty(G.order, dtype=np.int32)
     for start in range(0, G.order, BLOCK_ROWS):
         stop = start + BLOCK_ROWS
-        out[start:stop] = G.index_rows(f(G.images[start:stop]))
+        out[start:stop] = G.index_elements(f(G.images[start:stop]), what)
     return out
 
 
@@ -517,7 +558,8 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
         return CosetSpace(G, _take(number, column), first[by_first].tolist())
     labels = np.arange(G.order, dtype=np.int32)
     for s in rows:
-        labels = merge_labels(labels, _mapped(G, lambda x: x[:, s]))  # x o s
+        labels = merge_labels(labels, _mapped(  # x o s
+            G, lambda x: x[:, s], "right multiplication by a subgroup generator"))
     coset_of, reps = _partition(labels)
     return CosetSpace(G, coset_of, reps.tolist())
 
@@ -556,8 +598,8 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
     for g in G.orbit_generators:
         s = G.images[g]
         s_inv = np.argsort(s)
-        labels = merge_labels(labels,
-                              _mapped(G, lambda x: _take(s, x[:, s_inv])))
+        labels = merge_labels(labels, _mapped(
+            G, lambda x: _take(s, x[:, s_inv]), "conjugation map"))
     class_of, reps = _partition(labels)
     return ConjugacyPartition(class_of, reps.tolist())
 
@@ -567,8 +609,8 @@ def coset_action(G: FiniteGroup, C: CosetSpace, elements) -> np.ndarray:
     coset i to the coset of g o rep_i."""
     rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
     products = G.images[np.asarray(elements, dtype=np.int64)][:, rep_rows]
-    return C.coset_of[G.index_rows(products.reshape(-1, G.degree))].reshape(
-        -1, C.n)
+    return C.coset_of[G.index_elements(products.reshape(-1, G.degree),
+                                       "coset action")].reshape(-1, C.n)
 
 
 def is_k_transitive(action_rows, n: int, k: int) -> tuple[bool, int]:

@@ -25,14 +25,17 @@ from cmred.group_zoo import (
     _psi_f2,
     _unitary_generators,
     base_quadratic_mask,
-    hermitian_form,
-    mat_vec,
     quadratic_form_value,
     small_field,
     symplectic_group_order,
     unitary_group_order,
 )
-from matrix_oracle import close_matrices, enumerate_symplectic_maps
+from matrix_oracle import (
+    close_matrices,
+    enumerate_symplectic_maps,
+    hermitian_form,
+    mat_vec,
+)
 from perm_oracle import build_zoo_model
 
 SEED = 7

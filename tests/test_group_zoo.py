@@ -1,20 +1,25 @@
 import hashlib
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cmred.errors import BuildVerificationError, UnsupportedParameter
 from cmred.group_zoo import (
     SMALL_FIELD_ORDERS,
+    SmallField,
     ZooSpec,
+    _IRREDUCIBLE_TAILS,
     _frobenius_table,
+    _linear_generators,
+    matrix_point_perms,
+    projective_space_action,
+    unitary_isotropic_action,
     base_quadratic_mask,
     build,
-    hermitian_form,
     isotropic_points,
-    mat_det,
-    mat_vec,
     parse_zoo_spec,
     projective_points,
     quadratic_form_value,
@@ -29,8 +34,14 @@ from cmred.group_zoo import (
 )
 from cmred.permgroup import close_generators, conjugacy_classes, left_cosets
 from matrix_oracle import (
+    as_tuples,
     close_matrices,
     enumerate_symplectic_maps,
+    field_tables,
+    hermitian_form,
+    mat_det,
+    mat_vec,
+    matrix_point_perm,
     polarizing_form_masks,
     psi,
 )
@@ -41,13 +52,35 @@ def test_small_fields_construct_and_verify():
     # construction runs the exhaustive axiom check; spot arithmetic on top
     for q in SMALL_FIELD_ORDERS:
         F = small_field(q)
-        assert F.add(1, F.neg(1)) == 0
-        for a in F.units():
-            assert F.mul(a, F.inv(a)) == 1
+        assert F.add[1, F.neg[1]] == 0
+        for a in range(1, q):
+            assert F.mul[a, F.inv[a]] == 1
         # Frobenius x -> x^p is additive
+        frob = _frobenius_table(F, F.p)
         for a in range(q):
             for b in range(q):
-                assert F.pow(F.add(a, b), F.p) == F.add(F.pow(a, F.p), F.pow(b, F.p))
+                assert frob[F.add[a, b]] == F.add[frob[a], frob[b]]
+
+
+def test_field_tables_match_polynomial_arithmetic():
+    for q in SMALL_FIELD_ORDERS:
+        F = small_field(q)
+        p, tail = _IRREDUCIBLE_TAILS.get(q, (q, ()))
+        add, mul = field_tables(q, p, tail)
+        assert F.p == p and F.add.tolist() == add and F.mul.tolist() == mul, q
+
+
+@pytest.mark.parametrize("table, entries, message", [
+    ("mul", [(2, 1)], "identity"), ("neg", [(3,)], "no negative"),
+    ("inv", [(3,)], "no inverse"), ("mul", [(4, 5)], "commutativity"),
+    ("add", [(2, 3), (3, 2)], "additive assoc"),
+    ("mul", [(2, 3), (3, 2)], "mult assoc")])
+def test_a_wrong_field_table_fails_the_axioms(table, entries, message):
+    F = SmallField(7)
+    for at in entries:
+        getattr(F, table)[at] = (getattr(F, table)[at] + 1) % 7
+    with pytest.raises(BuildVerificationError, match=message):
+        F._verify_axioms()
 
 
 def test_small_field_unsupported():
@@ -254,8 +287,7 @@ def test_psl_stabilizer_of_e1_is_column_triangular():
     # matrices of SL3(F2) stabilizing the span of e1 have first column
     # (a, 0, 0); matches the displayed shape of the subgroup
     F = small_field(2)
-    from cmred.group_zoo import _special_linear_gens
-    mats = close_matrices(F, _special_linear_gens(F, 3))
+    mats = close_matrices(F, _linear_generators(F, 3))
     assert len(mats) == 168
     for A in mats:
         col_fixes = mat_vec(F, A, (1, 0, 0))[1:] == (0, 0)
@@ -267,11 +299,73 @@ def test_isotropic_points_counts_and_base_point():
     for q in (2, 3):
         F = small_field(q * q)
         frob = _frobenius_table(F, q)
-        pts = isotropic_points(F, frob)
+        pts = [tuple(p) for p in isotropic_points(F, frob).tolist()]
         assert len(pts) == q ** 3 + 1
         assert pts[0] == (1, 0, 0)
         for p in pts:
             assert hermitian_form(F, frob, p, p) == 0
+
+
+MATRIX_SPECS = [spec for spec in zoo_specs()
+                if spec.split(":")[0] in ("psl2", "pgl2", "psl3", "psu3", "pgu3")]
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS)
+def test_matrix_action_matches_the_point_by_point_oracle(spec):
+    # the oracle maps one point at a time through tuple arithmetic; the
+    # points are re-derived from their definition too
+    family, q = spec.split(":")[0], int(spec.split(":")[1])
+    if family in ("psu3", "pgu3"):
+        F = small_field(q * q)
+        frob = _frobenius_table(F, q)
+        points, perms = unitary_isotropic_action(q, family[:3])
+        mats = _unitary_generators(F, frob, q, family[:3])
+        vectors = itertools.product(range(F.q), repeat=3)
+        lines = sorted(v for v in vectors if any(v) and v[next(
+            i for i, x in enumerate(v) if x)] == 1 and hermitian_form(F, frob, v, v) == 0)
+        expected = [(1, 0, 0)] + [v for v in lines if v != (1, 0, 0)]
+    else:
+        dim = 3 if family == "psl3" else 2
+        F = small_field(q)
+        linear = "general" if family == "pgl2" else "special"
+        points, perms = projective_space_action(F, dim, linear)
+        mats = _linear_generators(F, dim, linear)
+        vectors = itertools.product(range(q), repeat=dim)
+        expected = [v for v in vectors if any(v) and v[next(
+            i for i, x in enumerate(v) if x)] == 1]
+    points = [tuple(p) for p in points.tolist()]
+    assert points == expected
+    index = {p: i for i, p in enumerate(points)}
+    assert [tuple(p) for p in perms] == [matrix_point_perm(F, A, points, index)
+                                         for A in as_tuples(mats)]
+    assert _zoo_action(parse_zoo_spec(spec)) == (len(points), perms)
+
+
+def test_a_generator_off_the_form_or_determinant_raises(monkeypatch):
+    import cmred.group_zoo as zoo
+    roots = zoo._unitary_root_elements
+    F = small_field(4)
+    frob = _frobenius_table(F, 2)
+    bent = roots(F, frob, 2).copy()
+    bent[3, 1, 0] = 1  # no longer upper triangular, and off the form
+    monkeypatch.setattr(zoo, "_unitary_root_elements", lambda *args: bent)
+    with pytest.raises(BuildVerificationError, match="does not preserve the form"):
+        build("psu3:2")
+    # diag(t, 1, t^-2) preserves the form but has determinant t^-1 != 1
+    scaled = np.array([[[2, 0, 0], [0, 1, 0], [0, 0, F.inv[frob[2]]]]],
+                      dtype=np.uint8)
+    monkeypatch.setattr(zoo, "_unitary_root_elements",
+                        lambda *args: np.concatenate([roots(*args), scaled]))
+    with pytest.raises(BuildVerificationError, match="determinant"):
+        build("psu3:2")
+    build("pgu3:2")  # the general group takes it
+
+
+def test_a_singular_matrix_maps_a_point_off_the_point_set():
+    F = small_field(5)
+    with pytest.raises(BuildVerificationError, match="off the point set"):
+        matrix_point_perms(F, np.zeros((1, 2, 2), dtype=np.uint8),
+                           projective_points(F, 2))
 
 
 def test_gu3_2_every_element_preserves_form():
@@ -305,7 +399,7 @@ def test_su3_generators_have_determinant_one():
     for q in (2, 3):
         F = small_field(q * q)
         frob = _frobenius_table(F, q)
-        for A in _unitary_generators(F, frob, q, "psu"):
+        for A in as_tuples(_unitary_generators(F, frob, q, "psu")):
             assert mat_det(F, A) == 1
 
 

@@ -20,6 +20,7 @@ from cmred.errors import (
     SubgroupNotContained,
     SubsetCapExceeded,
 )
+from cmred.cm_engine import pair_tensor
 from cmred.galois_model import UnitaryGaloisModel
 from cmred.group_zoo import _zoo_action, build, parse_zoo_spec, zoo_order
 from cmred.permgroup import (
@@ -907,3 +908,36 @@ def test_k_transitive_of_s9_over_s6_stays_small():
         tracemalloc.stop()
     assert m.n == 504 and result == (False, 33)
     assert peak <= 10 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("read, name", [
+    (lambda m: m.group.inverses, "inverse map"),
+    (lambda m: m.group.mult_table, "generator product map"),
+    (lambda m: conjugacy_classes(m.group), "conjugation map"),
+    (lambda m: left_cosets(m.group, [(1, 0, 3, 2)]),
+     "right multiplication by a subgroup generator"),
+    (lambda m: coset_action(m.group, m.cosets, range(m.group.order)),
+     "coset action"),
+    (lambda m: pair_tensor(m), "inverses of the coset representatives"),
+])
+def test_a_map_that_leaves_the_group_raises(monkeypatch, read, name):
+    # a -1 from index_rows used as an index would read the last element:
+    # merge_labels(arange(5), [1, 0, -1, 3, 4]) merges 2 with 4
+    assert permgroup.merge_labels(
+        np.arange(5), np.array([1, 0, -1, 3, 4])).tolist() == [0, 0, 2, 3, 2]
+    m = build_zoo_model("sym:4")
+    assert not {"inverses", "mult_table"} & set(vars(m.group))
+    index_rows = permgroup.FiniteGroup.index_rows
+
+    def last_row_leaves(self, rows):
+        # every map reads at least n = 4 rows; left_cosets' check of its
+        # one subgroup generator reads one
+        idx = index_rows(self, rows)
+        if len(idx) >= 4:
+            idx[-1] = -1
+        return idx
+
+    monkeypatch.setattr(permgroup.FiniteGroup, "index_rows", last_row_leaves)
+    with pytest.raises(BuildVerificationError,
+                       match=f"^{name}: a row outside the group$"):
+        read(m)
