@@ -8,6 +8,11 @@ and the group is closed from those permutations; no matrix group is
 enumerated.  Correctness never leans on the generator choices: every build
 re-derives the group order, the point count, and form preservation, and
 raises BuildVerificationError on any mismatch.
+
+Field elements, vectors and matrices over F_q are uint8 arrays, and all
+arithmetic is numpy indexing into ``SmallField``'s tables: a stack of k
+generator matrices maps all P points in one pass, (k, P) table reads per
+product term, as does the form check of every unitary generator.
 """
 
 from __future__ import annotations
@@ -124,18 +129,18 @@ def _diagonal(columns):
 # ---------------------------------------------------------------------------
 # projective actions for PSL / PGL
 
+def _places(F, dim):
+    """Place values of the coordinates of a vector read as a base-q code,
+    the first coordinate leading."""
+    return F.q ** np.arange(dim - 1, -1, -1)
+
+
 def projective_points(F, dim):
     """(count, dim) uint8 normalized representatives (first nonzero
     coordinate 1), in lex order."""
     v = np.arange(F.q ** dim)[:, None] // _places(F, dim) % F.q
     lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
     return v[lead == 1].astype(np.uint8)
-
-
-def _places(F, dim):
-    """Place values of the coordinates of a vector read as a base-q code,
-    the first coordinate leading."""
-    return F.q ** np.arange(dim - 1, -1, -1)
 
 
 def matrix_point_perms(F, mats, points):

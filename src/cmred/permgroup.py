@@ -8,14 +8,18 @@ arrays; all results are exact.
 
 Before any enumeration a Schreier-Sims chain (``StabChain``) on the base
 0, 1, ..., degree-1 gives |G| and every element's rank: its position in the
-byte-sorted element list, read from the basic orbits.  The closure checks
-the order against its cap, places each new element by its rank, and compares
-each already-seen candidate with the stored element by full row, so a wrong
-chain raises instead of giving a wrong group.  ``FiniteGroup.index_rows``
-looks a block of image rows up by rank and reports a row outside the group,
-caught by the same full-row compare, as -1.  A map of elements, such as
-conjugation by s, is looked up ``BLOCK_ROWS`` elements at a time
-(``_mapped``), so no full-size copy of the element rows is made.
+byte-sorted element list, read from the basic orbits, in int32 (any row
+ranks under 255 |G|).  The closure checks the order against its cap, takes
+each BFS level's generator slots in batches of whole slots, ranks a batch's
+products with one call, places each new element by its rank, and compares
+every product with the stored element by full row, so a wrong chain raises
+instead of giving a wrong group.  ``FiniteGroup.index_rows`` looks a block
+of image rows up by rank and reports a row outside the group, caught by the
+same full-row compare, as -1; ``FiniteGroup.index_elements`` raises
+BuildVerificationError instead, for the rows of a map that must keep the
+group.  A map of elements, such as conjugation by s, is looked up
+``BLOCK_ROWS`` elements at a time (``_mapped``), so no full-size copy of the
+element rows is made.
 
 Gathers by an integer index array (the closure's gen o x, label merges,
 conjugates, rank lookups, subset images and ranks) go through ``_take``:
@@ -240,13 +244,13 @@ class StabChain:
         each |G^(i+1)| times.  Only the columns the levels compare are read.
 
         Any uint8 row gets a rank, in [0, 255 |G|).  Each digit b_i is a
-        uint8 count (at most |O_i| - 1 <= 254) or g(i) minus a count of
-        points below it (in 0..255), so b_i <= 255.  With P_i the product
-        of the |O_j| for j > i, the rank is sum b_i P_i <= 255 sum P_i, and
-        P_(i-1) = |O_i| P_i >= 2 P_i makes sum P_i < 2 P_0 = 2 |G| / |O_0|
-        <= |G|; every partial sum of Horner's rule is smaller still.  So
-        255 |G| <= 255 ELEMENT_CAP < 2^31 keeps the ranks of the closure's
-        groups in int32; a larger group is ranked in int64."""
+        count of at most |O_i| - 1 <= 254 points, or g(i) minus a count,
+        wrapped to uint8, so b_i <= 255.  With P_i the product of the |O_j|
+        for j > i, the rank is sum b_i P_i <= 255 sum P_i, and P_(i-1) =
+        |O_i| P_i >= 2 P_i makes sum P_i < 2 P_0 = 2 |G| / |O_0| <= |G|;
+        every partial sum of Horner's rule is smaller still.  So 255 |G| <=
+        255 ELEMENT_CAP < 2^31 keeps the ranks of the closure's groups in
+        int32; a larger group is ranked in int64."""
         read, plan = self._rank_plan
         columns = rows.T[read]  # the columns read, each contiguous
         dtype = np.int32 if self.order <= ELEMENT_CAP else np.int64
@@ -364,12 +368,16 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     The chain gives |G| first: ElementCapExceeded as soon as it is known to
     be over ``cap``, and BuildVerificationError if it differs from an
     ``order`` the caller derived, before anything is allocated.  Then level
-    by level, each generator slot maps the whole frontier at once; a product
-    whose rank is taken must equal the element stored there, and the others
-    join the level with their first (slot, frontier position) as parent.  A
-    level is sorted by rank, which is byte order.  A collision or an
-    enumerated count other than the chain's order raises
-    BuildVerificationError.
+    by level, the generator slots map the whole frontier in batches of whole
+    slots: as many as keep a batch's products within the bytes of one
+    ``_take`` chunk's intp index copy (128 KiB), at least one.  One rank call
+    per batch places its products.  A product whose rank is taken must equal
+    the element stored there, and the others join the level with their first
+    (slot, frontier position) in slot-major order as parent; a batch of
+    several slots keeps the first of the products that share a new rank and
+    compares the rest with it, like every other product.  A level is sorted by rank, which is byte
+    order.  A collision or an enumerated count other than the chain's order
+    raises BuildVerificationError.
     """
     chain = StabChain(degree, generator_rows(degree, gens), cap)
     if order is not None and chain.order != order:
@@ -388,8 +396,6 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
         start = stop = levels[-1]
         frontier = images[levels[-2]:start]
         width = len(frontier)
-        # whole slots, as many as keep the batch's product bytes within one
-        # _take chunk's intp index copy
         per_batch = max(1, TAKE_ENTRIES * np.intp(0).itemsize
                         // (width * degree))
         ranks = [np.empty(0, dtype=np.int32)]
@@ -403,7 +409,11 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
             at = _take(index_of_rank, rank)
             new = np.flatnonzero(at < 0)
             if len(batch) > 1:  # keep the first product of each new element
-                new = new[np.unique(rank[new], return_index=True)[1]]
+                # for now, index_of_rank at each new rank holds the first
+                # batch position with that rank
+                index_of_rank[rank[new]] = np.iinfo(np.int32).max
+                np.minimum.at(index_of_rank, rank[new], new)
+                new = new[_take(index_of_rank, rank[new]) == new]
             end = stop + len(new)
             if end > order:
                 raise BuildVerificationError(
@@ -415,9 +425,8 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
             if not np.array_equal(_take(images, at), prod):
                 raise BuildVerificationError(
                     "two elements share a rank: the stabilizer chain is wrong")
-            slot, position = np.divmod(new, width)
-            parents[stop:end, 0] = slot + first
-            parents[stop:end, 1] = position + levels[-2]
+            parents[stop:end, 0] = new // width + first
+            parents[stop:end, 1] = new % width + levels[-2]
             ranks.append(rank[new])
             stop = end
         ranks = np.concatenate(ranks)

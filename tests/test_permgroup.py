@@ -717,6 +717,23 @@ def test_truncated_chain_is_caught_by_the_closure(level, monkeypatch):
         close_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
 
 
+def test_truncated_chain_is_caught_in_a_batch_of_slots(monkeypatch):
+    # sp4f2:+ has 15 generator slots, and every BFS level takes them in one
+    # batch: the products that share a rank there are compared too
+    degree, gens = _zoo_action(parse_zoo_spec("sp4f2:+"))
+    levels = len(StabChain(degree, generator_rows(degree, gens)).orbits)
+    for level in range(levels):
+        class Truncated(StabChain):
+            def __init__(self, *args):
+                super().__init__(*args)
+                point, orbit = self.orbits[level]
+                self.orbits[level] = (point, orbit[:-1])
+
+        monkeypatch.setattr(permgroup, "StabChain", Truncated)
+        with pytest.raises(BuildVerificationError):
+            close_generators(degree, gens)
+
+
 def test_too_large_group_is_rejected_before_enumeration():
     # S12 has 479,001,600 elements; the chain passes the cap in milliseconds
     swap = (1, 0) + tuple(range(2, 12))
