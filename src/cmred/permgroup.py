@@ -375,9 +375,9 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     the element stored there, and the others join the level with their first
     (slot, frontier position) in slot-major order as parent; a batch of
     several slots keeps the first of the products that share a new rank and
-    compares the rest with it, like every other product.  A level is sorted by rank, which is byte
-    order.  A collision or an enumerated count other than the chain's order
-    raises BuildVerificationError.
+    compares the rest with it, like every other product.  A level is sorted
+    by rank, which is byte order.  A collision or an enumerated count other
+    than the chain's order raises BuildVerificationError.
     """
     chain = StabChain(degree, generator_rows(degree, gens), cap)
     if order is not None and chain.order != order:

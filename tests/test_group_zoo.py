@@ -310,6 +310,12 @@ MATRIX_SPECS = [spec for spec in zoo_specs()
                 if spec.split(":")[0] in ("psl2", "pgl2", "psl3", "psu3", "pgu3")]
 
 
+def normalized_vectors(q, dim):
+    """Every vector whose first nonzero coordinate is 1, in lex order."""
+    return [v for v in itertools.product(range(q), repeat=dim)
+            if any(v) and next(x for x in v if x) == 1]
+
+
 @pytest.mark.parametrize("spec", MATRIX_SPECS)
 def test_matrix_action_matches_the_point_by_point_oracle(spec):
     # the oracle maps one point at a time through tuple arithmetic; the
@@ -320,9 +326,8 @@ def test_matrix_action_matches_the_point_by_point_oracle(spec):
         frob = _frobenius_table(F, q)
         points, perms = unitary_isotropic_action(q, family[:3])
         mats = _unitary_generators(F, frob, q, family[:3])
-        vectors = itertools.product(range(F.q), repeat=3)
-        lines = sorted(v for v in vectors if any(v) and v[next(
-            i for i, x in enumerate(v) if x)] == 1 and hermitian_form(F, frob, v, v) == 0)
+        lines = [v for v in normalized_vectors(F.q, 3)
+                 if hermitian_form(F, frob, v, v) == 0]
         expected = [(1, 0, 0)] + [v for v in lines if v != (1, 0, 0)]
     else:
         dim = 3 if family == "psl3" else 2
@@ -330,9 +335,7 @@ def test_matrix_action_matches_the_point_by_point_oracle(spec):
         linear = "general" if family == "pgl2" else "special"
         points, perms = projective_space_action(F, dim, linear)
         mats = _linear_generators(F, dim, linear)
-        vectors = itertools.product(range(q), repeat=dim)
-        expected = [v for v in vectors if any(v) and v[next(
-            i for i, x in enumerate(v) if x)] == 1]
+        expected = normalized_vectors(q, dim)
     points = [tuple(p) for p in points.tolist()]
     assert points == expected
     index = {p: i for i, p in enumerate(points)}
