@@ -248,13 +248,12 @@ class StabChain:
         wrapped to uint8, so b_i <= 255.  With P_i the product of the |O_j|
         for j > i, the rank is sum b_i P_i <= 255 sum P_i, and P_(i-1) =
         |O_i| P_i >= 2 P_i makes sum P_i < 2 P_0 = 2 |G| / |O_0| <= |G|;
-        every partial sum of Horner's rule is smaller still.  So 255 |G| <=
-        255 ELEMENT_CAP < 2^31 keeps the ranks of the closure's groups in
-        int32; a larger group is ranked in int64."""
+        every partial sum of Horner's rule is smaller still.  The ranks fit
+        int32 because close_generators, whose cap is at most ELEMENT_CAP,
+        never ranks past it: 255 ELEMENT_CAP < 2^31."""
         read, plan = self._rank_plan
         columns = rows.T[read]  # the columns read, each contiguous
-        dtype = np.int32 if self.order <= ELEMENT_CAP else np.int64
-        rank = np.zeros(rows.shape[0], dtype=dtype)
+        rank = np.zeros(rows.shape[0], dtype=np.int32)
         for point, size, others, outside in plan:
             target = columns[point]
             below = np.zeros(rows.shape[0], dtype=np.uint8)  # at most 254
@@ -366,7 +365,7 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     """Enumerate the group generated by ``gens`` on points 0..degree-1.
 
     The chain gives |G| first: ElementCapExceeded as soon as it is known to
-    be over ``cap``, and BuildVerificationError if it differs from an
+    be over ``cap`` (at most ELEMENT_CAP, which keeps ranks in int32), and BuildVerificationError if it differs from an
     ``order`` the caller derived, before anything is allocated.  Then level
     by level, the generator slots map the whole frontier in batches of whole
     slots: as many as keep a batch's products within the bytes of one

@@ -83,6 +83,17 @@ def test_a_wrong_field_table_fails_the_axioms(table, entries, message):
         F._verify_axioms()
 
 
+def test_a_relabelled_multiplication_fails_only_distributivity():
+    # exchanging 2 and 3 in mul and inv alone gives an isomorphic
+    # multiplicative monoid, so only the check that mixes add and mul fails
+    F = SmallField(7)
+    swap = np.array([0, 1, 3, 2, 4, 5, 6])
+    F.mul = swap[F.mul[swap][:, swap]].astype(np.uint8)
+    F.inv = swap[F.inv[swap]].astype(np.uint8)
+    with pytest.raises(BuildVerificationError, match="distributivity"):
+        F._verify_axioms()
+
+
 def test_small_field_unsupported():
     with pytest.raises(UnsupportedParameter):
         small_field(6)
