@@ -14,12 +14,13 @@ each BFS level's generator slots in batches of whole slots, ranks a batch's
 products with one call, places each new element by its rank, and compares
 every product with the stored element by full row, so a wrong chain raises
 instead of giving a wrong group.  ``FiniteGroup.index_rows`` looks a block
-of image rows up by rank and reports a row outside the group, caught by the
-same full-row compare, as -1; ``FiniteGroup.index_elements`` raises
-BuildVerificationError instead, for the rows of a map that must keep the
-group.  A map of elements, such as conjugation by s, is looked up
-``BLOCK_ROWS`` elements at a time (``_mapped``), so no full-size copy of the
-element rows is made.
+of image rows up by rank and reports a row outside the group, caught by a
+full-row compare with the element at its rank, as -1;
+``FiniteGroup.index_elements``, for the rows of a map that must keep the
+group, compares the whole block with the rows found in one pass and raises
+BuildVerificationError on any difference.  A map of elements, such as
+conjugation by s, is looked up ``BLOCK_ROWS`` elements at a time
+(``_mapped``), so no full-size copy of the element rows is made.
 
 Gathers by an integer index array (the closure's gen o x, label merges,
 conjugates, rank lookups, subset images and ranks) go through ``_take``:
@@ -27,14 +28,17 @@ conjugates, rank lookups, subset images and ranks) go through ``_take``:
 preallocated output.  On the narrow uint8 and int32 indices used here,
 ``np.take`` is faster than fancy indexing ``a[idx]``, but it first copies
 its index to intp, 8 bytes an entry; the chunks keep that copy at 128 KiB
-instead of eight times a whole uint8 index.  Selecting columns by a row of
-degree entries (``x[:, s]``) stays fancy indexing.
+instead of eight times a whole uint8 index.  Columns are selected by a row
+of degree entries directly, with ``x.take(s, axis=1)`` for the conjugates
+and ``x[:, s]`` elsewhere.
 
 Partitions are label arrays: ``labels[x]`` is the smallest item of x's
 class, and ``merge_labels`` merges x with ``image[x]`` for every x by hooking
-each root onto the smaller root and pointer jumping, in the labels' dtype.
-Partitions of G are int32 (|G| <= ELEMENT_CAP < 2^31), those of ordered
-k-tuples int32 while n**k < 2^31, and those of subsets int64.  Any
+each root onto the smaller root over every edge and pointer jumping, in the
+labels' dtype.  Partitions of G are int32 (|G| <= ELEMENT_CAP < 2^31), those
+of ordered k-tuples int32 while n**k < 2^31, and those of subsets int32 too:
+a subset's label is a lexicographic rank below C(n, eps) <= SUBSET_CAP <
+2^31 (int64 only for a larger cap passed in).  Any
 generating set of G gives the same partition, so the merges over G run over
 ``FiniteGroup.orbit_generators``: the input generators when there are at
 most two, else a set no longer than they, picked once with chain checks.
@@ -50,7 +54,8 @@ the row of g holds the coset of each g o rep_i, looked up by rank.
 Orbits on size-eps subsets of the n points are indexed by lexicographic rank
 (``itertools.combinations`` order): ``labels[r]`` is the rank of the smallest
 member of the orbit of subset r, so the canonical representative of an orbit
-is its minimum rank.  Each generator's image of every subset is ranked once
+is its minimum rank.  The subsets are built in that order directly
+(``lex_subsets``).  Each generator's image of every subset is ranked once
 and dropped before the next, so memory stays at a few arrays of C(n, eps)
 entries; the only size limit is ``SUBSET_CAP``.
 """
@@ -307,17 +312,24 @@ class FiniteGroup:
                 break
         return kept if chain.order == self.order else list(gens)
 
-    def index_rows(self, rows) -> np.ndarray:
-        """int32 element index of each row of an (m, degree) block of image
-        rows, -1 for a row that is not in the group."""
+    def _lookup(self, rows):
+        """(rows as an array, the int32 index stored at each row's clipped
+        rank, the element rows at those indices): a row is an element
+        exactly when it equals its found row."""
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             raise ValueError(f"need rows of length {self.degree}, "
                              f"got shape {rows.shape}")
         # a row that is not a permutation may rank outside 0..order-1
-        rank = np.clip(self.chain.rank(rows), 0, self.order - 1)
-        idx = _take(self._index_of_rank, rank)
-        found = _take(self.images, idx)
+        idx = self.chain.rank(rows)
+        np.clip(idx, 0, self.order - 1, out=idx)
+        _take(self._index_of_rank, idx, out=idx)
+        return rows, idx, _take(self.images, idx)
+
+    def index_rows(self, rows) -> np.ndarray:
+        """int32 element index of each row of an (m, degree) block of image
+        rows, -1 for a row that is not in the group."""
+        rows, idx, found = self._lookup(rows)
         # every row is compared in every column; a column at a time is
         # faster than a row-wise .all over (m, degree) uint8
         hit = found[:, 0] == rows[:, 0]
@@ -326,11 +338,14 @@ class FiniteGroup:
         return np.where(hit, idx, -1)
 
     def index_elements(self, rows, what: str) -> np.ndarray:
-        """``index_rows`` of rows that must all be elements: a row outside the
-        group raises BuildVerificationError naming ``what``, the map that made
-        the rows, where a -1 would index the last element."""
-        idx = self.index_rows(rows)
-        if (idx < 0).any():
+        """int32 element index of each row of a block that must hold
+        elements only, the rows of the map ``what``.  The rows found at the
+        ranks are compared with the whole block in one pass, written over
+        the found rows, so every row is still compared in full; a row
+        outside the group raises BuildVerificationError naming ``what``."""
+        rows, idx, found = self._lookup(rows)
+        # the compare overwrites found: no block-sized bool is made
+        if not np.equal(found, rows, out=found.view(np.bool_)).all():
             raise BuildVerificationError(f"{what}: a row outside the group")
         return idx
 
@@ -365,8 +380,9 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     """Enumerate the group generated by ``gens`` on points 0..degree-1.
 
     The chain gives |G| first: ElementCapExceeded as soon as it is known to
-    be over ``cap`` (at most ELEMENT_CAP, which keeps ranks in int32), and BuildVerificationError if it differs from an
-    ``order`` the caller derived, before anything is allocated.  Then level
+    be over ``cap`` (at most ELEMENT_CAP, which keeps ranks in int32), and
+    BuildVerificationError if it differs from an ``order`` the caller
+    derived, before anything is allocated.  Then level
     by level, the generator slots map the whole frontier in batches of whole
     slots: as many as keep a batch's products within the bytes of one
     ``_take`` chunk's intp index copy (128 KiB), at least one.  One rank call
@@ -375,8 +391,10 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     (slot, frontier position) in slot-major order as parent; a batch of
     several slots keeps the first of the products that share a new rank and
     compares the rest with it, like every other product.  A level is sorted
-    by rank, which is byte order.  A collision or an enumerated count other
-    than the chain's order raises BuildVerificationError.
+    by rank, which is byte order, in one sort of int64 keys, each new
+    element's rank above its position in the level.  A collision or an
+    enumerated count other than the chain's order raises
+    BuildVerificationError.
     """
     chain = StabChain(degree, generator_rows(degree, gens), cap)
     if order is not None and chain.order != order:
@@ -424,15 +442,24 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
             if not np.array_equal(_take(images, at), prod):
                 raise BuildVerificationError(
                     "two elements share a rank: the stabilizer chain is wrong")
-            parents[stop:end, 0] = new // width + first
-            parents[stop:end, 1] = new % width + levels[-2]
+            slot, position = np.divmod(new, width)
+            slot += first
+            position += levels[-2]
+            parents[stop:end, 0] = slot
+            parents[stop:end, 1] = position
             ranks.append(rank[new])
             stop = end
-        ranks = np.concatenate(ranks)
-        by_rank = np.argsort(ranks)
+        # ranks are distinct and below 2^31, positions below 2^31
+        key = np.concatenate(ranks, out=np.empty(stop - start, np.int64))
+        del ranks
+        key <<= 32
+        key |= np.arange(stop - start, dtype=np.int32)
+        key.sort()
+        by_rank = key.astype(np.int32)  # the low 32 bits: the positions
+        key >>= 32
         images[start:stop] = _take(images[start:stop], by_rank)
         parents[start:stop] = _take(parents[start:stop], by_rank)
-        index_of_rank[ranks[by_rank]] = np.arange(start, stop)
+        index_of_rank[key] = np.arange(start, stop, dtype=np.int32)
         levels.append(stop)
     if levels[-1] != order:
         raise BuildVerificationError(
@@ -472,31 +499,28 @@ def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
     """Merge the class of every x with the class of ``image[x]``.
 
     ``labels`` must name roots (``labels[labels] == labels``), each the
-    smallest item of its class.  Each round hooks every root onto the smaller
-    root across every unmerged edge (a scatter-min both ways) and then jumps
-    pointers, until both ends of every edge share a root.
+    smallest item of its class.  Each round gathers the root at the far end
+    of every edge and stops when it equals the labels: both ends of every
+    edge share a root.  Otherwise it hooks every root onto the smaller root
+    across every edge, a scatter-min both ways over full-length arrays with
+    no compaction of the edges that moved (an edge whose ends share a root
+    changes nothing), and jumps pointers until every entry names its root.
+    Two full-length buffers in the labels' dtype serve every round.
     """
+    ends = np.empty_like(labels)
+    spare = np.empty_like(labels)
     while True:
-        ends = _take(labels, image)
-        moved = ends != labels
-        if not moved.any():
+        _take(labels, image, out=ends)
+        if np.array_equal(ends, labels):
             return labels
-        head = ends[moved]
-        del ends  # one full-length label array fewer at the peak
-        tail = labels[moved]
-        np.minimum.at(labels, tail, head)
-        np.minimum.at(labels, head, tail)
-        labels = _compress(labels)
-
-
-def _compress(labels: np.ndarray) -> np.ndarray:
-    """Pointer jumping until every entry names its root."""
-    hop = np.empty_like(labels)
-    while True:
-        _take(labels, labels, out=hop)
-        if np.array_equal(hop, labels):
-            return labels
-        labels, hop = hop, labels
+        np.copyto(spare, labels)  # the roots before this round's hooks
+        np.minimum.at(labels, spare, ends)
+        np.minimum.at(labels, ends, spare)
+        while True:  # pointer jumping
+            _take(labels, labels, out=spare)
+            if np.array_equal(spare, labels):
+                break
+            labels, spare = spare, labels
 
 
 def _partition(labels: np.ndarray):
@@ -544,8 +568,10 @@ def _stabilized_point(G: FiniteGroup, rows: np.ndarray):
 def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
     """Partition G into left cosets of the subgroup H generated by
     ``H_gens``.  When H is the stabilizer of a point p, g H is fixed by g(p),
-    so the cosets are the values of column p numbered by first occurrence;
-    otherwise they are the classes of x ~ x o s over the generators s.
+    so the cosets are the values of column p numbered by first occurrence,
+    found by a scatter-min of positions over the column, ``TAKE_ENTRIES`` at
+    a time, with no sort; otherwise they are the classes of x ~ x o s over
+    the generators s.
 
     Raises SubgroupNotContained if a generator is outside G (then so is the
     subgroup; otherwise all of it lies in G).
@@ -559,11 +585,15 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
     point = _stabilized_point(G, rows)
     if point is not None:
         column = G.images[:, point]
-        values, first = np.unique(column, return_index=True)
-        by_first = np.argsort(first)
+        first = np.full(G.degree, G.order, dtype=np.int32)  # G.order: unseen
+        for start in range(0, G.order, TAKE_ENTRIES):
+            part = column[start:start + TAKE_ENTRIES]
+            np.minimum.at(first, part, np.arange(
+                start, start + len(part), dtype=np.int32))
+        reps = np.sort(first[first < G.order])
         number = np.empty(G.degree, dtype=np.int32)
-        number[values[by_first]] = np.arange(len(values), dtype=np.int32)
-        return CosetSpace(G, _take(number, column), first[by_first].tolist())
+        number[column[reps]] = np.arange(len(reps), dtype=np.int32)
+        return CosetSpace(G, _take(number, column), reps.tolist())
     labels = np.arange(G.order, dtype=np.int32)
     for s in rows:
         labels = merge_labels(labels, _mapped(  # x o s
@@ -606,8 +636,11 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
     for g in G.orbit_generators:
         s = G.images[g]
         s_inv = np.argsort(s)
-        labels = merge_labels(labels, _mapped(
-            G, lambda x: _take(s, x[:, s_inv]), "conjugation map"))
+        def conjugate(x):
+            rows = x.take(s_inv, axis=1)  # x o s^-1
+            return _take(s, rows, out=rows)  # s o x o s^-1, in place
+
+        labels = merge_labels(labels, _mapped(G, conjugate, "conjugation map"))
     class_of, reps = _partition(labels)
     return ConjugacyPartition(class_of, reps.tolist())
 
@@ -665,30 +698,61 @@ def check_subset_cap(n: int, eps: int, cap: int = SUBSET_CAP) -> None:
             f"C({n},{eps}) = {math.comb(n, eps)} exceeds cap {cap}")
 
 
+def _rank_dtype(n: int, eps: int):
+    """int32 when every rank among the size-eps subsets of n points fits,
+    as under ``SUBSET_CAP`` < 2^31, else int64."""
+    return np.int32 if math.comb(n, eps) < 2 ** 31 else np.int64
+
+
 def _lex_weights(n: int, eps: int) -> np.ndarray:
-    """(eps, n) int64 table: entry (i, a) is C(n - 1 - a, eps - i), capped at
-    C(n, eps) so that it fits in int64.  No subset's rank uses an entry over
-    C(n, eps), so the cap changes no rank."""
+    """(eps, n) table in ``_rank_dtype``: entry (i, a) is
+    C(n - 1 - a, eps - i), capped at C(n, eps) so that it fits.  No subset's
+    rank uses an entry over C(n, eps), so the cap changes no rank."""
     total = math.comb(n, eps)
     return np.array([[min(math.comb(n - 1 - a, eps - i), total)
                       for a in range(n)] for i in range(eps)],
-                    dtype=np.int64).reshape(eps, n)
+                    dtype=_rank_dtype(n, eps)).reshape(eps, n)
 
 
 def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     """Rank of each sorted row among the size-eps subsets of n points, in
-    ``itertools.combinations`` (lexicographic) order.
+    ``itertools.combinations`` (lexicographic) order, in ``_rank_dtype``.
 
     The weight of a_i counts the subsets that agree before position i and
     exceed a_i there (the combinatorial number system on n - 1 - a).
     """
     count, eps = subsets.shape
     weights = _lex_weights(n, eps)
-    ranks = np.full(count, math.comb(n, eps) - 1, dtype=np.int64)
-    weight = np.empty(count, dtype=np.int64)
+    ranks = np.full(count, math.comb(n, eps) - 1, dtype=weights.dtype)
+    weight = np.empty(count, dtype=weights.dtype)
     for i in range(eps):
         ranks -= _take(weights[i], subsets[:, i], out=weight)
     return ranks
+
+
+def lex_subsets(n: int, eps: int) -> np.ndarray:
+    """Every size-eps subset of n points as a sorted row, in lexicographic
+    order: row r is ``lex_unrank([r], n, eps)``, in its dtype.
+
+    Built in place from the last column.  The j-subsets of eps-j..n-1 fill
+    the first C(n - eps + j, j) rows of the last j columns: for each first
+    point a in turn, a followed by the last C(n - 1 - a, j - 1) of the
+    (j - 1)-subsets, those above a.  For a = eps - j that is all of them,
+    already in place, so every entry is written once."""
+    out = np.empty((math.comb(n, eps), eps), dtype=np.min_scalar_type(n - 1))
+    size = 1  # the empty subset
+    for j in range(1, eps + 1):
+        column = eps - j
+        out[:size, column] = column
+        stop = size
+        for a in range(column + 1, n - j + 1):
+            count = math.comb(n - 1 - a, j - 1)
+            out[stop:stop + count, column] = a
+            out[stop:stop + count, column + 1:] = out[size - count:size,
+                                                      column + 1:]
+            stop += count
+        size = stop
+    return out
 
 
 def lex_unrank(ranks, n: int, eps: int) -> np.ndarray:
@@ -716,17 +780,19 @@ def orbits_on_subsets(action_rows, n: int, eps: int,
     their multiplicities are the orbit sizes.
 
     One pass per row of ``action_rows``: the row maps every subset, the image
-    is sorted and ranked, and ``merge_labels`` merges it into the labels.
-    Only one row's image (an int64 rank per subset) is held at a time.
+    is sorted in place and ranked, and ``merge_labels`` merges it into the
+    labels.  Only one row's image (a rank per subset) is held at a time.
+    Labels and ranks are int32 (``_rank_dtype``) under the default cap.
     """
     check_subset_cap(n, eps, cap)
-    subsets = lex_unrank(np.arange(math.comb(n, eps)), n, eps)
-    labels = np.arange(subsets.shape[0], dtype=np.int64)
+    subsets = lex_subsets(n, eps)
+    labels = np.arange(subsets.shape[0], dtype=_rank_dtype(n, eps))
     for row in action_rows:
         # images in the subsets' own dtype, the smallest that holds n - 1
-        row = np.asarray(row, dtype=subsets.dtype)
-        labels = merge_labels(
-            labels, lex_rank(np.sort(_take(row, subsets), axis=1), n))
+        image = _take(np.asarray(row, dtype=subsets.dtype), subsets)
+        image.sort(axis=1)
+        image = lex_rank(image, n)  # the point rows are freed here
+        labels = merge_labels(labels, image)
     return labels
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -35,7 +36,9 @@ from cmred.permgroup import (
     is_k_transitive,
     left_cosets,
     lex_rank,
+    lex_subsets,
     lex_unrank,
+    merge_labels,
     orbits_on_subsets,
     stabilizer_generators,
 )
@@ -401,6 +404,53 @@ def test_lex_rank_is_combinations_order():
             assert (lex_rank(combos, n) == ranks).all()
 
 
+def test_lex_subsets_are_the_combinations():
+    for n in range(1, 13):
+        for eps in range(n + 1):
+            subsets = lex_subsets(n, eps)
+            assert subsets.dtype == np.min_scalar_type(n - 1)
+            count = math.comb(n, eps)
+            assert np.array_equal(
+                subsets, lex_unrank(np.arange(count), n, eps))
+            combos = np.array(list(itertools.combinations(range(n), eps)),
+                              dtype=subsets.dtype).reshape(count, eps)
+            assert np.array_equal(subsets, combos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_labels_matches_a_union_find(data):
+    m = data.draw(st.integers(min_value=1, max_value=40))
+    items = st.integers(min_value=0, max_value=m - 1)
+    classes = data.draw(st.lists(items, min_size=m, max_size=m))
+    if data.draw(st.booleans()):
+        image = data.draw(st.permutations(range(m)))
+    else:
+        image = data.draw(st.lists(items, min_size=m, max_size=m))
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+    smallest = {}
+    for x, c in enumerate(classes):
+        smallest.setdefault(c, x)
+    labels = [smallest[c] for c in classes]  # root labels
+
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x in range(m):
+        for y in (labels[x], image[x]):
+            a, b = find(x), find(y)
+            parent[max(a, b)] = min(a, b)  # a root is its class's minimum
+    got = merge_labels(np.array(labels, dtype=dtype),
+                       np.array(image, dtype=data.draw(st.sampled_from(
+                           [np.uint8, np.int32, np.int64]))))
+    assert got.dtype == dtype
+    assert got.tolist() == [find(x) for x in range(m)]
+
+
 def test_lex_rank_past_int64_binomials():
     # C(69, 34) does not fit in int64; the capped weights never need it
     n = 70
@@ -646,7 +696,75 @@ def test_conjugacy_classes_of_sym9_stay_small():
         tracemalloc.stop()
     assert P.count == 30
     assert "classes" not in vars(P)
-    assert peak <= 12 * 2 ** 20, peak / 2 ** 20
+    assert peak <= 9 * 2 ** 20, peak / 2 ** 20
+
+
+def test_index_elements_at_the_block_edges():
+    # one row outside G on either side of a block edge raises, naming the
+    # map, through _mapped and through coset_action; valid blocks give
+    # index_rows' indices
+    G = sym_group(8)
+    edge = permgroup.BLOCK_ROWS
+    s = G.images[G.generators[1]]
+    s_inv = np.argsort(s)
+
+    def conjugate(x):
+        return s[x[:, s_inv]]
+
+    rows = conjugate(G.images)
+    expected = G.index_rows(rows)
+    assert (expected >= 0).all()
+    assert np.array_equal(G.index_elements(rows, "conjugation map"), expected)
+    assert np.array_equal(
+        permgroup._mapped(G, conjugate, "conjugation map"), expected)
+    C = left_cosets(G, stabilizer_generators(G))
+    elements = np.arange(2 * edge) % G.order
+    products = G.images[elements][:, G.images[C.reps]].reshape(-1, 8)
+    assert np.array_equal(coset_action(G, C, elements).ravel(),
+                          C.coset_of[G.index_rows(products)])
+
+    whole = permgroup.CosetSpace(G, np.zeros(G.order, dtype=np.int32), [0])
+    outside = copy.copy(G)  # one more image row, past the elements
+    bad_rows = [np.zeros(8, dtype=np.uint8),  # not a permutation
+                (np.arange(8)[::-1] % 7).astype(np.uint8)]  # 0 twice, no 7
+    for at, bad in zip((edge - 1, edge), bad_rows):
+        seen = [0]  # elements mapped so far
+
+        def leaves(x):
+            out = conjugate(x)
+            if seen[0] <= at < seen[0] + len(x):
+                out[at - seen[0]] = bad
+            seen[0] += len(x)
+            return out
+
+        with pytest.raises(BuildVerificationError,
+                           match="^conjugation map: a row outside the group$"):
+            permgroup._mapped(G, leaves, "conjugation map")
+        # raised in the block that holds the bad row
+        assert seen[0] == min((at // edge + 1) * edge, G.order)
+        outside.images = np.vstack([G.images, bad])
+        moved = elements.copy()
+        moved[at] = G.order  # one product, g o rep_0 = g, is the bad row
+        assert np.array_equal(coset_action(outside, whole, elements),
+                              np.zeros((2 * edge, 1), dtype=np.int32))
+        with pytest.raises(BuildVerificationError,
+                           match="^coset action: a row outside the group$"):
+            coset_action(outside, whole, moved)
+
+
+def test_orbits_on_subsets_of_psu3_3_stay_small():
+    # C(28, 7) = 1,184,040 subsets: int32 labels and ranks, subsets built
+    # in lexicographic order, each image sorted in place
+    rows = build_zoo_model("psu3:3").generator_action_rows
+    tracemalloc.start()
+    try:
+        labels = orbits_on_subsets(rows, 28, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.dtype == np.int32 and len(labels) == math.comb(28, 7)
+    assert (labels[labels] == labels).all()
+    assert peak <= 48 * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("spec", ["sym:4", "psl2:7", "pgl2:13"])
@@ -944,17 +1062,17 @@ def test_a_map_that_leaves_the_group_raises(monkeypatch, read, name):
         np.arange(5), np.array([1, 0, -1, 3, 4])).tolist() == [0, 0, 2, 3, 2]
     m = build_zoo_model("sym:4")
     assert not {"inverses", "mult_table"} & set(vars(m.group))
-    index_rows = permgroup.FiniteGroup.index_rows
+    lookup = permgroup.FiniteGroup._lookup
 
     def last_row_leaves(self, rows):
         # every map reads at least n = 4 rows; left_cosets' check of its
-        # one subgroup generator reads one
-        idx = index_rows(self, rows)
-        if len(idx) >= 4:
-            idx[-1] = -1
-        return idx
+        # one subgroup generator reads one.  A zero row is no permutation
+        rows = np.array(rows)
+        if len(rows) >= 4:
+            rows[-1] = 0
+        return lookup(self, rows)
 
-    monkeypatch.setattr(permgroup.FiniteGroup, "index_rows", last_row_leaves)
+    monkeypatch.setattr(permgroup.FiniteGroup, "_lookup", last_row_leaves)
     with pytest.raises(BuildVerificationError,
                        match=f"^{name}: a row outside the group$"):
         read(m)
