@@ -8,8 +8,8 @@ assembles the same class function from the trace, the permutation
 character, and double-coset counts gathered from the pair tensor by subset
 size.  Both give (2, k) int64 numerators over one denominator per class
 for the whole model, D_c = 2 h n^2 |c| (``closed_denominators``), so every
-comparison is integer equality, with zero tolerance; Fractions are built
-only for witness strings.
+comparison is integer equality, with zero tolerance; witness strings write
+a numerator over its denominator in lowest terms (``_fraction_text``).
 
 A CM type is a sorted tuple of coset indices (see ``galois_model``).  Every
 check takes one seeded subset sweep (``subset_sweep``), built once per run:
@@ -24,7 +24,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -118,6 +117,19 @@ def conjugate_subgroup_sum(model: UnitaryGaloisModel) -> np.ndarray:
     return model.group.order // size * tally
 
 
+def _fraction_text(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` without importing
+    ``fractions``: lowest terms with the sign on the numerator, and no
+    denominator when it is 1."""
+    if denominator == 0:
+        raise ZeroDivisionError(f"{numerator}/0")
+    g = math.gcd(numerator, denominator)
+    if denominator < 0:
+        g = -g
+    numerator, denominator = numerator // g, denominator // g
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
 def _first_mismatch(lhs, rhs, den):
     """The first differing value of two stacks of class functions ((m, 2, k)
     numerators over the same (k,) denominators), in (row, class, bit)
@@ -128,8 +140,8 @@ def _first_mismatch(lhs, rhs, den):
         return None
     s, c, bit = (int(i) for i in hits[0])
     return s, {"class_index": c, "bit": bit,
-               "lhs": str(Fraction(int(lhs[s, bit, c]), int(den[c]))),
-               "rhs": str(Fraction(int(rhs[s, bit, c]), int(den[c])))}
+               "lhs": _fraction_text(int(lhs[s, bit, c]), int(den[c])),
+               "rhs": _fraction_text(int(rhs[s, bit, c]), int(den[c]))}
 
 
 def check_induced_character(sweep: SubsetSweep) -> IdentityReport:
@@ -225,7 +237,8 @@ def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
     """
     G, C = model.group, model.cosets
     n, k = model.n, model.classes.count
-    # int64 before the arithmetic: coset and class indices are int32
+    # int64 before the arithmetic: coset indices are uint8 or uint16 and
+    # class indices int32
     P0 = np.bincount(C.coset_of.astype(np.int64) * k + model.classes.class_of,
                      minlength=n * k).reshape(n, k)
     rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
@@ -446,10 +459,10 @@ def check_cm0_suite(sweep: SubsetSweep) -> IdentityReport:
     if len(off):
         c = int(off[0])
         witness = {"class_index": c,
-                   "sum": str(Fraction(int(row[c]), int(den[c]))),
-                   "expected": str(Fraction(int(row[0]), int(den[0])))}
+                   "sum": _fraction_text(int(row[c]), int(den[c])),
+                   "expected": _fraction_text(int(row[0]), int(den[0]))}
     else:
-        witness = {"constant": str(Fraction(int(row[0]), int(den[0]))),
+        witness = {"constant": _fraction_text(int(row[0]), int(den[0])),
                    "expected": "1/2"}
     witness["subset"] = [i + 1 for i in sweep.subsets[s]]
     return IdentityReport("cm0-membership", False, witness)

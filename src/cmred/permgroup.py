@@ -13,7 +13,12 @@ ranks under 255 |G|).  The closure checks the order against its cap, takes
 each BFS level's generator slots in batches of whole slots, ranks a batch's
 products with one call, places each new element by its rank, and compares
 every product with the stored element by full row, so a wrong chain raises
-instead of giving a wrong group.  ``FiniteGroup.index_rows`` looks a block
+instead of giving a wrong group.  It records the BFS level boundaries
+(``FiniteGroup.levels``), not a parent per element: the BFS words that
+``mult_table`` extends along are derived from the levels on first read
+(``FiniteGroup._parents``), so a run past ``TABLE_CAP`` holds no parents.
+A chain given the order the caller derived stops building once its orbit
+lengths multiply to it.  ``FiniteGroup.index_rows`` looks a block
 of image rows up by rank and reports a row outside the group, caught by a
 full-row compare with the element at its rank, as -1;
 ``FiniteGroup.index_elements``, for the rows of a map that must keep the
@@ -48,8 +53,11 @@ under the coset action of one of them.  The closure and the BFS parent words
 keep the input generators.  Left cosets of the stabilizer of a point p are
 read from column p of the element list (gH is fixed by g(p)); the cosets of
 any other subgroup are the classes of x ~ x o s for its generators s.
+Cosets are numbered in the smallest dtype that holds n - 1: uint8 for a
+point stabilizer (n <= degree <= 255), uint16 up to 65,536 cosets.
 ``coset_action`` builds the action rows of the elements it is given only:
-the row of g holds the coset of each g o rep_i, looked up by rank.
+the row of g holds the coset of each g o rep_i, looked up by rank, in the
+coset numbers' dtype.
 
 Orbits on size-eps subsets of the n points are indexed by lexicographic rank
 (``itertools.combinations`` order): ``labels[r]`` is the rank of the smallest
@@ -122,9 +130,25 @@ class StabChain:
     Every orbit found on the way is inside a basic orbit, so the product of
     their lengths never exceeds |G|: once it passes ``cap`` the build stops
     with ElementCapExceeded, naming that lower bound.
+
+    Given ``order``, the build also stops as soon as that product equals
+    it, and when ``order`` is |G| the chain is then complete.  The orbit
+    kept for a level i is the orbit of i under a subgroup of G^(i), so it
+    lies in O_i, and a level with no orbit kept counts 1 <= |O_i|.  Their
+    product equals prod |O_i| = |G| only if every kept orbit is all of O_i
+    and every other O_i is {i}.  A kept level's transversal rows lie in
+    G^(i) and reach every point of O_i, so sifting through the levels
+    decides membership in G exactly and the ranks are those of the full
+    chain.  By induction from the deepest level, the rows of ``strong``
+    fixing 0..i-1 generate a subgroup of G^(i) that holds all
+    prod_{j >= i} |O_j| = |G^(i)| products of transversal rows, so all of
+    G^(i) (Seress 2003, ch. 4).  An ``order`` below |G| may stop the build
+    at a partial product: the chain is then wrong, and the closure's
+    full-row compares catch it.
     """
 
-    def __init__(self, degree: int, gen_rows: np.ndarray, cap=None):
+    def __init__(self, degree: int, gen_rows: np.ndarray, cap=None,
+                 order=None):
         self.degree = degree
         self.generators = gen_rows
         moved = gen_rows != np.arange(degree)
@@ -146,6 +170,8 @@ class StabChain:
                     raise ElementCapExceeded(
                         f"group order is at least {bound}, over the cap of "
                         f"{cap} elements")
+                if bound == order:
+                    break
             residue = self._check_level(i)
             if residue is None:
                 i -= 1
@@ -248,14 +274,19 @@ class StabChain:
         agreeing with g on 0..i-1 are g G^(i), and g s(i) runs over g(O_i),
         each |G^(i+1)| times.  Only the columns the levels compare are read.
 
-        Any uint8 row gets a rank, in [0, 255 |G|).  Each digit b_i is a
-        count of at most |O_i| - 1 <= 254 points, or g(i) minus a count,
-        wrapped to uint8, so b_i <= 255.  With P_i the product of the |O_j|
-        for j > i, the rank is sum b_i P_i <= 255 sum P_i, and P_(i-1) =
-        |O_i| P_i >= 2 P_i makes sum P_i < 2 P_0 = 2 |G| / |O_0| <= |G|;
-        every partial sum of Horner's rule is smaller still.  The ranks fit
-        int32 because close_generators, whose cap is at most ELEMENT_CAP,
-        never ranks past it: 255 ELEMENT_CAP < 2^31."""
+        A permutation row, in the group or not, ranks in [0, |G|), with |G|
+        the product of the orbit lengths even for a wrong chain: its digit
+        b_i counts points of O_i other than i (the complement count is g(i)
+        minus the points outside O_i below g(i)), so b_i <= |O_i| - 1 and
+        the rank is at most prod |O_i| - 1.  Any uint8 row gets a rank, in
+        [0, 255 |G|).  Each digit b_i is a count of at most |O_i| - 1 <= 254
+        points, or g(i) minus a count, wrapped to uint8, so b_i <= 255.
+        With P_i the product of the |O_j| for j > i, the rank is
+        sum b_i P_i <= 255 sum P_i, and P_(i-1) = |O_i| P_i >= 2 P_i makes
+        sum P_i < 2 P_0 = 2 |G| / |O_0| <= |G|; every partial sum of
+        Horner's rule is smaller still.  The ranks fit int32 because
+        close_generators, whose cap is at most ELEMENT_CAP, never ranks past
+        it: 255 ELEMENT_CAP < 2^31."""
         read, plan = self._rank_plan
         columns = rows.T[read]  # the columns read, each contiguous
         rank = np.zeros(rows.shape[0], dtype=np.int32)
@@ -278,12 +309,13 @@ class FiniteGroup:
     lexicographic tie-break, so indices are stable across runs.
     """
 
-    def __init__(self, chain: StabChain, images, parents, index_of_rank):
+    def __init__(self, chain: StabChain, images, levels, index_of_rank):
         self.chain = chain
         self.degree = chain.degree
         self.images = images  # (order, degree) uint8
         self.order = int(images.shape[0])
-        self._parents = parents  # (order, 2) int32: [generator slot, parent index]
+        # BFS level boundaries: level k is elements levels[k]:levels[k + 1]
+        self.levels = levels
         self._index_of_rank = index_of_rank  # (order,) int32
         # element indices of the input generators, one per BFS generator slot
         self.generators = self.index_elements(chain.generators,
@@ -307,7 +339,7 @@ class FiniteGroup:
             if chain._sift(self.images[g][None], 0) is None:
                 continue  # already in the group of the kept elements
             kept.append(g)
-            chain = StabChain(self.degree, self.images[kept])
+            chain = StabChain(self.degree, self.images[kept], order=self.order)
             if chain.order == self.order or len(kept) >= len(gens) - 1:
                 break
         return kept if chain.order == self.order else list(gens)
@@ -356,6 +388,30 @@ class FiniteGroup:
             np.uint8), "inverse map")
 
     @functools.cached_property
+    def _parents(self) -> np.ndarray:
+        """(order, 2) int32 [generator slot, parent index] of the BFS words,
+        [-1, -1] for the identity, as the closure chose them: the first
+        (slot, frontier position) in slot-major order whose product is the
+        element.  A slot s reaches an element e from at most one element,
+        s^-1 o e, so that is the first slot in order whose inverse maps e
+        into the level before e's, and the parent is that image.  Built for
+        ``mult_table`` only; a run past ``TABLE_CAP`` never builds it."""
+        parents = np.full((self.order, 2), -1, dtype=np.int32)
+        depth = np.repeat(np.arange(len(self.levels) - 1, dtype=np.int32),
+                          np.diff(self.levels))
+        open_ = np.arange(1, self.order, dtype=np.int32)  # no parent yet
+        inverses = np.argsort(self.chain.generators, axis=1).astype(np.uint8)
+        for slot, inverse in enumerate(inverses):
+            rows = _take(self.images, open_)
+            x = self.index_elements(_take(inverse, rows, out=rows),
+                                    "inverse generator map")  # s^-1 o e
+            hit = _take(depth, x) == _take(depth, open_) - 1
+            parents[open_[hit], 0] = slot
+            parents[open_[hit], 1] = x[hit]
+            open_ = open_[~hit]
+        return parents
+
+    @functools.cached_property
     def mult_table(self) -> np.ndarray | None:
         """Dense table mul[a, b] = index(a o b); None above TABLE_CAP."""
         if self.order > TABLE_CAP:
@@ -382,29 +438,31 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     The chain gives |G| first: ElementCapExceeded as soon as it is known to
     be over ``cap`` (at most ELEMENT_CAP, which keeps ranks in int32), and
     BuildVerificationError if it differs from an ``order`` the caller
-    derived, before anything is allocated.  Then level
+    derived, before anything is allocated; the chain stops building once its
+    orbit lengths multiply to that order.  Then level
     by level, the generator slots map the whole frontier in batches of whole
     slots: as many as keep a batch's products within the bytes of one
     ``_take`` chunk's intp index copy (128 KiB), at least one.  One rank call
-    per batch places its products.  A product whose rank is taken must equal
-    the element stored there, and the others join the level with their first
-    (slot, frontier position) in slot-major order as parent; a batch of
-    several slots keeps the first of the products that share a new rank and
-    compares the rest with it, like every other product.  A level is sorted
-    by rank, which is byte order, in one sort of int64 keys, each new
-    element's rank above its position in the level.  A collision or an
-    enumerated count other than the chain's order raises
+    per batch places its products; a product is a permutation, so its rank
+    is below the chain's order even when the chain is wrong (``rank``).  A
+    product whose rank is taken must equal the element stored there, and
+    the others join the level; a batch of several slots keeps the first of
+    the products that share a new rank and compares the rest with it, like
+    every other product.  So an ``order`` below |G| that stops the chain at
+    a partial product raises too, and an element's first (slot, frontier
+    position) in slot-major order is the one ``FiniteGroup._parents``
+    derives.  A level is sorted by rank, which is byte order, in one sort of
+    int64 keys, each new element's rank above its position in the level.
+    A collision or an enumerated count other than the chain's order raises
     BuildVerificationError.
     """
-    chain = StabChain(degree, generator_rows(degree, gens), cap)
+    chain = StabChain(degree, generator_rows(degree, gens), cap, order)
     if order is not None and chain.order != order:
         raise BuildVerificationError(
             f"expected order {order}, the stabilizer chain gives {chain.order}")
     order = chain.order
     images = np.empty((order, degree), dtype=np.uint8)
     images[0] = np.arange(degree)
-    parents = np.empty((order, 2), dtype=np.int32)
-    parents[0] = -1
     index_of_rank = np.full(order, -1, dtype=np.int32)
     index_of_rank[0] = 0  # the identity is the smallest row
     gens = chain.generators
@@ -442,11 +500,6 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
             if not np.array_equal(_take(images, at), prod):
                 raise BuildVerificationError(
                     "two elements share a rank: the stabilizer chain is wrong")
-            slot, position = np.divmod(new, width)
-            slot += first
-            position += levels[-2]
-            parents[stop:end, 0] = slot
-            parents[stop:end, 1] = position
             ranks.append(rank[new])
             stop = end
         # ranks are distinct and below 2^31, positions below 2^31
@@ -458,13 +511,12 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
         by_rank = key.astype(np.int32)  # the low 32 bits: the positions
         key >>= 32
         images[start:stop] = _take(images[start:stop], by_rank)
-        parents[start:stop] = _take(parents[start:stop], by_rank)
         index_of_rank[key] = np.arange(start, stop, dtype=np.int32)
         levels.append(stop)
     if levels[-1] != order:
         raise BuildVerificationError(
             f"enumerated {levels[-1]} elements, the chain's order is {order}")
-    return FiniteGroup(chain, images, parents, index_of_rank)
+    return FiniteGroup(chain, images, levels[:-1], index_of_rank)
 
 
 def _take(a: np.ndarray, index, out=None) -> np.ndarray:
@@ -523,13 +575,18 @@ def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
             labels, spare = spare, labels
 
 
-def _partition(labels: np.ndarray):
-    """(int32 class of each item, smallest item per class) of root labels,
-    classes numbered by their smallest item: a root's number is the count of
-    roots before it."""
+def _partition(labels: np.ndarray, narrow: bool = False):
+    """(class of each item, smallest item per class) of root labels, classes
+    numbered by their smallest item: a root's number is the count of roots
+    before it.  The numbers are int32, or with ``narrow`` in the smallest
+    dtype that holds the last one."""
     roots = labels == np.arange(len(labels), dtype=labels.dtype)
-    number = np.cumsum(roots, dtype=np.int32) - 1
-    return _take(number, labels), np.flatnonzero(roots)
+    reps = np.flatnonzero(roots)
+    number = np.cumsum(roots, dtype=np.int32)
+    number -= 1
+    dtype = np.min_scalar_type(len(reps) - 1) if narrow else np.int32
+    # np.take casts into an output of another dtype
+    return _take(number, labels, out=np.empty(len(labels), dtype)), reps
 
 
 class CosetSpace:
@@ -542,7 +599,9 @@ class CosetSpace:
 
     def __init__(self, group, coset_of, reps):
         self.group = group
-        self.coset_of = coset_of  # (order,) int32: element index -> coset index
+        # (order,) uint8 or uint16, the smallest dtype that holds n - 1:
+        # element index -> coset index
+        self.coset_of = coset_of
         self.reps = reps  # representative element index per coset
         # sorted element indices of H
         self.subgroup_elements = np.flatnonzero(coset_of == 0).astype(np.int32)
@@ -591,14 +650,14 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
             np.minimum.at(first, part, np.arange(
                 start, start + len(part), dtype=np.int32))
         reps = np.sort(first[first < G.order])
-        number = np.empty(G.degree, dtype=np.int32)
-        number[column[reps]] = np.arange(len(reps), dtype=np.int32)
+        number = np.empty(G.degree, dtype=np.min_scalar_type(len(reps) - 1))
+        number[column[reps]] = np.arange(len(reps))
         return CosetSpace(G, _take(number, column), reps.tolist())
     labels = np.arange(G.order, dtype=np.int32)
     for s in rows:
         labels = merge_labels(labels, _mapped(  # x o s
             G, lambda x: x[:, s], "right multiplication by a subgroup generator"))
-    coset_of, reps = _partition(labels)
+    coset_of, reps = _partition(labels, narrow=True)
     return CosetSpace(G, coset_of, reps.tolist())
 
 

@@ -19,6 +19,7 @@ from pair_oracle import pair_tensor_by_lookup
 from cmred.cm_engine import (
     INT64_MAX,
     _closed_numerators,
+    _fraction_text,
     _pair_weight,
     check_closed_bound,
     check_closed_form,
@@ -927,3 +928,36 @@ def test_whole_suite_on_random_groups(case):
     everything = np.arange(m.group.order)[:, None, None]
     assert np.array_equal(act_rows[m.group.mult_table],
                           act_rows[everything, act_rows[None]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+       st.integers(min_value=-10 ** 30, max_value=10 ** 30).filter(bool))
+def test_fraction_text_matches_fractions(numerator, denominator):
+    assert _fraction_text(numerator, denominator) == \
+        str(Fraction(numerator, denominator))
+
+
+def test_fraction_text_edges():
+    rng = random.Random(0)
+    pairs = [(0, 1), (0, -7), (6, 3), (-6, 3), (6, -3), (-6, -4), (1, -1),
+             (2 ** 63 - 1, 2 ** 62), (-(2 ** 63), 3)]
+    pairs += [(rng.randint(-500, 500),
+               rng.choice([-1, 1]) * rng.randint(1, 60)) for _ in range(2_000)]
+    for a, b in pairs:
+        assert _fraction_text(a, b) == str(Fraction(a, b)), (a, b)
+    with pytest.raises(ZeroDivisionError):
+        _fraction_text(1, 0)
+
+
+def test_cmred_imports_no_fractions():
+    # the witness strings are formatted by _fraction_text; fractions (and
+    # the decimal module it pulls in) stays off the import path
+    import subprocess
+    import sys
+    src = str(Path(cm_engine.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cmred.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

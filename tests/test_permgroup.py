@@ -60,6 +60,7 @@ from perm_oracle import (
     inverse_perm,
     mul,
     perm,
+    zoo_specs,
 )
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
@@ -551,6 +552,7 @@ def test_group_layer_matches_dict_oracle(case):
     degree, gens, G, subgroups = case
     images, parents, levels, generators = dict_close(degree, gens, ELEMENT_CAP)
     assert np.array_equal(G.images, images)
+    assert G.levels == levels and "_parents" not in vars(G)
     assert np.array_equal(G._parents, parents)
     assert bfs_levels(G._parents) == levels and G.generators == generators
     assert np.array_equal(G.chain.rank(G.images), byte_positions(G.images))
@@ -865,6 +867,114 @@ def test_too_large_group_is_rejected_before_enumeration():
 def test_chain_order_must_match_a_derived_order():
     with pytest.raises(BuildVerificationError, match="order 100"):
         close_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], order=100)
+
+
+def test_the_closure_of_sym9_holds_no_parents():
+    # 362,880 elements: the closure records its level boundaries only, and
+    # the 2.8 MB of int32 parents it used to hold peaked it at 8.9 MiB
+    spec = parse_zoo_spec("sym:9")
+    degree, gens = _zoo_action(spec)
+    tracemalloc.start()
+    try:
+        G = close_generators(degree, gens, order=zoo_order(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model = UnitaryGaloisModel(G, stabilizer_generators(G))
+    assert (G.order, model.n, G.mult_table) == (362_880, 9, None)
+    assert "_parents" not in vars(G)
+    assert peak <= 7 * 2 ** 20, peak / 2 ** 20
+
+
+def test_mult_table_derives_the_parents():
+    G, _ = build("sp4f2:+")
+    assert "_parents" not in vars(G)
+    table = G.mult_table
+    assert "_parents" in vars(G)
+    index = bytes_index(G)
+    for a, b in ((0, 5), (7, 0), (3, 719), (500, 42)):
+        assert table[a, b] == index[G.images[a][G.images[b]].tobytes()]
+
+
+def random_words(degree, gen_rows, count, length=8, seed=0):
+    """(count, degree) uint8 rows of random words of ``length`` generators."""
+    rows = np.tile(np.arange(degree, dtype=np.uint8), (count, 1))
+    if not len(gen_rows):
+        return rows
+    rng = np.random.default_rng(seed)
+    for _ in range(length):
+        picked = gen_rows[rng.integers(len(gen_rows), size=count)]
+        rows = np.take_along_axis(picked, rows, axis=1)  # s o row
+    return rows
+
+
+def check_known_order_chain(degree, gen_rows, order):
+    """A chain told |G| has the full chain's orbits and ranks, and its
+    stabilizer generators generate Stab(0), of order |G| / |0^G|."""
+    full = StabChain(degree, gen_rows)
+    short = StabChain(degree, gen_rows, order=order)
+    assert full.order == short.order == order
+    # the same basic orbits, perhaps met in another order
+    assert [(p, sorted(o.tolist())) for p, o in short.orbits] == \
+        [(p, sorted(o.tolist())) for p, o in full.orbits]
+    rows = random_words(degree, gen_rows, 64)
+    assert np.array_equal(short.rank(rows), full.rank(rows))
+    stabilizer = stabilizer_generators(types.SimpleNamespace(chain=short))
+    orbit_of_0 = dict(full.orbits).get(0, [0])
+    assert StabChain(degree, generator_rows(degree, stabilizer)).order == \
+        order // len(orbit_of_0)
+
+
+def test_known_order_chains_of_the_zoo():
+    specs = [spec for spec in zoo_specs() if zoo_order(spec) <= 10 ** 6]
+    assert len(specs) == 169
+    for spec in specs:
+        degree, gens = _zoo_action(parse_zoo_spec(spec))
+        check_known_order_chain(degree, generator_rows(degree, gens),
+                                zoo_order(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_group())
+def test_known_order_chains_of_random_groups(G):
+    check_known_order_chain(G.degree, G.chain.generators, G.order)
+
+
+@pytest.mark.parametrize("spec, partial", [("sym:4", 12), ("sp4f2:+", 360)])
+def test_a_partial_order_stops_the_chain_and_the_closure_raises(spec, partial):
+    # |G| is 24 and 720: the chain's orbit lengths multiply to the partial
+    # order on the way, so it stops there.  Every product still ranks below
+    # that order, and the closure's full-row compares catch the wrong chain
+    degree, gens = _zoo_action(parse_zoo_spec(spec))
+    rows = generator_rows(degree, gens)
+    assert StabChain(degree, rows, order=partial).order == partial
+    assert StabChain(degree, rows).order == 2 * partial
+    with pytest.raises(BuildVerificationError):
+        close_generators(degree, gens, order=partial)
+
+
+def test_coset_numbers_are_narrow():
+    for spec in ZOO:
+        model = build_zoo_model(spec)
+        assert model.cosets.coset_of.dtype == np.uint8, spec
+        assert model.generator_action_rows.dtype == np.uint8, spec
+    # S9 over S6 is no point stabilizer: 504 cosets on the merge path
+    _, degree, gens, subgroup_gens = parse_spec(
+        f"file:{FIXTURES / 's9_over_s6.json'}")
+    model = UnitaryGaloisModel(close_generators(degree, gens), subgroup_gens)
+    C = model.cosets
+    assert C.coset_of.dtype == np.uint16 and (C.n, C.h) == (504, 720)
+    # no number wraps: every coset has h elements, numbered by first
+    # occurrence at its representative
+    assert np.bincount(C.coset_of).tolist() == [720] * 504
+    assert np.unique(C.coset_of, return_index=True)[1].tolist() == C.reps
+    rows = model.generator_action_rows
+    assert rows.dtype == np.uint16
+    assert (np.sort(rows, axis=1) == np.arange(504)).all()
+    G = model.group
+    products = G.images[G.orbit_generators][:, G.images[C.reps]]
+    assert np.array_equal(rows, C.coset_of.astype(np.int64)[
+        G.index_rows(products.reshape(-1, degree))].reshape(rows.shape))
 
 
 def check_orbit_generators(G):
