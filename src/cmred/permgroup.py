@@ -394,21 +394,26 @@ class FiniteGroup:
         (slot, frontier position) in slot-major order whose product is the
         element.  A slot s reaches an element e from at most one element,
         s^-1 o e, so that is the first slot in order whose inverse maps e
-        into the level before e's, and the parent is that image.  Built for
-        ``mult_table`` only; a run past ``TABLE_CAP`` never builds it."""
+        into the level before e's, and the parent is that image.  Every
+        slot's image of a block of elements is looked up at once, the block
+        holding at most ``BLOCK_ROWS`` images.  Built for ``mult_table``
+        only; a run past ``TABLE_CAP`` never builds it."""
         parents = np.full((self.order, 2), -1, dtype=np.int32)
         depth = np.repeat(np.arange(len(self.levels) - 1, dtype=np.int32),
                           np.diff(self.levels))
-        open_ = np.arange(1, self.order, dtype=np.int32)  # no parent yet
         inverses = np.argsort(self.chain.generators, axis=1).astype(np.uint8)
-        for slot, inverse in enumerate(inverses):
-            rows = _take(self.images, open_)
-            x = self.index_elements(_take(inverse, rows, out=rows),
-                                    "inverse generator map")  # s^-1 o e
-            hit = _take(depth, x) == _take(depth, open_) - 1
-            parents[open_[hit], 0] = slot
-            parents[open_[hit], 1] = x[hit]
-            open_ = open_[~hit]
+        step = max(1, BLOCK_ROWS // max(1, len(inverses)))
+        for start in range(1, self.order, step):
+            stop = min(start + step, self.order)
+            # (slot, element) rows of s^-1 o e
+            rows = inverses.take(self.images[start:stop], axis=1)
+            x = self.index_elements(rows.reshape(-1, self.degree),
+                                    "inverse generator map")
+            x = x.reshape(len(inverses), -1)
+            hit = _take(depth, x) == depth[start:stop] - 1
+            slot = hit.argmax(axis=0)  # the first hit; every element has one
+            parents[start:stop, 0] = slot
+            parents[start:stop, 1] = x[slot, np.arange(stop - start)]
         return parents
 
     @functools.cached_property
