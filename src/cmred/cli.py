@@ -167,7 +167,7 @@ def run(config: RunConfig):
             check_induced_character(sweep),
             check_pair_reduction_suite(sweep),
             check_cm0_suite(sweep),
-            check_galois_invariance(sweep, pairs=50),
+            check_galois_invariance(sweep),
         )]
         report["checks"] = checks
         code = 1 if any(c["status"] == "fail" for c in checks) else 0

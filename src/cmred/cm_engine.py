@@ -15,7 +15,8 @@ A CM type is a sorted tuple of coset indices (see ``galois_model``).  Every
 check takes one seeded subset sweep (``subset_sweep``), built once per run:
 the subsets are drawn once, the pair tensor and the permutation character of
 the closed form are computed once, the closed functions as one block, and
-the brute functions once each, when the brute cap allows.
+the brute functions once each, when the brute cap allows.  Galois
+invariance is proved for every CM type from the pair tensor alone.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BruteCapExceeded, IntegerBoundExceeded
-from .galois_model import UnitaryGaloisModel, act
+from .galois_model import UnitaryGaloisModel
 from .group_algebra import BRUTE_CAP, indicator_reflex_class_sums
-from .permgroup import coset_action
+from .permgroup import TAKE_ENTRIES, coset_action
 
 SAMPLE_EXHAUSTIVE_LIMIT = 500  # enumerate all size-eps subsets up to this count
 SAMPLE_SIZE = 100  # seeded sample size above the limit
@@ -110,11 +111,15 @@ def conjugate_subgroup_sum(model: UnitaryGaloisModel) -> np.ndarray:
     (orbit-stabilizer; Isaacs, Character Theory of Finite Groups, (5.2)),
     a whole number since |G| / |c| = |C_G(g)|.
     """
+    size = np.asarray(model.classes.sizes, dtype=np.int64)
+    return model.group.order // size * _subgroup_class_tally(model)
+
+
+def _subgroup_class_tally(model: UnitaryGaloisModel) -> np.ndarray:
+    """#(H cap c) per class c of G, shape (k,)."""
     classes = model.classes
-    tally = np.bincount(classes.class_of[model.cosets.subgroup_elements],
-                        minlength=classes.count)
-    size = np.asarray(classes.sizes, dtype=np.int64)
-    return model.group.order // size * tally
+    return np.bincount(classes.class_of[model.cosets.subgroup_elements],
+                       minlength=classes.count)
 
 
 def _fraction_text(numerator: int, denominator: int) -> str:
@@ -307,17 +312,14 @@ def sample_subsets(n: int, eps: int, rng: random.Random):
 
 @dataclass
 class SubsetSweep:
-    """The subsets of sizes 0..eps_max of one model drawn with ``seed``,
-    stratum by stratum (sorted tuples of coset indices), the model's pair
-    tensor P and permutation character chi (k,), each computed once per run,
-    the closed numerators of each subset ((m, 2, k) over
-    ``closed_denominators``) and either their brute numerators (the same
-    shape, over the same denominators) or the reason the brute cap rules
-    them out."""
+    """The seeded subsets of sizes 0..eps_max of one model, stratum by
+    stratum (sorted tuples of coset indices), the model's pair tensor P and
+    permutation character chi (k,), each computed once per run, the closed
+    numerators of each subset ((m, 2, k) over ``closed_denominators``) and
+    either their brute numerators (the same shape, over the same
+    denominators) or the reason the brute cap rules them out."""
 
     model: UnitaryGaloisModel
-    seed: int
-    eps_max: int
     subsets: list
     sampled_eps: list
     P: np.ndarray
@@ -346,8 +348,7 @@ def subset_sweep(model: UnitaryGaloisModel, eps_max: int | None, seed: int,
     reason = brute_skip_reason(model, brute_cap)
     brute = None if reason is not None else np.stack([
         cm_class_function_brute(s, model, brute_cap) for s in subsets])
-    return SubsetSweep(model, seed, eps_max, subsets, sampled, P, chi, closed,
-                       brute, reason)
+    return SubsetSweep(model, subsets, sampled, P, chi, closed, brute, reason)
 
 
 def _subset_failure(name: str, sweep: SubsetSweep, s: int,
@@ -468,27 +469,41 @@ def check_cm0_suite(sweep: SubsetSweep) -> IdentityReport:
     return IdentityReport("cm0-membership", False, witness)
 
 
-def check_galois_invariance(sweep: SubsetSweep,
-                            pairs: int = 50) -> IdentityReport:
-    """Equivalent CM types have equal class functions (closed path): the
-    pairs (x, phi), phi of size at most the sweep's eps_max, are drawn with
-    the sweep's seed first, then every x phi is computed by one ``act`` call,
-    and every x phi and phi in one block with the sweep's pair tensor and
-    permutation character."""
-    model = sweep.model
-    rng = random.Random(sweep.seed)
-    gammas, phis = [], []
-    for _ in range(pairs):
-        gammas.append((rng.randrange(model.group.order), rng.randrange(2)))
-        eps = rng.randrange(sweep.eps_max + 1)
-        phis.append(tuple(sorted(rng.sample(range(model.n), eps))))
-    block = closed_block(act(model, gammas, phis) + phis, model, sweep.P,
-                         sweep.chi)
-    den = closed_denominators(model)
-    hit = _first_mismatch(block[:pairs], block[pairs:], den)
-    if hit is None:
-        return IdentityReport("galois-invariance", True, None, {"pairs": pairs})
-    p, witness = hit
-    witness.update(subset=[i + 1 for i in phis[p]],
-                   gamma=list(gammas[p]))
-    return IdentityReport("galois-invariance", False, witness)
+def check_galois_invariance(sweep: SubsetSweep) -> IdentityReport:
+    """Equivalent CM types have equal closed functions, for every (gamma,
+    phi): ``closed_block`` reads S only through eps = |S| and T(S), the sum
+    of P[i, j] over i, j in S, and three identities of P prove it.
+    1. ``generator g``: P[r[i], r[j]] = P[i, j] for the action row r of each
+       of ``G.orbit_generators``, which generate G.  So T(gS) = T(S).
+    2. ``rows``, ``columns``: each row and column of P[:, :, c] sums to R_c =
+       |c| - |H cap c|.  The sum of P, n R_c, splits into T(S), T(S^c) and
+       two cross blocks of eps R_c - T(S): T(S^c) = T(S) + (n - 2 eps) R_c.
+    3. ``total``: the sum of P is (n - chi(c)) |c|.  The bit-1 numerators
+       2 (eps h |c| (n - chi) - |G| T) of S^c and S then differ by
+       2 (n - 2 eps) h ((n - chi) |c| - n R_c) = 0: closed(S^c) = closed(S).
+    P is gathered TAKE_ENTRIES entries or one row at a time; cosets 1-based.
+    """
+    model, P = sweep.model, sweep.P
+    n, k = model.n, model.classes.count
+    size = np.asarray(model.classes.sizes, dtype=np.int64)
+    R = np.broadcast_to(size - _subgroup_class_tally(model), (n, k))
+    flat, step = P.reshape(n * n, k), max(1, TAKE_ENTRIES // (n * k))
+    rows = model.generator_action_rows.astype(np.int64)  # i n + j: no wrap
+    moved = ((f"generator {g}", (start, 0),
+              flat[row[start:start + step, None] * n + row],
+              P[start:start + step])
+             for g, row in enumerate(rows)
+             for start in range(0, n, step))
+    sums = [("rows", (0,), P.sum(axis=1), R),
+            ("columns", (0,), P.sum(axis=0), R),
+            ("total", (), P.sum(axis=(0, 1)), (n - sweep.chi) * size)]
+    detail = {"generators": len(rows), "classes": k}
+    for identity, offset, lhs, rhs in itertools.chain(moved, sums):
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            at = tuple(bad[0])
+            witness = {"identity": identity, "class_index": int(at[-1]),
+                       "entry": [int(i) + o + 1 for i, o in zip(at, offset)],
+                       "lhs": str(lhs[at]), "rhs": str(rhs[at])}
+            return IdentityReport("galois-invariance", False, witness, detail)
+    return IdentityReport("galois-invariance", True, None, detail)

@@ -1,9 +1,9 @@
-"""The unitary group model: (G, H, cosets, Gamma = G x Z/2, rho) and the
-Galois action on CM types.
+"""The unitary group model: (G, H, cosets, Gamma = G x Z/2, rho).
 
 A CM type of signature (n - eps, eps) is a sorted tuple of eps coset indices
 in {0..n-1}, everywhere in cmred.  The bit-0 part of Gamma acts through the
-coset action; the bit generator rho acts as complementation.
+coset action, whose rows on a generating set of G the model holds; the bit
+generator rho acts as complementation.
 """
 
 from __future__ import annotations
@@ -51,19 +51,3 @@ class UnitaryGaloisModel:
     def __repr__(self):
         return (f"UnitaryGaloisModel(|G|={self.group.order}, "
                 f"n={self.n}, h={self.h})")
-
-
-def act(model: UnitaryGaloisModel, gammas, subsets) -> list[tuple]:
-    """Galois action on a block of CM types: the i-th pair (g, bit) of
-    ``gammas`` moves the i-th subset.  (g, 0) pushes the subset through the
-    coset action; (g, 1) also complements it (rho swaps the signature).  One
-    ``coset_action`` call gives the rows of every g; each result is a sorted
-    tuple."""
-    rows = coset_action(model.group, model.cosets, [g for g, _ in gammas])
-    moved = []
-    for (_, bit), row, s in zip(gammas, rows, subsets):
-        mask = np.zeros(model.n, dtype=bool)
-        mask[row[list(s)]] = True
-        # mask != 1 is the complement
-        moved.append(tuple(np.flatnonzero(mask != bit).tolist()))
-    return moved

@@ -264,15 +264,15 @@ def test_verify_computes_the_coset_action_inputs_once(monkeypatch):
                 getattr(module, "coset_action", None) is coset_action:
             monkeypatch.setattr(module, "coset_action", counted_action)
     monkeypatch.setattr(cm_engine, "permutation_character", counted_chi)
-    # the model's generator rows, the pair tensor, the permutation
-    # character and the Galois action of galois-invariance's 50 pairs
+    # the model's generator rows, the pair tensor and the permutation
+    # character; galois-invariance reads the generator rows the model holds
     report, code = run(RunConfig(command="verify", spec="sp4f2:+", eps_max=3))
     assert code == 0 and len(report["checks"]) == 5
-    assert calls == {"coset_action": 4, "chi": 1}
+    assert calls == {"coset_action": 3, "chi": 1}
     sweep = subset_sweep(UnitaryGaloisModel(*build("sym:4")), None, 0)
     calls.update(coset_action=0)
-    assert check_galois_invariance(sweep, pairs=50).passed
-    assert calls["coset_action"] == 1
+    assert check_galois_invariance(sweep).passed
+    assert calls["coset_action"] == 0
 
 
 def test_skipped_cap_reported(capsys):
@@ -346,9 +346,9 @@ def test_integer_bound_checked_before_any_check(capsys, monkeypatch):
 
 def test_no_late_integer_bound_error(capsys, monkeypatch):
     # with the limit lowered to 5000, the pair residuals of sizes <= 2 pass
-    # the up-front check (2 * 1536) and size 3 would not (8 * 2496);
-    # galois-invariance's complements reach size n = 4, and a closed block
-    # alone needs no bound, so the run finishes with the same report
+    # the up-front check (2 * 1536) and size 3 would not (8 * 2496); the
+    # closed blocks alone need no bound, so the run finishes with the same
+    # report
     expected, _ = run(RunConfig(command="verify", spec="sym:4", eps_max=2))
     monkeypatch.setattr("cmred.cm_engine.INT64_MAX", 5000)
     code, out, err = run_main(capsys, "verify", "sym:4", "--eps-max", "2",

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cmred.cm_engine as cm_engine
 import cmred.group_algebra as group_algebra
 from class_oracle import class_values, evaluate, reread_members
+from galois_oracle import act, sampled_pairs, unequal_pairs
 from pair_oracle import pair_tensor_by_lookup
 from cmred.cm_engine import (
     INT64_MAX,
@@ -42,7 +43,7 @@ from cmred.errors import (
     BruteCapExceeded,
     IntegerBoundExceeded,
 )
-from cmred.galois_model import UnitaryGaloisModel, act
+from cmred.galois_model import UnitaryGaloisModel
 from cmred.group_algebra import BRUTE_CAP, class_project, convolve, reflex
 from cmred.group_zoo import build, zoo_order
 from cmred.permgroup import (
@@ -515,7 +516,7 @@ def test_cm0_suite_and_invariance():
     for m in (s3_model(), z4_model()):
         sweep = subset_sweep(m, None, 3)
         assert check_cm0_suite(sweep).passed
-        assert check_galois_invariance(sweep, pairs=50).passed
+        assert check_galois_invariance(sweep).passed
 
 
 def test_linear_functional_skeleton():
@@ -684,6 +685,18 @@ def test_s9_over_s6_model_and_pair_tensor_stay_small():
     assert peak < 128 * 2 ** 20, peak / 2 ** 20
     # each ordered pair i != j collects all of H
     assert (P.sum(axis=2) == m.h * (1 - np.eye(m.n, dtype=np.int64))).all()
+    # galois-invariance gathers the 58 MiB P a block at a time, with its
+    # uint16 action rows widened before the key i n + j (504^2 > 2^16)
+    sweep = types.SimpleNamespace(model=m, P=P, chi=permutation_character(m))
+    tracemalloc.start()
+    try:
+        rep = check_galois_invariance(sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.to_dict() == {"name": "galois-invariance", "status": "pass",
+                             "detail": {"generators": 2, "classes": 30}}
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
 
 
 def test_pair_reduction_of_every_size_stays_small():
@@ -753,16 +766,16 @@ def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
     sweep = subset_sweep(m, 9, 3)  # eps_max is clipped to n
     assert calls == {"brute": 16, "block": 1, "pairs": 1, "chi": 1}
     assert len(sweep.subsets) == 16 and sweep.brute.shape == sweep.closed.shape
-    assert (sweep.seed, sweep.eps_max) == (3, 4)
     assert check_closed_form(sweep).detail == {"subsets_checked": 16,
                                                "sampled_eps": []}
     assert check_pair_reduction_suite(sweep).detail == {"subsets_checked": 16}
     assert check_cm0_suite(sweep).detail == {"functions_checked": 32}
-    assert check_galois_invariance(sweep).detail == {"pairs": 50}
+    assert check_galois_invariance(sweep).detail == {"generators": 2,
+                                                     "classes": 5}
     assert check_induced_character(sweep).passed
-    # the sweep, the pair parts, galois-invariance; one pair tensor and one
-    # permutation character for all
-    assert calls == {"brute": 16, "block": 3, "pairs": 1, "chi": 1}
+    # the sweep and the pair parts, galois-invariance none; one pair tensor
+    # and one permutation character for all
+    assert calls == {"brute": 16, "block": 2, "pairs": 1, "chi": 1}
     # past the brute cap the closed functions alone are checked
     sweep = subset_sweep(m, None, 3, brute_cap=4)
     assert calls["brute"] == 16
@@ -781,7 +794,8 @@ def test_tripled_double_coset_term_is_caught(monkeypatch):
     assert rep.witness == {"class_index": 1, "bit": 0, "lhs": "1/3",
                            "rhs": "1/2", "subset": [1, 2]}
     assert rep.detail == {"subsets_checked": 6}
-    assert not check_galois_invariance(sweep, pairs=50).passed
+    rep = check_galois_invariance(sweep)
+    assert not rep.passed and rep.witness["identity"] == "rows"
 
 
 def test_cm0_checks_the_whole_class_table():
@@ -903,7 +917,7 @@ def test_whole_suite_on_random_groups(case):
     sweep = subset_sweep(m, eps_max, seed)
     for rep in (check_closed_form(sweep), check_induced_character(sweep),
                 check_pair_reduction_suite(sweep), check_cm0_suite(sweep),
-                check_galois_invariance(sweep, pairs=50)):
+                check_galois_invariance(sweep)):
         assert rep.to_dict()["status"] == "pass", rep.to_dict()
     # pair reduction on the brute path, whose functions all share the
     # model's denominators; parts the sweep did not draw are computed
@@ -928,6 +942,26 @@ def test_whole_suite_on_random_groups(case):
     everything = np.arange(m.group.order)[:, None, None]
     assert np.array_equal(act_rows[m.group.mult_table],
                           act_rows[everything, act_rows[None]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_and_sweep_args())
+def test_galois_invariance_proof_agrees_with_the_sampled_action(case):
+    m, eps_max, seed = case
+    sweep = subset_sweep(m, eps_max, seed, brute_cap=0)
+    gammas, phis = sampled_pairs(m, random.Random(seed))
+    assert check_galois_invariance(sweep).passed
+    assert unequal_pairs(sweep, gammas, phis) == []
+    # tripled, P stays G-invariant but its rows sum to 3 R_c: the closed
+    # functions of phi and rho g phi then differ by a multiple of
+    # (n - 2 eps) h (n - chi(c)) |c|, nonzero on a class that moves a coset
+    assume(m.n >= 2)
+    sweep.P = 3 * sweep.P
+    rep = check_galois_invariance(sweep)
+    assert not rep.passed and rep.witness["identity"] == "rows"
+    moved = [p for p, ((_, bit), phi) in enumerate(zip(gammas, phis))
+             if bit and 2 * len(phi) != m.n]
+    assert moved and unequal_pairs(sweep, gammas, phis) == moved
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,9 +6,10 @@ import pytest
 
 from cmred.cm_engine import sample_subsets
 from cmred.errors import SubsetCapExceeded
-from cmred.galois_model import UnitaryGaloisModel, act
+from cmred.galois_model import UnitaryGaloisModel
 from cmred.group_zoo import build, zoo_order
 from cmred.permgroup import TABLE_CAP, check_subset_cap, close_generators
+from galois_oracle import act
 from perm_oracle import mul, zoo_specs
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]

@@ -1,0 +1,98 @@
+"""Named mutations of the data ``galois-invariance`` reads, each pinned to the
+identity its witness names (``generator <g>``, ``rows``, ``columns`` or
+``total``), on a small fixed set of models.  Every mutation is applied with
+``monkeypatch`` to one sweep; no file is edited.
+"""
+
+import functools
+from pathlib import Path
+
+import pytest
+
+from cmred.cli import parse_spec
+from cmred.cm_engine import check_galois_invariance, subset_sweep
+from cmred.galois_model import UnitaryGaloisModel
+from cmred.permgroup import close_generators
+from perm_oracle import build_zoo_model
+
+S5_OVER_C2 = "file:" + str(Path(__file__).parent / "fixtures"
+                           / "s5_over_c2.json")
+
+
+@functools.lru_cache(maxsize=None)
+def model(spec):
+    if spec.startswith("file:"):
+        _, degree, group_gens, subgroup_gens = parse_spec(spec)
+        return UnitaryGaloisModel(close_generators(degree, group_gens),
+                                  subgroup_gens)
+    return build_zoo_model(spec)
+
+
+def tripled_pair_tensor(monkeypatch, sweep):
+    monkeypatch.setattr(sweep, "P", 3 * sweep.P)
+
+
+def chi_plus_one(monkeypatch, sweep):
+    chi = sweep.chi.copy()
+    chi[-1] += 1
+    monkeypatch.setattr(sweep, "chi", chi)
+
+
+def swapped_generator_row(monkeypatch, sweep):
+    # entries 0 and 1 of generator 0's action row trade places
+    rows = sweep.model.generator_action_rows.copy()
+    rows[0, [0, 1]] = rows[0, [1, 0]]
+    monkeypatch.setattr(sweep.model, "generator_action_rows", rows)
+
+
+MUTATIONS = {"tripled-pair-tensor": tripled_pair_tensor,
+             "chi-plus-one": chi_plus_one,
+             "swapped-generator-row": swapped_generator_row}
+
+FIVE = ["sym:4", "sp4f2:-", "cyclic:6", "psu3:3", S5_OVER_C2]
+
+# (mutation, spec, identity the witness names; None when the check passes)
+CASES = (
+    [("tripled-pair-tensor", spec, "rows") for spec in FIVE]
+    + [("chi-plus-one", spec, "total") for spec in FIVE]
+    + [("swapped-generator-row", spec, "generator 0")
+       for spec in ("cyclic:6", "dihedral:7", "dihedral:12", S5_OVER_C2)]
+    # the known limit: psu3:3 acts 2-transitively, so P is constant off its
+    # diagonal and zero on it, and every permutation of the cosets keeps it;
+    # no identity of P can see a wrong entry of an action row there
+    + [("swapped-generator-row", "psu3:3", None)])
+
+
+def case_id(case):
+    mutation, spec, _ = case
+    name = Path(spec).stem if spec.startswith("file:") else spec
+    return f"{mutation}-{name}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=map(case_id, CASES))
+def test_mutation_names_its_identity(case, monkeypatch):
+    mutation, spec, identity = case
+    sweep = subset_sweep(model(spec), 0, 0, brute_cap=0)
+    assert check_galois_invariance(sweep).passed
+    MUTATIONS[mutation](monkeypatch, sweep)
+    rep = check_galois_invariance(sweep)
+    if identity is None:
+        assert rep.passed, rep.to_dict()
+        return
+    assert not rep.passed
+    assert rep.witness["identity"] == identity, rep.witness
+    # whole-number strings, and an entry of as many cosets as the identity
+    # indexes
+    assert int(rep.witness["lhs"]) != int(rep.witness["rhs"])
+    assert len(rep.witness["entry"]) == \
+        {"rows": 1, "columns": 1, "total": 0}.get(identity, 2)
+
+
+def test_witness_of_a_swapped_row_on_cyclic6(monkeypatch):
+    sweep = subset_sweep(model("cyclic:6"), 0, 0, brute_cap=0)
+    swapped_generator_row(monkeypatch, sweep)
+    assert check_galois_invariance(sweep).to_dict() == {
+        "name": "galois-invariance", "status": "fail",
+        "witness": {"identity": "generator 0", "entry": [1, 2],
+                    "class_index": 1, "lhs": "1", "rhs": "0"},
+        "detail": {"generators": 1, "classes": 6}}
