@@ -5,9 +5,10 @@ The brute path counts the class sums of the CM-type indicator times its
 reflex on the indicator's support, through the multiplication table of G
 (``group_algebra.indicator_reflex_class_sums``); the closed-form path
 assembles the same class function from the trace, the permutation
-character, and double-coset counts gathered from the pair tensor by subset
-size.  Both give (2, k) int64 numerators over one denominator per class
-for the whole model, D_c = 2 h n^2 |c| (``closed_denominators``), so every
+character, and double-coset counts gathered by subset size from the pair
+tensor, an (n, n) label matrix over its distinct rows (``pair_tensor``).
+Both give (2, k) int64 numerators over one denominator per class for the
+whole model, D_c = 2 h n^2 |c| (``closed_denominators``), so every
 comparison is integer equality, with zero tolerance; witness strings write
 a numerator over its denominator in lowest terms (``_fraction_text``).
 
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import BruteCapExceeded, IntegerBoundExceeded
 from .galois_model import UnitaryGaloisModel
 from .group_algebra import BRUTE_CAP, indicator_reflex_class_sums
-from .permgroup import TAKE_ENTRIES, coset_action
+from .permgroup import coset_action
 
 SAMPLE_EXHAUSTIVE_LIMIT = 500  # enumerate all size-eps subsets up to this count
 SAMPLE_SIZE = 100  # seeded sample size above the limit
@@ -228,9 +229,11 @@ def _by_size(subsets):
                              dtype=np.int64)
 
 
-def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
+def pair_tensor(model: UnitaryGaloisModel) -> tuple[np.ndarray, np.ndarray]:
     """The (n, n, k) tensor P[i, j, c] = #{eta in H : sigma_i eta sigma_j^-1
-    in class c} for i != j, with P[i, i] = 0.
+    in class c} for i != j, with P[i, i] = 0, as (L, W) with P = W[L]: an
+    (n, n) label matrix L (uint8 up to 256 labels) over the (d, k) int64
+    table W of P's distinct rows.
 
     eta -> g = sigma_i eta sigma_j^-1 is a bijection from H onto the g with
     g sigma_j H = sigma_i H.  Conjugation by sigma_j keeps every class and
@@ -239,6 +242,11 @@ def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
     P0[m, c] = #{g in c : g in sigma_m H} is one tally over G and J[j] is
     the coset-action row of sigma_j^-1, n^2 lookups in all.  Neither the
     inverses nor the multiplication table of G are read.
+
+    Conjugation by H keeps every class, so P0's rows are constant on the
+    H-orbits of cosets: W has at most rank <pi, pi> rows.  Only the coset H
+    holds the identity, and J[j, i] is H exactly when i = j, so zeroing
+    H's row of W zeroes the diagonal of P and nothing else.
     """
     G, C = model.group, model.cosets
     n, k = model.n, model.classes.count
@@ -246,25 +254,27 @@ def pair_tensor(model: UnitaryGaloisModel) -> np.ndarray:
     # class indices int32
     P0 = np.bincount(C.coset_of.astype(np.int64) * k + model.classes.class_of,
                      minlength=n * k).reshape(n, k)
+    W, label = np.unique(P0, axis=0, return_inverse=True)
+    W[label[0]] = 0
     rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
     J = coset_action(G, C, G.index_elements(
         np.argsort(rep_rows, axis=1), "inverses of the coset representatives"))
-    P = P0[J.T]
-    P[np.arange(n), np.arange(n)] = 0
-    return P
+    return label.astype(np.min_scalar_type(len(W) - 1))[J.T], W
 
 
-def closed_block(subsets, model: UnitaryGaloisModel, P: np.ndarray,
-                 chi: np.ndarray) -> np.ndarray:
+def closed_block(subsets, model: UnitaryGaloisModel, L: np.ndarray,
+                 W: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """Closed-form numerators of a block of subsets, shape (m, 2, k), over
     ``closed_denominators``: the half-trace, trace and permutation-character
     terms scaled by the signature, plus the conjugation-averaged double-coset
     term T_c = sum over ordered pairs i != j of the subset of P[i, j, c]
-    (P = ``pair_tensor(model)``, chi = ``permutation_character(model)``,
-    both computed once by the caller).  Valid beyond the brute cap.
+    (P = W[L] with (L, W) = ``pair_tensor(model)``, chi =
+    ``permutation_character(model)``, both computed once by the caller).
+    Valid beyond the brute cap.
 
     T is gathered one size e at a time: for the subsets (of distinct
-    cosets) with members S (m, e), it sums P[S[:, a], S] over a and members.
+    cosets) with members S (m, e), it sums W[L[S[:, a], S]] over a and
+    members.
 
     bit 1 = 2 (eps h |c| (n - chi(c)) - |G| T_c) and bit 0 = D_c / 2 - bit 1,
     i.e. eps / n - eps chi / n^2 - |G| T_c / (h n^2 |c|) and 1/2 minus it.
@@ -275,7 +285,7 @@ def closed_block(subsets, model: UnitaryGaloisModel, P: np.ndarray,
     for rows, S in _by_size(subsets):
         eps[rows] = S.shape[1]
         for a in range(S.shape[1]):
-            T[rows] += P[S[:, a, None], S].sum(axis=1)
+            T[rows] += W[L[S[:, a, None], S]].sum(axis=1)
     return _closed_numerators(eps, T, chi,
                               np.asarray(model.classes.sizes, dtype=np.int64),
                               n, h)
@@ -293,7 +303,7 @@ def cm_class_function_closed(phi, model: UnitaryGaloisModel) -> np.ndarray:
     """Closed-form path for one CM type (a subset of coset indices): a block
     of one, with its own pair tensor and permutation character; (2, k)
     numerators over ``closed_denominators``."""
-    return closed_block([phi], model, pair_tensor(model),
+    return closed_block([phi], model, *pair_tensor(model),
                         permutation_character(model))[0]
 
 
@@ -313,7 +323,7 @@ def sample_subsets(n: int, eps: int, rng: random.Random):
 @dataclass
 class SubsetSweep:
     """The seeded subsets of sizes 0..eps_max of one model, stratum by
-    stratum (sorted tuples of coset indices), the model's pair tensor P and
+    stratum (sorted tuples of coset indices), its pair tensor (L, W) and
     permutation character chi (k,), each computed once per run, the closed
     numerators of each subset ((m, 2, k) over ``closed_denominators``) and
     either their brute numerators (the same shape, over the same
@@ -322,7 +332,8 @@ class SubsetSweep:
     model: UnitaryGaloisModel
     subsets: list
     sampled_eps: list
-    P: np.ndarray
+    L: np.ndarray
+    W: np.ndarray
     chi: np.ndarray
     closed: np.ndarray
     brute: np.ndarray | None
@@ -343,12 +354,13 @@ def subset_sweep(model: UnitaryGaloisModel, eps_max: int | None, seed: int,
         subsets += block
         if not exhaustive:
             sampled.append(eps)
-    P, chi = pair_tensor(model), permutation_character(model)
-    closed = closed_block(subsets, model, P, chi)
+    (L, W), chi = pair_tensor(model), permutation_character(model)
+    closed = closed_block(subsets, model, L, W, chi)
     reason = brute_skip_reason(model, brute_cap)
     brute = None if reason is not None else np.stack([
         cm_class_function_brute(s, model, brute_cap) for s in subsets])
-    return SubsetSweep(model, subsets, sampled, P, chi, closed, brute, reason)
+    return SubsetSweep(model, subsets, sampled, L, W, chi, closed, brute,
+                       reason)
 
 
 def _subset_failure(name: str, sweep: SubsetSweep, s: int,
@@ -373,8 +385,8 @@ def check_closed_form(sweep: SubsetSweep) -> IdentityReport:
     return _subset_failure("closed-form", sweep, *hit)
 
 
-def pair_residuals(subsets, model: UnitaryGaloisModel, P: np.ndarray,
-                   chi: np.ndarray,
+def pair_residuals(subsets, model: UnitaryGaloisModel, L: np.ndarray,
+                   W: np.ndarray, chi: np.ndarray,
                    closed: np.ndarray | None = None) -> np.ndarray:
     """Numerators, over ``closed_denominators``, of each subset's closed
     function minus the pair/singleton/empty combination
@@ -388,14 +400,14 @@ def pair_residuals(subsets, model: UnitaryGaloisModel, P: np.ndarray,
     groups = list(_by_size(subsets))
     check_closed_bound(model, max((S.shape[1] for _, S in groups), default=0))
     if closed is None:
-        closed = closed_block(subsets, model, P, chi)
+        closed = closed_block(subsets, model, L, W, chi)
     marked = np.zeros(n * n, dtype=bool)
     for _, S in groups:
         a, b = np.triu_indices(S.shape[1], 1)
         marked[S[:, a] * n + S[:, b]] = marked[S * (n + 1)] = True
     keys = np.flatnonzero(marked)
-    parts = closed_block([()] + [tuple({*divmod(key, n)})
-                                 for key in keys.tolist()], model, P, chi)
+    parts = closed_block([()] + [tuple({*divmod(key, n)}) for key in
+                                 keys.tolist()], model, L, W, chi)
     empty, parts = parts[0], parts[1:]
     out = np.empty_like(closed)
     for rows, S in groups:
@@ -412,7 +424,7 @@ def pair_residuals(subsets, model: UnitaryGaloisModel, P: np.ndarray,
 def check_pair_reduction_suite(sweep: SubsetSweep) -> IdentityReport:
     """Every sampled subset's closed function is the pair/singleton/empty
     combination of closed functions, exactly."""
-    residuals = pair_residuals(sweep.subsets, sweep.model, sweep.P,
+    residuals = pair_residuals(sweep.subsets, sweep.model, sweep.L, sweep.W,
                                sweep.chi, sweep.closed)
     hit = _first_mismatch(residuals, np.zeros_like(residuals),
                           closed_denominators(sweep.model))
@@ -422,25 +434,10 @@ def check_pair_reduction_suite(sweep: SubsetSweep) -> IdentityReport:
     return _subset_failure("pair-reduction", sweep, *hit)
 
 
-def _class_table_witness(model: UnitaryGaloisModel) -> dict | None:
-    """First member g of a class c with class_of[g] != c, over every class."""
-    classes = model.classes
-    members = np.concatenate(classes.classes)
-    expected = np.repeat(np.arange(classes.count), classes.sizes)
-    bad = np.flatnonzero(classes.class_of[members] != expected)
-    if not len(bad):
-        return None
-    return {"class_index": int(expected[bad[0]]), "element": int(members[bad[0]])}
-
-
 def check_cm0_suite(sweep: SubsetSweep) -> IdentityReport:
     """Every function of the sweep (closed, and brute when it has them) is
-    rho-balanced at exactly 1/2, and the class table the values are read
-    through puts every member of every class in that class."""
+    rho-balanced at exactly 1/2."""
     model = sweep.model
-    witness = _class_table_witness(model)
-    if witness is not None:
-        return IdentityReport("cm0-membership", False, witness)
     den = closed_denominators(model)
     kinds = [sweep.closed] if sweep.brute is None \
         else [sweep.closed, sweep.brute]
@@ -472,7 +469,7 @@ def check_cm0_suite(sweep: SubsetSweep) -> IdentityReport:
 def check_galois_invariance(sweep: SubsetSweep) -> IdentityReport:
     """Equivalent CM types have equal closed functions, for every (gamma,
     phi): ``closed_block`` reads S only through eps = |S| and T(S), the sum
-    of P[i, j] over i, j in S, and three identities of P prove it.
+    of P[i, j] over i, j in S, and three identities of P = W[L] prove it.
     1. ``generator g``: P[r[i], r[j]] = P[i, j] for the action row r of each
        of ``G.orbit_generators``, which generate G.  So T(gS) = T(S).
     2. ``rows``, ``columns``: each row and column of P[:, :, c] sums to R_c =
@@ -481,29 +478,39 @@ def check_galois_invariance(sweep: SubsetSweep) -> IdentityReport:
     3. ``total``: the sum of P is (n - chi(c)) |c|.  The bit-1 numerators
        2 (eps h |c| (n - chi) - |G| T) of S^c and S then differ by
        2 (n - 2 eps) h ((n - chi) |c| - n R_c) = 0: closed(S^c) = closed(S).
-    P is gathered TAKE_ENTRIES entries or one row at a time; cosets 1-based.
+    W's rows are distinct, so identity 1 compares labels; the sums are the
+    label counts of each row of L and of L^T times W.  Cosets are 1-based.
     """
-    model, P = sweep.model, sweep.P
-    n, k = model.n, model.classes.count
+    model, L, W = sweep.model, sweep.L, sweep.W
+    n, k, d = model.n, model.classes.count, len(W)
     size = np.asarray(model.classes.sizes, dtype=np.int64)
     R = np.broadcast_to(size - _subgroup_class_tally(model), (n, k))
-    flat, step = P.reshape(n * n, k), max(1, TAKE_ENTRIES // (n * k))
-    rows = model.generator_action_rows.astype(np.int64)  # i n + j: no wrap
-    moved = ((f"generator {g}", (start, 0),
-              flat[row[start:start + step, None] * n + row],
-              P[start:start + step])
-             for g, row in enumerate(rows)
-             for start in range(0, n, step))
-    sums = [("rows", (0,), P.sum(axis=1), R),
-            ("columns", (0,), P.sum(axis=0), R),
-            ("total", (), P.sum(axis=(0, 1)), (n - sweep.chi) * size)]
+    rows = model.generator_action_rows
     detail = {"generators": len(rows), "classes": k}
-    for identity, offset, lhs, rhs in itertools.chain(moved, sums):
+
+    def failure(identity, entry, lhs, rhs):
+        c = int(np.flatnonzero(lhs != rhs)[0])
+        witness = {"identity": identity, "class_index": c,
+                   "entry": [int(i) + 1 for i in entry],
+                   "lhs": str(lhs[c]), "rhs": str(rhs[c])}
+        return IdentityReport("galois-invariance", False, witness, detail)
+
+    for g, r in enumerate(rows):
+        moved = L[r[:, None], r]
+        bad = np.argwhere(moved != L)
+        if len(bad):
+            i, j = bad[0]
+            return failure(f"generator {g}", (i, j), W[moved[i, j]],
+                           W[L[i, j]])
+    keys = np.arange(n)[:, None] * d  # i d + label, in int64
+    row_sums, column_sums = (
+        np.bincount((keys + M).ravel(), minlength=n * d).reshape(n, d) @ W
+        for M in (L, L.T))
+    for identity, lhs, rhs in (
+            ("rows", row_sums, R), ("columns", column_sums, R),
+            ("total", row_sums.sum(axis=0), (n - sweep.chi) * size)):
         bad = np.argwhere(lhs != rhs)
         if len(bad):
-            at = tuple(bad[0])
-            witness = {"identity": identity, "class_index": int(at[-1]),
-                       "entry": [int(i) + o + 1 for i, o in zip(at, offset)],
-                       "lhs": str(lhs[at]), "rhs": str(rhs[at])}
-            return IdentityReport("galois-invariance", False, witness, detail)
+            entry = tuple(bad[0, :-1])
+            return failure(identity, entry, lhs[entry], rhs[entry])
     return IdentityReport("galois-invariance", True, None, detail)

@@ -671,8 +671,8 @@ class ConjugacyPartition:
     smallest element index.
 
     ``class_of`` (int32 per element) and ``class_reps`` (the smallest element
-    index per class) define it; ``sizes`` are counted from ``class_of``.  The
-    member lists ``classes`` are built on first read only.
+    index per class) define it; ``sizes`` are counted from ``class_of``.  No
+    member lists are kept: every reader goes through ``class_of``.
     """
 
     def __init__(self, class_of, class_reps):
@@ -683,14 +683,6 @@ class ConjugacyPartition:
     @property
     def count(self) -> int:
         return len(self.class_reps)
-
-    @functools.cached_property
-    def classes(self) -> list[np.ndarray]:
-        """Sorted int32 element-index array per class."""
-        # a stable sort of at most 16-bit keys is a radix sort
-        keys = self.class_of.astype(np.min_scalar_type(self.count - 1))
-        members = np.argsort(keys, kind="stable").astype(np.int32)
-        return np.split(members, np.cumsum(self.sizes)[:-1])
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:

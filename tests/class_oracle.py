@@ -1,13 +1,11 @@
 """Test-side reads of class functions, each a (2, k) block of int64
 numerators over (k,) denominators (or one denominator for every class):
-the Fraction values per class, the value at one Gamma element, and a
-re-read of sampled class members through the class table."""
+the Fraction values per class, the value at one Gamma element, and the
+member list of each class."""
 
 from fractions import Fraction
 
 import numpy as np
-
-MEMBERS_PER_CLASS = 10  # a class is re-read at up to this many members
 
 
 def class_values(numerators, den, classes):
@@ -22,16 +20,11 @@ def evaluate(numerators, den, classes, x):
     return class_values(numerators, den, classes)[classes.class_of[x[0]]][x[1]]
 
 
-def reread_members(numerators, den, classes, rng):
-    """First (class, element, bit) whose value read through the class table
-    differs from the class value, over up to MEMBERS_PER_CLASS random
-    members per class, or None."""
-    values = class_values(numerators, den, classes)
-    for c, members in enumerate(classes.classes):
-        picks = members if len(members) <= MEMBERS_PER_CLASS else \
-            rng.sample(list(members), MEMBERS_PER_CLASS)
-        for g in picks:
-            for bit in (0, 1):
-                if values[classes.class_of[g]][bit] != values[c][bit]:
-                    return c, g, bit
-    return None
+def class_members(classes) -> list[np.ndarray]:
+    """Sorted int32 element-index array per class of a ``ConjugacyPartition``:
+    a stable argsort of ``class_of``, split by the class sizes."""
+    # a stable sort of at most 16-bit keys is a radix sort
+    keys = classes.class_of.astype(np.min_scalar_type(classes.count - 1))
+    members = np.argsort(keys, kind="stable").astype(np.int32)
+    return np.split(members, np.cumsum(classes.sizes)[:-1])
+

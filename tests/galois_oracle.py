@@ -1,6 +1,6 @@
 """The Galois action on CM types, one subset at a time, and the sampled
 comparison it gives: the test against which ``cm_engine``'s proof of
-``galois-invariance`` from the pair tensor is checked.
+``galois-invariance`` from the pair labels and table is checked.
 
 Gamma = G x Z/2 acts on CM types (sorted tuples of coset indices): (g, 0)
 pushes a subset through the coset action of g, and (g, 1) also complements
@@ -40,9 +40,9 @@ def sampled_pairs(model, rng, pairs=50):
 
 def unequal_pairs(sweep, gammas, phis) -> list[int]:
     """Positions of the pairs (gamma, phi) whose gamma phi and phi have
-    different closed functions, both built with the sweep's pair tensor and
-    permutation character in one block."""
+    different closed functions, both built with the sweep's pair labels and
+    table and permutation character in one block."""
     m = len(phis)
     block = closed_block(act(sweep.model, gammas, phis) + phis, sweep.model,
-                         sweep.P, sweep.chi)
+                         sweep.L, sweep.W, sweep.chi)
     return np.flatnonzero((block[:m] != block[m:]).any(axis=(1, 2))).tolist()

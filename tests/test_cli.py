@@ -422,21 +422,3 @@ def test_timing_reports_peak_rss(capsys):
     assert code == 0 and type(peak) is int and peak > 0
     code, out, _ = run_main(capsys, "certify", "sym:4", "--format", "text")
     assert code == 0 and " KiB)" in out.splitlines()[-1]
-
-
-def test_certify_leaves_the_class_member_lists_unbuilt(monkeypatch):
-    import cmred.cli as cli
-
-    build_model = cli._build_from_spec
-    models = []
-
-    def kept(*args):
-        models.append(build_model(*args))
-        return models[-1]
-
-    monkeypatch.setattr(cli, "_build_from_spec", kept)
-    assert run(RunConfig(command="certify", spec="sym:9"))[1] == 0
-    assert "classes" not in vars(models[-1].classes)
-    # verify reads them once, for the class-table check
-    assert run(RunConfig(command="verify", spec="sym:4"))[1] == 0
-    assert "classes" in vars(models[-1].classes)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import cmred.cm_engine as cm_engine
 import cmred.group_algebra as group_algebra
-from class_oracle import class_values, evaluate, reread_members
+from class_oracle import class_members, class_values, evaluate
 from galois_oracle import act, sampled_pairs, unequal_pairs
 from pair_oracle import pair_tensor_by_lookup
 from cmred.cm_engine import (
@@ -52,6 +52,7 @@ from cmred.permgroup import (
     TABLE_CAP,
     close_generators,
     coset_action,
+    is_k_transitive,
 )
 from perm_oracle import build_zoo_model, index_of, inv, mul, zoo_specs
 
@@ -146,7 +147,7 @@ def conjugate_subgroup_oracle(model):
         xinv = inv(G, x)
         for eta in model.cosets.subgroup_elements:
             counts[mul(G, mul(G, x, eta), xinv)] += 1
-    for members in model.classes.classes:
+    for members in class_members(model.classes):
         assert len({counts[m] for m in members}) == 1
     return [counts[rep] for rep in model.classes.class_reps]
 
@@ -415,7 +416,7 @@ def test_check_closed_form_suites():
 def test_pair_reduction_degenerate_cases():
     m = s4_model()
     subsets = [phi for eps in (0, 1, 2) for phi in cm_types(m, eps)]
-    assert not pair_residuals(subsets, m, pair_tensor(m),
+    assert not pair_residuals(subsets, m, *pair_tensor(m),
                               permutation_character(m)).any()
     rep = check_pair_reduction_suite(subset_sweep(m, 2, 0))
     assert rep.passed, rep.witness
@@ -424,7 +425,7 @@ def test_pair_reduction_degenerate_cases():
 
 def test_pair_reduction_s4_triple():
     m = s4_model()
-    assert not pair_residuals([(0, 1, 2)], m, pair_tensor(m),
+    assert not pair_residuals([(0, 1, 2)], m, *pair_tensor(m),
                               permutation_character(m)).any()
     # cross-check the residual through the brute path, whose functions all
     # share the model's denominators
@@ -444,10 +445,10 @@ def test_pair_reduction_s4_triple():
 
 def test_pair_reduction_all_sizes_including_full():
     for m in (s3_model(), z4_model(), s4_model()):
-        P, chi = pair_tensor(m), permutation_character(m)
+        (L, W), chi = pair_tensor(m), permutation_character(m)
         for eps in range(m.n + 1):
             for phi in cm_types(m, eps):
-                assert not pair_residuals([phi], m, P, chi).any()
+                assert not pair_residuals([phi], m, L, W, chi).any()
 
 
 def test_cm0_membership():
@@ -551,19 +552,20 @@ def test_closed_block_matches_one_at_a_time():
         m = make()
         subsets = [s for eps in range(m.n + 1)
                    for s in itertools.combinations(range(m.n), eps)]
-        P, chi = pair_tensor(m), permutation_character(m)
-        block = closed_block(subsets, m, P, chi)
+        (L, W), chi = pair_tensor(m), permutation_character(m)
+        block = closed_block(subsets, m, L, W, chi)
         assert block.shape == (len(subsets), 2, m.classes.count)
         for s, num in zip(subsets, block):
             assert np.array_equal(num, cm_class_function_closed(s, m))
-        assert not pair_residuals(subsets, m, P, chi).any()
+        assert not pair_residuals(subsets, m, L, W, chi).any()
         # sizes mixed and members reversed: each row lands where its
         # subset is, whatever the order of the block and of its members
         order = list(range(len(subsets)))
         random.Random(m.n).shuffle(order)
         shuffled = [subsets[i][::-1] for i in order]
-        assert np.array_equal(closed_block(shuffled, m, P, chi), block[order])
-        assert not pair_residuals(shuffled, m, P, chi).any()
+        assert np.array_equal(closed_block(shuffled, m, L, W, chi),
+                              block[order])
+        assert not pair_residuals(shuffled, m, L, W, chi).any()
 
 
 def test_brute_count_matches_the_convolution_on_the_zoo():
@@ -603,7 +605,17 @@ def test_pair_tensor_matches_lookup_on_the_zoo():
     assert len(small) > 150 and "alt:8" in small and "sym:8" not in small
     for spec in small:
         m = build_zoo_model(spec)
-        assert np.array_equal(pair_tensor(m), pair_tensor_by_lookup(m)), spec
+        L, W = pair_tensor(m)
+        assert np.array_equal(W[L], pair_tensor_by_lookup(m)), spec
+        assert L.dtype == np.min_scalar_type(len(W) - 1), spec
+        if m.n == 1:  # H = G: the diagonal alone
+            assert len(W) == 1, spec
+            continue
+        # one row per suborbit at most, and the zero row of the diagonal
+        two_transitive, pair_orbits = is_k_transitive(
+            m.generator_action_rows, m.n, 2)
+        assert len(W) <= pair_orbits + 1, spec
+        assert len(W) == 2 or not two_transitive, spec
 
 
 def test_pair_tensor_past_the_action_dtype():
@@ -612,10 +624,10 @@ def test_pair_tensor_past_the_action_dtype():
     for spec in ("sym:5", "alt:6"):
         m = UnitaryGaloisModel(build(spec)[0], [])
         assert m.n == m.group.order
-        P = pair_tensor(m)
-        assert np.array_equal(P, pair_tensor_by_lookup(m))
+        L, W = pair_tensor(m)
+        assert np.array_equal(W[L], pair_tensor_by_lookup(m))
         # over trivial H each ordered pair i != j is one element
-        assert (P.sum(axis=2) == 1 - np.eye(m.n, dtype=np.int64)).all()
+        assert (W.sum(axis=1)[L] == 1 - np.eye(m.n, dtype=np.int64)).all()
 
 
 def file_model(path):
@@ -649,10 +661,10 @@ def test_pair_tensor_marginals(spec):
     # sum to n (|c| - |H cap c|) = (n - chi(c)) |c|.
     m = file_model(S5_OVER_C2) if spec.startswith("file:") \
         else build_zoo_model(spec)
-    P = pair_tensor(m)
-    assert marginal_failures(P, m) == []
+    L, W = pair_tensor(m)
+    assert marginal_failures(W[L], m) == []
     # the tripled double-coset term breaks all three
-    assert marginal_failures(3 * P, m) == ["rows", "columns", "total"]
+    assert marginal_failures(3 * W[L], m) == ["rows", "columns", "total"]
 
 
 @pytest.mark.parametrize("spec", ["sym:4", "sp4f2:-", "cyclic:6", "psl2:7"])
@@ -671,23 +683,25 @@ def test_brute_functions_agree_on_inverse_classes(spec):
 
 def test_s9_over_s6_model_and_pair_tensor_stay_small():
     # |G| = 362,880 and n = 504: an action row for every element would be
-    # 349 MiB on its own
+    # 349 MiB on its own, and the (n, n, k) int64 pair tensor 58 MiB
     _, degree, group_gens, subgroup_gens = parse_spec(f"file:{S9_OVER_S6}")
     G = close_generators(degree, group_gens)
     tracemalloc.start()
     try:
         m = UnitaryGaloisModel(G, subgroup_gens)
-        P = pair_tensor(m)
+        L, W = pair_tensor(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (G.order, m.n, m.h) == (362_880, 504, 720)
-    assert peak < 128 * 2 ** 20, peak / 2 ** 20
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20
+    assert len(W) == 10 and L.dtype == np.uint8 and L.shape == (m.n, m.n)
     # each ordered pair i != j collects all of H
-    assert (P.sum(axis=2) == m.h * (1 - np.eye(m.n, dtype=np.int64))).all()
-    # galois-invariance gathers the 58 MiB P a block at a time, with its
-    # uint16 action rows widened before the key i n + j (504^2 > 2^16)
-    sweep = types.SimpleNamespace(model=m, P=P, chi=permutation_character(m))
+    assert (W.sum(axis=1)[L] == m.h * (1 - np.eye(m.n, dtype=np.int64))).all()
+    # galois-invariance gathers labels only, and multiplies per-row label
+    # counts by the (10, 30) table
+    sweep = types.SimpleNamespace(model=m, L=L, W=W,
+                                  chi=permutation_character(m))
     tracemalloc.start()
     try:
         rep = check_galois_invariance(sweep)
@@ -719,10 +733,10 @@ def test_pair_reduction_of_every_size_stays_small():
 def test_pair_residual_sees_a_changed_triple():
     m = s4_model()
     subsets = list(itertools.combinations(range(4), 3))
-    P, chi = pair_tensor(m), permutation_character(m)
-    closed = closed_block(subsets, m, P, chi)
+    (L, W), chi = pair_tensor(m), permutation_character(m)
+    closed = closed_block(subsets, m, L, W, chi)
     closed[2, 1, 0] += 1
-    bad = pair_residuals(subsets, m, P, chi, closed).any(axis=(1, 2))
+    bad = pair_residuals(subsets, m, L, W, chi, closed).any(axis=(1, 2))
     assert bad.tolist() == [False, False, True, False]
     # the same change in a sweep: both checks name the subset, 1-based
     sweep = subset_sweep(m, 3, 0)
@@ -746,9 +760,9 @@ def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
         calls["brute"] += 1
         return brute(phi, model, brute_cap)
 
-    def counted_block(subsets, model, P, chi):
+    def counted_block(subsets, model, L, W, chi):
         calls["block"] += 1
-        return block(subsets, model, P, chi)
+        return block(subsets, model, L, W, chi)
 
     def counted_pairs(model):
         calls["pairs"] += 1
@@ -785,8 +799,11 @@ def test_sweep_is_shared_and_brute_runs_once_per_subset(monkeypatch):
 
 def test_tripled_double_coset_term_is_caught(monkeypatch):
     # the witness and count are those of the Fraction-based closed form
-    monkeypatch.setattr(cm_engine, "pair_tensor",
-                        lambda model: 3 * pair_tensor(model))
+    def tripled(model):
+        L, W = pair_tensor(model)
+        return L, 3 * W
+
+    monkeypatch.setattr(cm_engine, "pair_tensor", tripled)
     m = build_zoo_model("sym:4")
     sweep = subset_sweep(m, None, 7)
     rep = check_closed_form(sweep)
@@ -796,23 +813,6 @@ def test_tripled_double_coset_term_is_caught(monkeypatch):
     assert rep.detail == {"subsets_checked": 6}
     rep = check_galois_invariance(sweep)
     assert not rep.passed and rep.witness["identity"] == "rows"
-
-
-def test_cm0_checks_the_whole_class_table():
-    m = s4_model()
-    sweep = subset_sweep(m, None, 0)
-    assert check_cm0_suite(sweep).passed
-    rng = random.Random(5)
-    f, den = cm_class_function_brute((0, 1), m), closed_denominators(m)
-    assert reread_members(f, den, m.classes, rng) is None
-    # move the last member of the last class to class 0, in the table only
-    g = m.classes.classes[-1][-1]
-    m.classes.class_of = m.classes.class_of.copy()
-    m.classes.class_of[g] = 0
-    rep = check_cm0_suite(sweep)
-    assert not rep.passed
-    assert rep.witness == {"class_index": m.classes.count - 1, "element": g}
-    assert reread_members(f, den, m.classes, rng) is not None
 
 
 def test_int64_bound_at_the_caps():
@@ -880,14 +880,14 @@ def model_and_subsets(draw):
 @given(model_and_subsets())
 def test_integer_closed_form_on_random_groups(case):
     m, subsets = case
-    P, chi = pair_tensor(m), permutation_character(m)
-    block = closed_block(subsets, m, P, chi)
+    (L, W), chi = pair_tensor(m), permutation_character(m)
+    block = closed_block(subsets, m, L, W, chi)
     for s, num in zip(subsets, block):
         closed = cm_class_function_closed(s, m)
         assert np.array_equal(closed, num)
         assert values_of(closed, m) == closed_form_via_algebra(s, m)
         assert np.array_equal(closed, cm_class_function_brute(s, m))
-    assert not pair_residuals(subsets, m, P, chi, block).any()
+    assert not pair_residuals(subsets, m, L, W, chi, block).any()
 
 
 @st.composite
@@ -936,7 +936,7 @@ def test_whole_suite_on_random_groups(case):
                     + (eps - 2) * sum(f((i,)) for i in s)
                     - (eps - 1) * (eps - 2) // 2 * f(()))
         assert not np.any(residual), s
-    assert np.array_equal(sweep.P, pair_tensor_by_lookup(m))
+    assert np.array_equal(sweep.W[sweep.L], pair_tensor_by_lookup(m))
     # the coset action is a homomorphism: act[ab] = act[a] o act[b]
     act_rows = coset_action(m.group, m.cosets, range(m.group.order))
     everything = np.arange(m.group.order)[:, None, None]
@@ -956,7 +956,7 @@ def test_galois_invariance_proof_agrees_with_the_sampled_action(case):
     # functions of phi and rho g phi then differ by a multiple of
     # (n - 2 eps) h (n - chi(c)) |c|, nonzero on a class that moves a coset
     assume(m.n >= 2)
-    sweep.P = 3 * sweep.P
+    sweep.W = 3 * sweep.W
     rep = check_galois_invariance(sweep)
     assert not rep.passed and rep.witness["identity"] == "rows"
     moved = [p for p, ((_, bit), phi) in enumerate(zip(gammas, phis))

@@ -34,7 +34,10 @@ CASES = {
 
 
 def tripled_pair_tensor(pair_tensor):
-    return lambda model: 3 * pair_tensor(model)
+    def tripled(model):
+        L, W = pair_tensor(model)
+        return L, 3 * W
+    return tripled
 
 
 def golden_text(name) -> tuple[str, int]:

@@ -42,6 +42,7 @@ from cmred.permgroup import (
     orbits_on_subsets,
     stabilizer_generators,
 )
+from class_oracle import class_members
 from group_oracle import (
     bytes_index,
     dict_close,
@@ -237,7 +238,7 @@ def test_conjugacy_matches_orbit_oracle():
                         queue.append(y)
             seen |= orbit
             oracle_classes.append(sorted(orbit))
-        assert oracle_classes == [c.tolist() for c in P.classes]
+        assert oracle_classes == [c.tolist() for c in class_members(P)]
 
 
 def test_coset_action_is_homomorphism():
@@ -559,7 +560,8 @@ def test_group_layer_matches_dict_oracle(case):
     P = conjugacy_classes(G)
     class_of, reps, classes = dict_conjugacy_classes(G)
     assert np.array_equal(P.class_of, class_of)
-    assert (P.class_reps, [c.tolist() for c in P.classes]) == (reps, classes)
+    assert (P.class_reps, [c.tolist() for c in class_members(P)]) == \
+        (reps, classes)
     for H_gens in subgroups + [stabilizer_generators(G)]:
         C = left_cosets(G, H_gens)
         h_indices, coset_of, reps, cosets = dict_left_cosets(G, H_gens)
@@ -652,7 +654,8 @@ def test_sym8_classes_are_the_cycle_types():
         by_type.setdefault(cycle_type(images), []).append(x)
     P = conjugacy_classes(G)
     assert P.count == len(by_type) == 22
-    assert sorted(c.tolist() for c in P.classes) == sorted(by_type.values())
+    assert sorted(c.tolist() for c in class_members(P)) == \
+        sorted(by_type.values())
 
 
 def test_sym8_general_cosets_across_blocks():
@@ -773,17 +776,18 @@ def test_orbits_on_subsets_of_psu3_3_stay_small():
 def test_member_lists_are_lazy_and_unchanged(spec):
     G, _ = build(spec)
     P = conjugacy_classes(G)
-    assert "classes" not in vars(P)
+    # the partition keeps no member lists; readers build them on demand
+    assert not hasattr(P, "classes")
     # the eager construction: a stable argsort of class_of, split by sizes
     members = np.argsort(P.class_of, kind="stable").astype(np.int32)
     expected = np.split(members, np.cumsum(np.bincount(P.class_of))[:-1])
-    assert [c.dtype for c in P.classes] == [np.int32] * P.count
-    assert [c.tolist() for c in P.classes] == [c.tolist() for c in expected]
+    assert [c.dtype for c in class_members(P)] == [np.int32] * P.count
+    assert [c.tolist() for c in class_members(P)] == \
+        [c.tolist() for c in expected]
     assert P.sizes == [len(c) for c in expected]
     assert P.class_reps == [int(c[0]) for c in expected]
     assert P.class_of.dtype == np.int32
     assert all((P.class_of[c] == i).all() for i, c in enumerate(expected))
-    assert P.classes is P.classes  # built once
 
 
 @pytest.mark.parametrize("spec", ZOO)

@@ -1,7 +1,8 @@
 """Named mutations of the data ``galois-invariance`` reads, each pinned to the
 identity its witness names (``generator <g>``, ``rows``, ``columns`` or
 ``total``), on a small fixed set of models.  Every mutation is applied with
-``monkeypatch`` to one sweep; no file is edited.
+``monkeypatch`` to one sweep, or to ``pair_tensor`` when the closed functions
+must see it too; no file is edited.
 """
 
 import functools
@@ -9,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
+import cmred.cm_engine as cm_engine
 from cmred.cli import parse_spec
-from cmred.cm_engine import check_galois_invariance, subset_sweep
+from cmred.cm_engine import (
+    check_closed_form,
+    check_galois_invariance,
+    subset_sweep,
+)
 from cmred.galois_model import UnitaryGaloisModel
 from cmred.permgroup import close_generators
 from perm_oracle import build_zoo_model
@@ -29,7 +35,20 @@ def model(spec):
 
 
 def tripled_pair_tensor(monkeypatch, sweep):
-    monkeypatch.setattr(sweep, "P", 3 * sweep.P)
+    # P = W[L]: tripling the table triples every entry of P
+    monkeypatch.setattr(sweep, "W", 3 * sweep.W)
+
+
+def with_diagonal_label(L):
+    # the ordered pair of cosets (1, 2) takes the label of the diagonal,
+    # whose row of the table is zero: P[0, 1] = 0
+    L = L.copy()
+    L[0, 1] = L[0, 0]
+    return L
+
+
+def diagonal_label_off_the_diagonal(monkeypatch, sweep):
+    monkeypatch.setattr(sweep, "L", with_diagonal_label(sweep.L))
 
 
 def chi_plus_one(monkeypatch, sweep):
@@ -47,7 +66,9 @@ def swapped_generator_row(monkeypatch, sweep):
 
 MUTATIONS = {"tripled-pair-tensor": tripled_pair_tensor,
              "chi-plus-one": chi_plus_one,
-             "swapped-generator-row": swapped_generator_row}
+             "swapped-generator-row": swapped_generator_row,
+             "diagonal-label-off-the-diagonal":
+                 diagonal_label_off_the_diagonal}
 
 FIVE = ["sym:4", "sp4f2:-", "cyclic:6", "psu3:3", S5_OVER_C2]
 
@@ -60,7 +81,11 @@ CASES = (
     # the known limit: psu3:3 acts 2-transitively, so P is constant off its
     # diagonal and zero on it, and every permutation of the cosets keeps it;
     # no identity of P can see a wrong entry of an action row there
-    + [("swapped-generator-row", "psu3:3", None)])
+    + [("swapped-generator-row", "psu3:3", None)]
+    # a wrong label is a wrong entry of P, seen there too
+    + [("diagonal-label-off-the-diagonal", spec, "generator 0")
+       for spec in ("sym:4", "sp4f2:-", "cyclic:6", "dihedral:7", "psu3:3",
+                    S5_OVER_C2)])
 
 
 def case_id(case):
@@ -96,3 +121,20 @@ def test_witness_of_a_swapped_row_on_cyclic6(monkeypatch):
         "witness": {"identity": "generator 0", "entry": [1, 2],
                     "class_index": 1, "lhs": "1", "rhs": "0"},
         "detail": {"generators": 1, "classes": 6}}
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "sp4f2:-", "cyclic:6"])
+def test_a_pair_with_the_diagonal_label_fails_closed_form(spec, monkeypatch):
+    # under the brute cap the closed functions built from the wrong label
+    # differ from the brute ones first on the first pair, cosets 1 and 2
+    pair_tensor = cm_engine.pair_tensor
+
+    def mutated(m):
+        L, W = pair_tensor(m)
+        return with_diagonal_label(L), W
+
+    monkeypatch.setattr(cm_engine, "pair_tensor", mutated)
+    sweep = subset_sweep(model(spec), 2, 0)
+    rep = check_closed_form(sweep)
+    assert not rep.passed and rep.witness["subset"] == [1, 2], rep.to_dict()
+    assert check_galois_invariance(sweep).witness["identity"] == "generator 0"
