@@ -8,7 +8,7 @@ in the stratum of complementary size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +38,13 @@ class OrbitTable:
     the two strata identify merged orbits.
     """
 
-    n: int
     entries: dict  # eps -> {"bit0": StratumOrbits, "full": StratumOrbits}
 
-    def to_dict(self, eps_max: int | None = None):
-        """The strata up to ``eps_max`` (every stratum when None)."""
+    def to_dict(self, eps_max: int):
+        """The strata up to ``eps_max``."""
         return {str(eps): {k: v.to_dict() for k, v in entry.items()}
                 for eps, entry in sorted(self.entries.items())
-                if eps_max is None or eps <= eps_max}
+                if eps <= eps_max}
 
 
 def _tuples(subsets: np.ndarray) -> list:
@@ -85,7 +84,7 @@ def orbit_table(model: UnitaryGaloisModel, eps_max: int) -> OrbitTable:
             full = StratumOrbits(len(merged), sizes.tolist(),
                                  _tuples(lex_unrank(merged, n, eps)))
         entries[eps] = {"bit0": bit0, "full": full}
-    return OrbitTable(n, entries)
+    return OrbitTable(entries)
 
 
 CRITERION_MET_TEXT = (
@@ -110,7 +109,7 @@ class ColmezCertificate:
     pair_orbit_count: int
     orbit_counts: dict  # eps in {0,1,2} -> bit-0 orbit count
     criterion_met: bool
-    statement: str = field(default="")
+    statement: str
 
     def to_dict(self):
         return {

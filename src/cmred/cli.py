@@ -46,7 +46,6 @@ class RunConfig:
     eps_max: int | None = None
     brute_cap: int = BRUTE_CAP
     seed: int = 0
-    fmt: str = "json"
     large: bool = False
 
     def __post_init__(self):
@@ -260,20 +259,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "zoo":
-            config = RunConfig(command="zoo-list", fmt=args.fmt)
+            config = RunConfig(command="zoo-list")
         else:
             config = RunConfig(
                 command=args.command, spec=args.spec,
                 eps_max=getattr(args, "eps_max", None),
                 brute_cap=getattr(args, "brute_cap", BRUTE_CAP),
-                seed=getattr(args, "seed", 0),
-                fmt=args.fmt, large=args.large)
+                seed=getattr(args, "seed", 0), large=args.large)
         report, code = run(config)
     except CmredError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     try:
-        print(render_json(report) if config.fmt == "json" else render_text(report))
+        print(render_json(report) if args.fmt == "json" else render_text(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone (``| head -1``): the interpreter's own flush at

@@ -439,18 +439,13 @@ def zoo_list():
     ]
 
 
-def _alternating_gens(points):
-    """Consecutive 3-cycles: a provably generating set for the alternating
-    group on the listed points."""
-    k = len(points)
-    if k < 3:
-        return []
+def _alternating_gens(n):
+    """Consecutive 3-cycles (t t+1 t+2): a provably generating set for the
+    alternating group on n points."""
     gens = []
-    for t in range(k - 2):
-        a, b, c = points[t], points[t + 1], points[t + 2]
-        n = max(points) + 1
+    for t in range(n - 2):
         img = list(range(n))
-        img[a], img[b], img[c] = b, c, a
+        img[t], img[t + 1], img[t + 2] = t + 1, t + 2, t
         gens.append(tuple(img))
     return gens
 
@@ -496,7 +491,7 @@ def _zoo_action(spec) -> tuple[int, list]:
         swap = tuple([1, 0] + list(range(2, n)))
         return n, [] if n == 1 else [swap] if n == 2 else [swap, rot]
     if family == "alt":
-        return max(n, 1), _alternating_gens(list(range(n)))
+        return max(n, 1), _alternating_gens(n)
     if family == "cyclic":
         return n, [] if n == 1 else [rot]
     if family == "dihedral":

@@ -9,16 +9,16 @@ arrays; all results are exact.
 Before any enumeration a Schreier-Sims chain (``StabChain``) on the base
 0, 1, ..., degree-1 gives |G| and every element's rank: its position in the
 byte-sorted element list, read from the basic orbits, in int32 (any row
-ranks under 255 |G|).  The closure checks the order against its cap, takes
-each BFS level's generator slots in batches of whole slots, ranks a batch's
-products with one call, places each new element by its rank, and compares
-every product with the stored element by full row, so a wrong chain raises
-instead of giving a wrong group.  It records the BFS level boundaries
-(``FiniteGroup.levels``), not a parent per element: the BFS words that
-``mult_table`` extends along are derived from the levels on first read
-(``FiniteGroup._parents``), so a run past ``TABLE_CAP`` holds no parents.
-A chain given the order the caller derived stops building once its orbit
-lengths multiply to it.  ``FiniteGroup.index_rows`` looks a block
+ranks under 255 |G|); it raises once the order passes ``ELEMENT_CAP``.
+The closure takes each BFS level's generator slots in batches of whole
+slots, ranks a batch's products with one call, places each new element by
+its rank, and compares every product with the stored element by full row,
+so a wrong chain raises instead of giving a wrong group.  It records the
+BFS level boundaries (``FiniteGroup.levels``), not a parent per element:
+the BFS words that ``mult_table`` extends along are derived from the levels
+on first read (``FiniteGroup._parents``), so a run past ``TABLE_CAP`` holds
+no parents.  A chain given the order the caller derived stops building once
+its orbit lengths multiply to it.  ``FiniteGroup.index_rows`` looks a block
 of image rows up by rank and reports a row outside the group, caught by a
 full-row compare with the element at its rank, as -1;
 ``FiniteGroup.index_elements``, for the rows of a map that must keep the
@@ -41,12 +41,11 @@ Partitions are label arrays: ``labels[x]`` is the smallest item of x's
 class, and ``merge_labels`` merges x with ``image[x]`` for every x by hooking
 each root onto the smaller root over every edge and pointer jumping, in the
 labels' dtype.  Partitions of G are int32 (|G| <= ELEMENT_CAP < 2^31), those
-of ordered k-tuples int32 while n**k < 2^31, and those of subsets int32 too:
-a subset's label is a lexicographic rank below C(n, eps) <= SUBSET_CAP <
-2^31 (int64 only for a larger cap passed in).  Any
-generating set of G gives the same partition, so the merges over G run over
-``FiniteGroup.orbit_generators``: the input generators when there are at
-most two, else a set no longer than they, picked once with chain checks.
+of ordered k-tuples int32 (n**k < 2^31), and those of subsets int32 too: a
+subset's label is a lexicographic rank below C(n, eps) <= SUBSET_CAP < 2^31.
+Any generating set of G gives the same partition, so the merges over G run
+over ``FiniteGroup.orbit_generators``: the input generators when there are
+at most two, else a set no longer than they, picked once with chain checks.
 Conjugacy classes are the classes of x ~ s o x o s^-1 for those s, and orbits
 on ordered k-tuples and on subsets those of a tuple or a subset and its image
 under the coset action of one of them.  The closure and the BFS parent words
@@ -128,8 +127,8 @@ class StabChain:
     and checked again from the deepest one it reaches.
 
     Every orbit found on the way is inside a basic orbit, so the product of
-    their lengths never exceeds |G|: once it passes ``cap`` the build stops
-    with ElementCapExceeded, naming that lower bound.
+    their lengths never exceeds |G|: once it passes ``ELEMENT_CAP`` the build
+    stops with ElementCapExceeded, naming that lower bound.
 
     Given ``order``, the build also stops as soon as that product equals
     it, and when ``order`` is |G| the chain is then complete.  The orbit
@@ -147,8 +146,7 @@ class StabChain:
     full-row compares catch it.
     """
 
-    def __init__(self, degree: int, gen_rows: np.ndarray, cap=None,
-                 order=None):
+    def __init__(self, degree: int, gen_rows: np.ndarray, order=None):
         self.degree = degree
         self.generators = gen_rows
         moved = gen_rows != np.arange(degree)
@@ -166,10 +164,10 @@ class StabChain:
                 self._build_level(i)
                 stale.discard(i)
                 bound = math.prod(len(lv[0]) for lv in self._levels.values())
-                if cap is not None and bound > cap:
+                if bound > ELEMENT_CAP:
                     raise ElementCapExceeded(
                         f"group order is at least {bound}, over the cap of "
-                        f"{cap} elements")
+                        f"{ELEMENT_CAP} elements")
                 if bound == order:
                     break
             residue = self._check_level(i)
@@ -284,9 +282,8 @@ class StabChain:
         With P_i the product of the |O_j| for j > i, the rank is
         sum b_i P_i <= 255 sum P_i, and P_(i-1) = |O_i| P_i >= 2 P_i makes
         sum P_i < 2 P_0 = 2 |G| / |O_0| <= |G|; every partial sum of
-        Horner's rule is smaller still.  The ranks fit int32 because
-        close_generators, whose cap is at most ELEMENT_CAP, never ranks past
-        it: 255 ELEMENT_CAP < 2^31."""
+        Horner's rule is smaller still.  The ranks fit int32 because no
+        chain has an order past ELEMENT_CAP: 255 ELEMENT_CAP < 2^31."""
         read, plan = self._rank_plan
         columns = rows.T[read]  # the columns read, each contiguous
         rank = np.zeros(rows.shape[0], dtype=np.int32)
@@ -435,13 +432,12 @@ class FiniteGroup:
         return table
 
 
-def close_generators(degree: int, gens: Iterable[Sequence[int]],
-                     cap: int = ELEMENT_CAP, *,
+def close_generators(degree: int, gens: Iterable[Sequence[int]], *,
                      order: int | None = None) -> FiniteGroup:
     """Enumerate the group generated by ``gens`` on points 0..degree-1.
 
     The chain gives |G| first: ElementCapExceeded as soon as it is known to
-    be over ``cap`` (at most ELEMENT_CAP, which keeps ranks in int32), and
+    be over ``ELEMENT_CAP`` (which keeps ranks in int32), and
     BuildVerificationError if it differs from an ``order`` the caller
     derived, before anything is allocated; the chain stops building once its
     orbit lengths multiply to that order.  Then level
@@ -461,7 +457,7 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]],
     A collision or an enumerated count other than the chain's order raises
     BuildVerificationError.
     """
-    chain = StabChain(degree, generator_rows(degree, gens), cap, order)
+    chain = StabChain(degree, generator_rows(degree, gens), order)
     if order is not None and chain.order != order:
         raise BuildVerificationError(
             f"expected order {order}, the stabilizer chain gives {chain.order}")
@@ -602,8 +598,7 @@ class CosetSpace:
     representative).
     """
 
-    def __init__(self, group, coset_of, reps):
-        self.group = group
+    def __init__(self, coset_of, reps):
         # (order,) uint8 or uint16, the smallest dtype that holds n - 1:
         # element index -> coset index
         self.coset_of = coset_of
@@ -657,13 +652,13 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
         reps = np.sort(first[first < G.order])
         number = np.empty(G.degree, dtype=np.min_scalar_type(len(reps) - 1))
         number[column[reps]] = np.arange(len(reps))
-        return CosetSpace(G, _take(number, column), reps.tolist())
+        return CosetSpace(_take(number, column), reps.tolist())
     labels = np.arange(G.order, dtype=np.int32)
     for s in rows:
         labels = merge_labels(labels, _mapped(  # x o s
             G, lambda x: x[:, s], "right multiplication by a subgroup generator"))
     coset_of, reps = _partition(labels, narrow=True)
-    return CosetSpace(G, coset_of, reps.tolist())
+    return CosetSpace(coset_of, reps.tolist())
 
 
 class ConjugacyPartition:
@@ -718,17 +713,16 @@ def is_k_transitive(action_rows, n: int, k: int) -> tuple[bool, int]:
     the acting group, such as the rows of a generating set.
     Every ordered k-tuple is ranked in mixed radix n, and each row's image of
     the n**k ranks is merged into the labels before the next row's is built.
-    Ranks, digits and images are int32 when n**k fits, else int64.
+    Ranks, digits and images are int32: ValueError unless n**k < 2^31.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    dtype = np.int32 if n ** k < 2 ** 31 else np.int64
-    labels = np.arange(n ** k, dtype=dtype)
+    if not 1 <= k <= n or n ** k >= 2 ** 31:
+        raise ValueError(f"need 1 <= k <= n and n**k < 2^31, got k={k}, n={n}")
+    labels = np.arange(n ** k, dtype=np.int32)
     digits = [labels // n ** (k - 1 - i) % n for i in range(k)]
-    image = np.empty(n ** k, dtype=dtype)
-    digit = np.empty(n ** k, dtype=dtype)
+    image = np.empty(n ** k, dtype=np.int32)
+    digit = np.empty(n ** k, dtype=np.int32)
     for row in action_rows:
-        row = np.asarray(row, dtype=dtype)
+        row = np.asarray(row, dtype=np.int32)
         image[:] = 0
         for d in digits:
             image *= n
@@ -744,43 +738,40 @@ def is_k_transitive(action_rows, n: int, k: int) -> tuple[bool, int]:
     return (orbit_count == 1, orbit_count)
 
 
-def check_subset_cap(n: int, eps: int, cap: int = SUBSET_CAP) -> None:
+def check_subset_cap(n: int, eps: int) -> None:
     """Raise SubsetCapExceeded unless the size-``eps`` subsets of n points
-    number at most ``cap``."""
+    number at most ``SUBSET_CAP``."""
     if not 0 <= eps <= n:
         raise ValueError(f"need 0 <= eps <= n, got eps={eps}, n={n}")
-    if math.comb(n, eps) > cap:
+    if math.comb(n, eps) > SUBSET_CAP:
         raise SubsetCapExceeded(
-            f"C({n},{eps}) = {math.comb(n, eps)} exceeds cap {cap}")
-
-
-def _rank_dtype(n: int, eps: int):
-    """int32 when every rank among the size-eps subsets of n points fits,
-    as under ``SUBSET_CAP`` < 2^31, else int64."""
-    return np.int32 if math.comb(n, eps) < 2 ** 31 else np.int64
+            f"C({n},{eps}) = {math.comb(n, eps)} exceeds cap {SUBSET_CAP}")
 
 
 def _lex_weights(n: int, eps: int) -> np.ndarray:
-    """(eps, n) table in ``_rank_dtype``: entry (i, a) is
-    C(n - 1 - a, eps - i), capped at C(n, eps) so that it fits.  No subset's
-    rank uses an entry over C(n, eps), so the cap changes no rank."""
+    """(eps, n) int32 table: entry (i, a) is C(n - 1 - a, eps - i), capped
+    at C(n, eps) <= SUBSET_CAP so that it fits; SubsetCapExceeded past the
+    cap.  No subset's rank uses an entry over C(n, eps), so the cap changes
+    no rank."""
+    check_subset_cap(n, eps)
     total = math.comb(n, eps)
     return np.array([[min(math.comb(n - 1 - a, eps - i), total)
                       for a in range(n)] for i in range(eps)],
-                    dtype=_rank_dtype(n, eps)).reshape(eps, n)
+                    dtype=np.int32).reshape(eps, n)
 
 
 def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     """Rank of each sorted row among the size-eps subsets of n points, in
-    ``itertools.combinations`` (lexicographic) order, in ``_rank_dtype``.
+    ``itertools.combinations`` (lexicographic) order, in int32;
+    SubsetCapExceeded when the subsets number over ``SUBSET_CAP``.
 
     The weight of a_i counts the subsets that agree before position i and
     exceed a_i there (the combinatorial number system on n - 1 - a).
     """
     count, eps = subsets.shape
     weights = _lex_weights(n, eps)
-    ranks = np.full(count, math.comb(n, eps) - 1, dtype=weights.dtype)
-    weight = np.empty(count, dtype=weights.dtype)
+    ranks = np.full(count, math.comb(n, eps) - 1, dtype=np.int32)
+    weight = np.empty(count, dtype=np.int32)
     for i in range(eps):
         ranks -= _take(weights[i], subsets[:, i], out=weight)
     return ranks
@@ -813,7 +804,7 @@ def lex_subsets(n: int, eps: int) -> np.ndarray:
 
 def lex_unrank(ranks, n: int, eps: int) -> np.ndarray:
     """Inverse of ``lex_rank``: the sorted subsets of the given ranks, as a
-    (len(ranks), eps) array of point indices."""
+    (len(ranks), eps) array of point indices; SubsetCapExceeded as there."""
     weights = _lex_weights(n, eps)
     rest = math.comb(n, eps) - 1 - np.asarray(ranks, dtype=np.int64)
     out = np.empty((rest.shape[0], eps), dtype=np.min_scalar_type(n - 1))
@@ -825,8 +816,7 @@ def lex_unrank(ranks, n: int, eps: int) -> np.ndarray:
     return out
 
 
-def orbits_on_subsets(action_rows, n: int, eps: int,
-                      cap: int = SUBSET_CAP) -> np.ndarray:
+def orbits_on_subsets(action_rows, n: int, eps: int) -> np.ndarray:
     """Orbit labels of the action on the size-``eps`` subsets of n points.
 
     Subsets are numbered by their lexicographic rank (``lex_rank``), and
@@ -838,11 +828,12 @@ def orbits_on_subsets(action_rows, n: int, eps: int,
     One pass per row of ``action_rows``: the row maps every subset, the image
     is sorted in place and ranked, and ``merge_labels`` merges it into the
     labels.  Only one row's image (a rank per subset) is held at a time.
-    Labels and ranks are int32 (``_rank_dtype``) under the default cap.
+    Labels and ranks are int32; SubsetCapExceeded, before any subset is
+    built, when the subsets number over ``SUBSET_CAP``.
     """
-    check_subset_cap(n, eps, cap)
+    check_subset_cap(n, eps)
     subsets = lex_subsets(n, eps)
-    labels = np.arange(subsets.shape[0], dtype=_rank_dtype(n, eps))
+    labels = np.arange(subsets.shape[0], dtype=np.int32)
     for row in action_rows:
         # images in the subsets' own dtype, the smallest that holds n - 1
         image = _take(np.asarray(row, dtype=subsets.dtype), subsets)

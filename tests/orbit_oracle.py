@@ -70,7 +70,7 @@ def _stratum(orbits):
 
 
 def oracle_orbit_table(action_rows, n, eps_max):
-    """``OrbitTable.to_dict()`` built from the tuple BFS and complement sets."""
+    """``OrbitTable.to_dict(eps_max)`` from the tuple BFS and complement sets."""
     points = set(range(n))
     table = {}
     for eps in range(min(eps_max, n) + 1):

@@ -88,7 +88,7 @@ def test_orbit_table_matches_oracle():
     for spec in ("cyclic:6", "dihedral:12", "sym:4"):
         m = build_zoo_model(spec)
         expected = oracle_orbit_table(m.generator_action_rows, m.n, m.n)
-        assert orbit_table(m, m.n).to_dict() == expected, spec
+        assert orbit_table(m, m.n).to_dict(m.n) == expected, spec
 
 
 def test_certify_positive():
@@ -124,6 +124,6 @@ def test_certificates_deterministic():
     a = certificate("sym:4").to_dict()
     b = certificate("sym:4").to_dict()
     assert a == b
-    ta = orbit_table(build_zoo_model("cyclic:6"), 3).to_dict()
-    tb = orbit_table(build_zoo_model("cyclic:6"), 3).to_dict()
+    ta = orbit_table(build_zoo_model("cyclic:6"), 3).to_dict(3)
+    tb = orbit_table(build_zoo_model("cyclic:6"), 3).to_dict(3)
     assert ta == tb

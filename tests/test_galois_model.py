@@ -121,9 +121,9 @@ def test_enumerate_counts_and_order():
     types, exhaustive = sample_subsets(4, 2, random.Random(0))
     assert exhaustive and len(types) == 6 and types == sorted(types)
     assert sample_subsets(3, 0, random.Random(0)) == ([()], True)
-    check_subset_cap(4, 2, cap=6)
+    check_subset_cap(28, 8)
     with pytest.raises(SubsetCapExceeded):
-        check_subset_cap(4, 2, cap=3)
+        check_subset_cap(28, 9)
     with pytest.raises(ValueError):
         check_subset_cap(4, 9)
 

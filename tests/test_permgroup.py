@@ -122,8 +122,12 @@ def test_close_rejects_non_permutation():
 
 
 def test_element_cap():
-    with pytest.raises(ElementCapExceeded):
-        close_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], cap=10)
+    # |S10| = 3,628,800 is over ELEMENT_CAP; the chain sees it first
+    swap = (1, 0) + tuple(range(2, 10))
+    cycle = tuple((i + 1) % 10 for i in range(10))
+    with pytest.raises(ElementCapExceeded,
+                       match="group order is at least 3628800"):
+        close_generators(10, [swap, cycle])
 
 
 def test_deterministic_element_order():
@@ -372,17 +376,42 @@ def test_orbit_sizes_sum_to_binomial():
         assert sum(orbit_reps_sizes(labels)[1]) == math.comb(4, eps)
 
 
+def raises_unallocated(error, call):
+    """``call()`` raises ``error`` under a tracemalloc peak of 1 MiB: the
+    size check comes before any array of the requested size."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
 def test_subset_cap():
-    G = sym_group(4)
-    C = left_cosets(G, stabilizer_generators(G))
-    act = coset_action(G, C, range(G.order))
-    with pytest.raises(SubsetCapExceeded):
-        orbits_on_subsets(act, 4, 2, cap=3)
+    # C(28, 9) = 6,906,900 subsets would take 62 MB as uint8 point rows
+    rows = [list(range(28))]
+    raises_unallocated(SubsetCapExceeded,
+                       lambda: orbits_on_subsets(rows, 28, 9))
     with pytest.raises(SubsetCapExceeded):
         check_subset_cap(28, 9)
     check_subset_cap(28, 8)
     with pytest.raises(ValueError):
         check_subset_cap(4, 5)
+
+
+def test_lex_rank_and_unrank_past_the_subset_cap():
+    # C(40, 20) = 137,846,528,820 ranks would not fit int32
+    subset = np.arange(20, dtype=np.uint8)[None]
+    raises_unallocated(SubsetCapExceeded, lambda: lex_rank(subset, 40))
+    raises_unallocated(SubsetCapExceeded, lambda: lex_unrank([0], 40, 20))
+
+
+def test_k_transitive_past_int32_tuples():
+    # 1291**3 = 2,151,685,171 >= 2^31 ordered triples; 1290**3 fits
+    rows = np.arange(1291, dtype=np.int32)[None]
+    raises_unallocated(ValueError, lambda: is_k_transitive(rows, 1291, 3))
 
 
 def test_orbit_canonical_order():
@@ -728,7 +757,7 @@ def test_index_elements_at_the_block_edges():
     assert np.array_equal(coset_action(G, C, elements).ravel(),
                           C.coset_of[G.index_rows(products)])
 
-    whole = permgroup.CosetSpace(G, np.zeros(G.order, dtype=np.int32), [0])
+    whole = permgroup.CosetSpace(np.zeros(G.order, dtype=np.int32), [0])
     outside = copy.copy(G)  # one more image row, past the elements
     bad_rows = [np.zeros(8, dtype=np.uint8),  # not a permutation
                 (np.arange(8)[::-1] % 7).astype(np.uint8)]  # 0 twice, no 7
@@ -1036,7 +1065,7 @@ def input_generator_partitions(spec, eps_max):
         model.generator_action_rows = coset_action(G, model.cosets, gens)
         table = orbit_table(model, eps_max)
         results.append((conjugacy_classes(G).class_of.tolist(),
-                        table.to_dict(), certify(model, table).to_dict()))
+                        table.to_dict(eps_max), certify(model, table).to_dict()))
     return results
 
 
