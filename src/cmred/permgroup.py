@@ -10,20 +10,18 @@ Before any enumeration a Schreier-Sims chain (``StabChain``) on the base
 0, 1, ..., degree-1 gives |G| and every element's rank: its position in the
 byte-sorted element list, read from the basic orbits, in int32 (any row
 ranks under 255 |G|); it raises once the order passes ``ELEMENT_CAP``.
-The closure takes each BFS level's generator slots in batches of whole
-slots, ranks a batch's products with one call, places each new element by
-its rank, and compares every product with the stored element by full row,
-so a wrong chain raises instead of giving a wrong group.  It records the
-BFS level boundaries (``FiniteGroup.levels``), not a parent per element:
-the BFS words that ``mult_table`` extends along are derived from the levels
-on first read (``FiniteGroup._parents``), so a run past ``TABLE_CAP`` holds
-no parents.  A chain given the order the caller derived stops building once
-its orbit lengths multiply to it.  ``FiniteGroup.index_rows`` looks a block
-of image rows up by rank and reports a row outside the group, caught by a
-full-row compare with the element at its rank, as -1;
-``FiniteGroup.index_elements``, for the rows of a map that must keep the
-group, compares the whole block with the rows found in one pass and raises
-BuildVerificationError on any difference.  A map of elements, such as
+The closure takes each BFS level's generator slots in batches of whole slots,
+ranks a batch's products with one call, places each new element by its rank,
+and compares every product with the stored element by full row, so a wrong
+chain raises instead of giving a wrong group; it records no BFS words.
+``FiniteGroup.mult_table`` spans G by its own breadth-first search in index
+space over the input generators' product rows.  A chain given the order the
+caller derived stops building once its orbit lengths multiply to it.
+``FiniteGroup.index_rows`` looks a block of image rows up by rank and reports
+a row outside the group, caught by a full-row compare with the element at its
+rank, as -1; ``FiniteGroup.index_elements``, for the rows of a map that must
+keep the group, compares the whole block with the rows found in one pass and
+raises BuildVerificationError on any difference.  A map of elements, such as
 conjugation by s, is looked up ``BLOCK_ROWS`` elements at a time
 (``_mapped``), so no full-size copy of the element rows is made.
 
@@ -48,8 +46,8 @@ over ``FiniteGroup.orbit_generators``: the input generators when there are
 at most two, else a set no longer than they, picked once with chain checks.
 Conjugacy classes are the classes of x ~ s o x o s^-1 for those s, and orbits
 on ordered k-tuples and on subsets those of a tuple or a subset and its image
-under the coset action of one of them.  The closure and the BFS parent words
-keep the input generators.  Left cosets of the stabilizer of a point p are
+under the coset action of one of them.  The closure and ``mult_table`` keep
+the input generators.  Left cosets of the stabilizer of a point p are
 read from column p of the element list (gH is fixed by g(p)); the cosets of
 any other subgroup are the classes of x ~ x o s for its generators s.
 Cosets are numbered in the smallest dtype that holds n - 1: uint8 for a
@@ -306,13 +304,11 @@ class FiniteGroup:
     lexicographic tie-break, so indices are stable across runs.
     """
 
-    def __init__(self, chain: StabChain, images, levels, index_of_rank):
+    def __init__(self, chain: StabChain, images, index_of_rank):
         self.chain = chain
         self.degree = chain.degree
         self.images = images  # (order, degree) uint8
         self.order = int(images.shape[0])
-        # BFS level boundaries: level k is elements levels[k]:levels[k + 1]
-        self.levels = levels
         self._index_of_rank = index_of_rank  # (order,) int32
         # element indices of the input generators, one per BFS generator slot
         self.generators = self.index_elements(chain.generators,
@@ -385,40 +381,19 @@ class FiniteGroup:
             np.uint8), "inverse map")
 
     @functools.cached_property
-    def _parents(self) -> np.ndarray:
-        """(order, 2) int32 [generator slot, parent index] of the BFS words,
-        [-1, -1] for the identity, as the closure chose them: the first
-        (slot, frontier position) in slot-major order whose product is the
-        element.  A slot s reaches an element e from at most one element,
-        s^-1 o e, so that is the first slot in order whose inverse maps e
-        into the level before e's, and the parent is that image.  Every
-        slot's image of a block of elements is looked up at once, the block
-        holding at most ``BLOCK_ROWS`` images.  Built for ``mult_table``
-        only; a run past ``TABLE_CAP`` never builds it."""
-        parents = np.full((self.order, 2), -1, dtype=np.int32)
-        depth = np.repeat(np.arange(len(self.levels) - 1, dtype=np.int32),
-                          np.diff(self.levels))
-        inverses = np.argsort(self.chain.generators, axis=1).astype(np.uint8)
-        step = max(1, BLOCK_ROWS // max(1, len(inverses)))
-        for start in range(1, self.order, step):
-            stop = min(start + step, self.order)
-            # (slot, element) rows of s^-1 o e
-            rows = inverses.take(self.images[start:stop], axis=1)
-            x = self.index_elements(rows.reshape(-1, self.degree),
-                                    "inverse generator map")
-            x = x.reshape(len(inverses), -1)
-            hit = _take(depth, x) == depth[start:stop] - 1
-            slot = hit.argmax(axis=0)  # the first hit; every element has one
-            parents[start:stop, 0] = slot
-            parents[start:stop, 1] = x[slot, np.arange(stop - start)]
-        return parents
-
-    @functools.cached_property
     def mult_table(self) -> np.ndarray | None:
-        """Dense table mul[a, b] = index(a o b); None above TABLE_CAP."""
+        """Dense table mul[a, b] = index(a o b); None above TABLE_CAP.
+
+        Row e is the left-regular map L_e: b -> e o b.  The rows are spanned
+        by a breadth-first search in index space from the identity's row:
+        each input generator g's row L_g is looked up once, and on each
+        level, generator by generator, an element g o e not yet reached
+        takes the row L_{g o e} = L_g[L_e] of its frontier element e, since
+        (g o e) o b = g o (e o b); L_g is a permutation, so g reaches it
+        from that e alone.  One gather per generator and level; an element
+        left unreached raises BuildVerificationError."""
         if self.order > TABLE_CAP:
             return None
-        # Left-regular rows extend along BFS words: L_{g o p} = L_g[L_p].
         # uint16 holds every index: order <= TABLE_CAP < 2^16
         n = self.order
         table = np.empty((n, n), dtype=np.uint16)
@@ -426,9 +401,23 @@ class FiniteGroup:
         gen_rows = [self.index_elements(_take(self.images[g], self.images),
                                         "generator product map")
                     .astype(np.uint16) for g in self.generators]  # g o b
-        for e in range(1, n):
-            slot, parent = self._parents[e]
-            _take(gen_rows[slot], table[parent], out=table[e])
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while len(frontier):
+            seen = reached.copy()
+            for row in gen_rows:
+                child = _take(row, frontier)
+                new = ~reached[child]
+                child = child[new]
+                reached[child] = True
+                rows = table[frontier[new]]  # the parents' rows
+                table[child] = _take(row, rows, out=rows)  # in place
+            frontier = np.flatnonzero(reached & ~seen)
+        if not reached.all():
+            raise BuildVerificationError(
+                "generator product map: the generators reach "
+                f"{np.count_nonzero(reached)} of {n} elements")
         return table
 
 
@@ -450,12 +439,11 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]], *,
     the others join the level; a batch of several slots keeps the first of
     the products that share a new rank and compares the rest with it, like
     every other product.  So an ``order`` below |G| that stops the chain at
-    a partial product raises too, and an element's first (slot, frontier
-    position) in slot-major order is the one ``FiniteGroup._parents``
-    derives.  A level is sorted by rank, which is byte order, in one sort of
-    int64 keys, each new element's rank above its position in the level.
-    A collision or an enumerated count other than the chain's order raises
-    BuildVerificationError.
+    a partial product raises too.  A level is sorted by rank, which is byte
+    order, in one sort of int64 keys, each new element's rank above its
+    position in the level.  A collision or an enumerated count other than
+    the chain's order raises BuildVerificationError.  The level boundaries
+    are not kept: ``FiniteGroup.mult_table`` spans G by its own search.
     """
     chain = StabChain(degree, generator_rows(degree, gens), order)
     if order is not None and chain.order != order:
@@ -517,7 +505,7 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]], *,
     if levels[-1] != order:
         raise BuildVerificationError(
             f"enumerated {levels[-1]} elements, the chain's order is {order}")
-    return FiniteGroup(chain, images, levels[:-1], index_of_rank)
+    return FiniteGroup(chain, images, index_of_rank)
 
 
 def _take(a: np.ndarray, index, out=None) -> np.ndarray:

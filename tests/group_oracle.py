@@ -4,8 +4,8 @@ These are the element-at-a-time versions of the group layer: a BFS closure
 that looks every product up in a dict, left cosets and conjugacy classes
 built one class at a time from full products, and the stabilizer generators
 grown by a scalar closure.  They share no lookup, merge or label code with
-``cmred.permgroup``, and they define the element order, parents, levels and
-class and coset numbering the vectorised versions must reproduce.
+``cmred.permgroup``, and they define the element order and the class and
+coset numbering the vectorised versions must reproduce.
 """
 
 import numpy as np
@@ -19,9 +19,8 @@ def bytes_index(G):
 
 
 def dict_close(degree, gens, cap):
-    """(images, parents, levels, generator indices) of the closure: BFS
-    levels, new rows sorted by bytes within a level, the parent the first
-    (generator slot, frontier position) to reach a row."""
+    """(images, generator indices) of the closure: BFS levels, new rows
+    sorted by bytes within a level."""
     gen_list = []
     for g in gens:
         t = tuple(int(x) for x in g)
@@ -31,30 +30,24 @@ def dict_close(degree, gens, cap):
     ident = np.arange(degree, dtype=np.uint8)
     index = {ident.tobytes(): 0}
     rows = [ident]
-    parents = [(-1, -1)]
-    levels = [0, 1]
     frontier = [0]
     while frontier:
         block = np.array([rows[i] for i in frontier], dtype=np.uint8)
-        discovered = {}
-        for slot, grow in enumerate(gen_rows):
+        discovered = set()
+        for grow in gen_rows:
             raw = grow[block].tobytes()
-            for k, parent in enumerate(frontier):
+            for k in range(len(frontier)):
                 key = raw[k * degree:(k + 1) * degree]
-                if key not in index and key not in discovered:
-                    discovered[key] = (slot, parent)
+                if key not in index:
+                    discovered.add(key)
         frontier = []
         for key in sorted(discovered):
             if len(rows) >= cap:
                 raise OverflowError(f"closure exceeds {cap} elements")
             index[key] = len(rows)
             rows.append(np.frombuffer(key, dtype=np.uint8))
-            parents.append(discovered[key])
             frontier.append(index[key])
-        levels.append(len(rows))
-    levels.pop()
-    return (np.vstack(rows), np.array(parents, dtype=np.int32).reshape(-1, 2),
-            levels, [index[g.tobytes()] for g in gen_rows])
+    return np.vstack(rows), [index[g.tobytes()] for g in gen_rows]
 
 
 def dict_left_cosets(G, H_gens):

@@ -132,10 +132,10 @@ def test_every_zoo_action_is_pinned():
     assert digest.hexdigest() == ZOO_DIGEST
 
 
-# sha256 of every spec of order at most 10^6: its name, then the bytes of
-# its built group's element list, BFS parents and rank index, in listing
-# order; only a change meant to alter an enumeration records a new one
-ELEMENTS_DIGEST = "45aa772194cb04b9c44af98ea7b9bf3c7c9cded5e019418b8aba03a066e86838"
+# sha256 of every spec of order at most 10^6: its name and element-list
+# shape, then the bytes of its built group's element list and rank index, in
+# listing order; only a change meant to alter an enumeration records a new one
+ELEMENTS_DIGEST = "bcaf2e0a72892869ace0bfb271f17c1225cd63b7d01335a73c7af3a42afc7483"
 
 
 def test_every_zoo_enumeration_is_pinned():
@@ -145,7 +145,7 @@ def test_every_zoo_enumeration_is_pinned():
     for spec in specs:
         G, _ = build(spec)
         digest.update(f"{spec} {G.images.shape}".encode())
-        for array in (G.images, G._parents, G._index_of_rank):
+        for array in (G.images, G._index_of_rank):
             digest.update(array.tobytes())
     assert digest.hexdigest() == ELEMENTS_DIGEST
 

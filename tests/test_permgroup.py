@@ -552,16 +552,6 @@ def test_k_transitive_matches_tuple_bfs(G, k):
         assert is_k_transitive(G.images, n, k) == expected
 
 
-def bfs_levels(parents):
-    """BFS level boundaries of the element list, read from the parents:
-    an element is one level below its parent."""
-    depth = [0]
-    for parent in parents[1:, 1].tolist():
-        depth.append(depth[parent] + 1)
-    assert depth == sorted(depth)  # the list is in BFS level order
-    return np.searchsorted(depth, range(max(depth) + 2)).tolist()
-
-
 @st.composite
 def group_with_subgroups(draw):
     """A random group of degree <= 7 and two random subgroup generator
@@ -580,11 +570,8 @@ def group_with_subgroups(draw):
 @given(group_with_subgroups())
 def test_group_layer_matches_dict_oracle(case):
     degree, gens, G, subgroups = case
-    images, parents, levels, generators = dict_close(degree, gens, ELEMENT_CAP)
-    assert np.array_equal(G.images, images)
-    assert G.levels == levels and "_parents" not in vars(G)
-    assert np.array_equal(G._parents, parents)
-    assert bfs_levels(G._parents) == levels and G.generators == generators
+    images, generators = dict_close(degree, gens, ELEMENT_CAP)
+    assert np.array_equal(G.images, images) and G.generators == generators
     assert np.array_equal(G.chain.rank(G.images), byte_positions(G.images))
     P = conjugacy_classes(G)
     class_of, reps, classes = dict_conjugacy_classes(G)
@@ -903,8 +890,8 @@ def test_chain_order_must_match_a_derived_order():
 
 
 def test_the_closure_of_sym9_holds_no_parents():
-    # 362,880 elements: the closure records its level boundaries only, and
-    # the 2.8 MB of int32 parents it used to hold peaked it at 8.9 MiB
+    # 362,880 elements: the closure records no BFS words, and the 2.8 MB of
+    # int32 parents it used to hold peaked it at 8.9 MiB
     spec = parse_zoo_spec("sym:9")
     degree, gens = _zoo_action(spec)
     tracemalloc.start()
@@ -915,18 +902,35 @@ def test_the_closure_of_sym9_holds_no_parents():
         tracemalloc.stop()
     model = UnitaryGaloisModel(G, stabilizer_generators(G))
     assert (G.order, model.n, G.mult_table) == (362_880, 9, None)
-    assert "_parents" not in vars(G)
     assert peak <= 7 * 2 ** 20, peak / 2 ** 20
 
 
-def test_mult_table_derives_the_parents():
-    G, _ = build("sp4f2:+")
-    assert "_parents" not in vars(G)
-    table = G.mult_table
-    assert "_parents" in vars(G)
-    index = bytes_index(G)
-    for a, b in ((0, 5), (7, 0), (3, 719), (500, 42)):
-        assert table[a, b] == index[G.images[a][G.images[b]].tobytes()]
+def test_mult_table_is_every_product():
+    # the table's own search reaches every element, and each entry is the
+    # product looked up by its bytes
+    _, degree, gens, _ = parse_spec(f"file:{FIXTURES / 's5_over_c2.json'}")
+    groups = [build(spec)[0] for spec in
+              ("sym:4", "dihedral:7", "psu3:2", "sp4f2:+")]
+    for G in groups + [close_generators(degree, gens)]:
+        index, d = bytes_index(G), G.degree
+        expected = np.empty((G.order, G.order), dtype=np.uint16)
+        for a in range(G.order):
+            raw = G.images[a][G.images].tobytes()  # row b: a o b
+            expected[a] = [index[raw[b * d:(b + 1) * d]]
+                           for b in range(G.order)]
+        assert np.array_equal(G.mult_table, expected)
+        assert G.mult_table.dtype == np.uint16
+
+
+def test_mult_table_of_a_non_generating_set_raises():
+    # the transposition alone spans a group of order 2, not S4
+    G, _ = build("sym:4")
+    G.generators = [g for g in G.generators
+                    if np.count_nonzero(G.images[g] != np.arange(4)) == 2]
+    assert len(G.generators) == 1
+    with pytest.raises(BuildVerificationError,
+                       match="generator product map: .* 2 of 24"):
+        G.mult_table
 
 
 def random_words(degree, gen_rows, count, length=8, seed=0):
@@ -1116,9 +1120,8 @@ def group_layer_outputs(spec):
     G = close_generators(degree, gens)
     if subgroup_gens is None:
         subgroup_gens = stabilizer_generators(G)
-    out = {"images": G.images, "parents": G._parents,
-           "index_of_rank": G._index_of_rank, "inverses": G.inverses,
-           "mult_table": G.mult_table}
+    out = {"images": G.images, "index_of_rank": G._index_of_rank,
+           "inverses": G.inverses, "mult_table": G.mult_table}
     P = conjugacy_classes(G)
     out["class_of"], out["class_reps"] = P.class_of, P.class_reps
     # the subgroup, then the cyclic subgroup of the first generator, which

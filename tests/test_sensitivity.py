@@ -1,8 +1,10 @@
 """Named mutations of the data ``galois-invariance`` reads, each pinned to the
 identity its witness names (``generator <g>``, ``rows``, ``columns`` or
-``total``), on a small fixed set of models.  Every mutation is applied with
-``monkeypatch`` to one sweep, or to ``pair_tensor`` when the closed functions
-must see it too; no file is edited.
+``total``), on a small fixed set of models, and a mutation of the
+class-of-product table the brute count reads, pinned to the ``closed-form``
+subset it fails on.  Every mutation is applied with ``monkeypatch`` to one
+sweep, to ``pair_tensor`` when the closed functions must see it too, or to
+the model's ``product_class`` before the sweep; no file is edited.
 """
 
 import functools
@@ -138,3 +140,42 @@ def test_a_pair_with_the_diagonal_label_fails_closed_form(spec, monkeypatch):
     rep = check_closed_form(sweep)
     assert not rep.passed and rep.witness["subset"] == [1, 2], rep.to_dict()
     assert check_galois_invariance(sweep).witness["identity"] == "generator 0"
+
+
+def swapped_product_classes(m, u0, u1):
+    """``m.product_class`` with row 0 (the identity y) trading its entries at
+    inverses[u0] and inverses[u1], the classes of y u0^-1 and y u1^-1, which
+    must differ."""
+    table = m.product_class.copy()
+    a, b = m.group.inverses[[u0, u1]]
+    assert table[0, a] != table[0, b]
+    table[0, [a, b]] = table[0, [b, a]]
+    return table
+
+
+SIX = ["sym:4", "sp4f2:-", "cyclic:6", "dihedral:7", "psu3:2", "sp4f2:+"]
+
+
+@pytest.mark.parametrize("spec", SIX)
+def test_swapped_product_classes_across_cosets_fail_closed_form(
+        spec, monkeypatch):
+    # u0 = y, the identity, lies in H and u1, the rep of coset 1, does not:
+    # the support H of the CM type on coset 0 alone holds y and u0, not u1,
+    # so its brute count of row y reads the class of y u1^-1 for y u0^-1
+    m = model(spec)
+    monkeypatch.setattr(m, "product_class",
+                        swapped_product_classes(m, 0, m.cosets.reps[1]))
+    rep = check_closed_form(subset_sweep(m, 3, 0))
+    assert not rep.passed and rep.witness["subset"] == [1], rep.to_dict()
+
+
+@pytest.mark.parametrize("spec", [s for s in SIX if s != "cyclic:6"])
+def test_swapped_product_classes_in_one_coset_pass(spec, monkeypatch):
+    # the known limit: u0 = y and u1 both lie in H, and the support of every
+    # CM type (or of its complement, which the count may take) is a union of
+    # cosets, so it holds both or neither; row y's classes are read as the
+    # same multiset and no brute count moves.  cyclic:6 has |H| = 1
+    m = model(spec)
+    monkeypatch.setattr(m, "product_class", swapped_product_classes(
+        m, 0, m.cosets.subgroup_elements[1]))
+    assert check_closed_form(subset_sweep(m, 3, 0)).passed
