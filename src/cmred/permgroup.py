@@ -11,8 +11,9 @@ Before any enumeration a Schreier-Sims chain (``StabChain``) on the base
 byte-sorted element list, read from the basic orbits, in int32 (any row
 ranks under 255 |G|); it raises once the order passes ``ELEMENT_CAP``.
 The closure takes each BFS level's generator slots in batches of whole slots,
-ranks a batch's products with one call, places each new element by its rank,
-and compares every product with the stored element by full row, so a wrong
+a single slot taking the frontier ``TAKE_ENTRIES`` rows at a time; it ranks
+a batch's products with one call, places each new element by its rank, and
+compares every product with the stored element by full row, so a wrong
 chain raises instead of giving a wrong group; it records no BFS words.
 ``FiniteGroup.mult_table`` spans G by its own breadth-first search in index
 space over the input generators' product rows.  A chain given the order the
@@ -23,7 +24,10 @@ rank, as -1; ``FiniteGroup.index_elements``, for the rows of a map that must
 keep the group, compares the whole block with the rows found in one pass and
 raises BuildVerificationError on any difference.  A map of elements, such as
 conjugation by s, is looked up ``BLOCK_ROWS`` elements at a time
-(``_mapped``), so no full-size copy of the element rows is made.
+(``_mapped``), so no full-size copy of the element rows is made, into one
+int32 buffer that the merges over G refill for every generator.  A pass over
+all of G holds its live full-size arrays (the element rows, the labels and
+that buffer) and otherwise only block- or chunk-sized temporaries.
 
 Gathers by an integer index array (the closure's gen o x, label merges,
 conjugates, rank lookups, subset images and ranks) go through ``_take``:
@@ -36,11 +40,13 @@ of degree entries directly, with ``x.take(s, axis=1)`` for the conjugates
 and ``x[:, s]`` elsewhere.
 
 Partitions are label arrays: ``labels[x]`` is the smallest item of x's
-class, and ``merge_labels`` merges x with ``image[x]`` for every x by hooking
-each root onto the smaller root over every edge and pointer jumping, in the
-labels' dtype.  Partitions of G are int32 (|G| <= ELEMENT_CAP < 2^31), those
-of ordered k-tuples int32 (n**k < 2^31), and those of subsets int32 too: a
-subset's label is a lexicographic rank below C(n, eps) <= SUBSET_CAP < 2^31.
+class, and ``merge_labels`` merges x with ``image[x]`` for every x in place,
+``TAKE_ENTRIES`` edges at a time, by hooking each end's label onto the
+smaller one and pointer jumping, in the labels' dtype; ``_partition``
+numbers the classes a chunk at a time.  Partitions of G are int32
+(|G| <= ELEMENT_CAP < 2^31), those of ordered k-tuples int32
+(n**k < 2^31), and those of subsets int32 too: a subset's label is a
+lexicographic rank below C(n, eps) <= SUBSET_CAP < 2^31.
 Any generating set of G gives the same partition, so the merges over G run
 over ``FiniteGroup.orbit_generators``: the input generators when there are
 at most two, else a set no longer than they, picked once with chain checks.
@@ -86,7 +92,7 @@ ELEMENT_CAP = 2_000_000
 TABLE_CAP = 4_096
 MAX_DEGREE = 255  # image rows are uint8
 SUBSET_CAP = 5_000_000
-BLOCK_ROWS = 1 << 15  # elements per block of an element map
+BLOCK_ROWS = 1 << 13  # elements per block of an element map
 TAKE_ENTRIES = 1 << 14  # index entries per np.take call (_take)
 
 Permutation = tuple  # image tuple: p[i] = image of point i
@@ -386,38 +392,51 @@ class FiniteGroup:
 
         Row e is the left-regular map L_e: b -> e o b.  The rows are spanned
         by a breadth-first search in index space from the identity's row:
-        each input generator g's row L_g is looked up once, and on each
-        level, generator by generator, an element g o e not yet reached
-        takes the row L_{g o e} = L_g[L_e] of its frontier element e, since
-        (g o e) o b = g o (e o b); L_g is a permutation, so g reaches it
-        from that e alone.  One gather per generator and level; an element
-        left unreached raises BuildVerificationError."""
+        each input generator g's row L_g is looked up once, and an element
+        g o e first reached from a frontier element e takes the row
+        L_{g o e} = L_g[L_e], since (g o e) o b = g o (e o b).  Each level
+        gathers the products of every generator with every frontier element
+        in one call; an element that several products reach keeps one of
+        them, any one giving the same row.  Each generator then gathers its
+        children's parent rows and maps them in place, so the rows held at
+        once are one generator's children's.  An element left unreached
+        raises BuildVerificationError."""
         if self.order > TABLE_CAP:
             return None
         # uint16 holds every index: order <= TABLE_CAP < 2^16
         n = self.order
         table = np.empty((n, n), dtype=np.uint16)
         table[0] = np.arange(n)
-        gen_rows = [self.index_elements(_take(self.images[g], self.images),
-                                        "generator product map")
-                    .astype(np.uint16) for g in self.generators]  # g o b
-        reached = np.zeros(n, dtype=bool)
-        reached[0] = True
+        gen_rows = np.empty((len(self.generators), n), dtype=np.uint16)
+        for row, g in zip(gen_rows, self.generators):  # g o b
+            row[:] = self.index_elements(_take(self.images[g], self.images),
+                                         "generator product map")
+        unreached = np.ones(n, dtype=bool)
+        unreached[0] = False
+        slot = np.empty(n, dtype=np.intp)  # a product position per child
         frontier = np.zeros(1, dtype=np.intp)
+        runs = np.arange(len(gen_rows) + 1)  # gen is sorted: a run each
         while len(frontier):
-            seen = reached.copy()
-            for row in gen_rows:
-                child = _take(row, frontier)
-                new = ~reached[child]
-                child = child[new]
-                reached[child] = True
-                rows = table[frontier[new]]  # the parents' rows
-                table[child] = _take(row, rows, out=rows)  # in place
-            frontier = np.flatnonzero(reached & ~seen)
-        if not reached.all():
+            # every product g o e, generator-major
+            child = gen_rows.take(frontier, axis=1).ravel()
+            at = np.flatnonzero(unreached[child])
+            child = child[at]
+            if len(gen_rows) > 1:  # keep one product per child
+                slot[child] = at
+                keep = slot[child] == at
+                at, child = at[keep], child[keep]
+            unreached[child] = False
+            gen, parent = np.divmod(at, len(frontier))
+            parent = frontier[parent]
+            bounds = np.searchsorted(gen, runs)
+            for row, low, high in zip(gen_rows, bounds, bounds[1:]):
+                rows = table[parent[low:high]]  # the parents' rows
+                table[child[low:high]] = _take(row, rows, out=rows)
+            frontier = child
+        if unreached.any():
             raise BuildVerificationError(
                 "generator product map: the generators reach "
-                f"{np.count_nonzero(reached)} of {n} elements")
+                f"{n - np.count_nonzero(unreached)} of {n} elements")
         return table
 
 
@@ -430,9 +449,14 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]], *,
     BuildVerificationError if it differs from an ``order`` the caller
     derived, before anything is allocated; the chain stops building once its
     orbit lengths multiply to that order.  Then level
-    by level, the generator slots map the whole frontier in batches of whole
+    by level, the generator slots map the frontier in batches of whole
     slots: as many as keep a batch's products within the bytes of one
-    ``_take`` chunk's intp index copy (128 KiB), at least one.  One rank call
+    ``_take`` chunk's intp index copy (128 KiB), at least one.  A batch of
+    several slots covers the whole frontier; a single slot takes it
+    ``TAKE_ENTRIES`` rows at a time, so a wide level (sym:9's widest has
+    27,766 elements) is mapped in chunks rather than all at once.  The
+    products of one slot are distinct, so only a batch of several slots can
+    produce an element twice.  One rank call
     per batch places its products; a product is a permutation, so its rank
     is below the chain's order even when the chain is wrong (``rank``).  A
     product whose rank is taken must equal the element stored there, and
@@ -459,15 +483,17 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]], *,
     while levels[-1] > levels[-2]:
         start = stop = levels[-1]
         frontier = images[levels[-2]:start]
-        width = len(frontier)
         per_batch = max(1, TAKE_ENTRIES * np.intp(0).itemsize
-                        // (width * degree))
+                        // (len(frontier) * degree))
         ranks = [np.empty(0, dtype=np.int32)]
-        for first in range(0, len(gens), per_batch):
+        for first, low in itertools.product(
+                range(0, len(gens), per_batch),
+                range(0, len(frontier), TAKE_ENTRIES)):
             batch = gens[first:first + per_batch]
-            prod = np.empty((len(batch), width, degree), dtype=np.uint8)
+            part = frontier[low:low + TAKE_ENTRIES]
+            prod = np.empty((len(batch), len(part), degree), dtype=np.uint8)
             for grow, out in zip(batch, prod):
-                _take(grow, frontier, out=out)  # gen o x
+                _take(grow, part, out=out)  # gen o x
             prod = prod.reshape(-1, degree)
             rank = chain.rank(prod)
             at = _take(index_of_rank, rank)
@@ -525,11 +551,13 @@ def _take(a: np.ndarray, index, out=None) -> np.ndarray:
     return out
 
 
-def _mapped(G: FiniteGroup, f, what: str) -> np.ndarray:
+def _mapped(G: FiniteGroup, f, what: str, out=None) -> np.ndarray:
     """int32 element index of ``f(rows)`` for the image rows of every
-    element, one block of ``BLOCK_ROWS`` elements at a time; f, the map
-    ``what``, must keep the group (``FiniteGroup.index_elements``)."""
-    out = np.empty(G.order, dtype=np.int32)
+    element, into ``out`` (a new array when None), one block of
+    ``BLOCK_ROWS`` elements at a time; f, the map ``what``, must keep the
+    group (``FiniteGroup.index_elements``)."""
+    if out is None:
+        out = np.empty(G.order, dtype=np.int32)
     for start in range(0, G.order, BLOCK_ROWS):
         stop = start + BLOCK_ROWS
         out[start:stop] = G.index_elements(f(G.images[start:stop]), what)
@@ -537,45 +565,75 @@ def _mapped(G: FiniteGroup, f, what: str) -> np.ndarray:
 
 
 def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """Merge the class of every x with the class of ``image[x]``.
+    """Merge the class of every x with the class of ``image[x]``, in place.
 
     ``labels`` must name roots (``labels[labels] == labels``), each the
-    smallest item of its class.  Each round gathers the root at the far end
-    of every edge and stops when it equals the labels: both ends of every
-    edge share a root.  Otherwise it hooks every root onto the smaller root
-    across every edge, a scatter-min both ways over full-length arrays with
-    no compaction of the edges that moved (an edge whose ends share a root
-    changes nothing), and jumps pointers until every entry names its root.
-    Two full-length buffers in the labels' dtype serve every round.
+    smallest item of its class.  Each round passes over the edges x ->
+    image[x] ``TAKE_ENTRIES`` at a time: it reads the labels at both ends of
+    a chunk's edges and, where any differ, hooks each end's label onto the
+    other's, a scatter-min both ways with no compaction of the edges that
+    moved (an edge whose ends agree changes nothing).  The hooks read the
+    live labels, not a snapshot of the round's roots; that merges the same
+    classes, since a label only ever falls to a smaller item of its own
+    class and only the round's roots are hooked.  Pointer jumping, a chunk
+    at a time in place, then makes every label a root again.  The merge
+    stops after a full pass in which no edge's two ends differ, with every
+    label a root.  Two chunk-sized buffers in the labels' dtype serve every
+    round.
     """
-    ends = np.empty_like(labels)
-    spare = np.empty_like(labels)
+    ends = np.empty(min(len(labels), TAKE_ENTRIES), dtype=labels.dtype)
+    spare = np.empty_like(ends)
     while True:
-        _take(labels, image, out=ends)
-        if np.array_equal(ends, labels):
+        hooked = False
+        for start in range(0, len(labels), TAKE_ENTRIES):
+            part = labels[start:start + TAKE_ENTRIES]
+            far = labels.take(image[start:start + TAKE_ENTRIES],
+                              out=ends[:len(part)])
+            if np.array_equal(part, far):
+                continue
+            hooked = True
+            near = spare[:len(part)]
+            np.copyto(near, part)  # the hooks write into part
+            np.minimum.at(labels, near, far)
+            np.minimum.at(labels, far, near)
+        if not hooked:
             return labels
-        np.copyto(spare, labels)  # the roots before this round's hooks
-        np.minimum.at(labels, spare, ends)
-        np.minimum.at(labels, ends, spare)
-        while True:  # pointer jumping
-            _take(labels, labels, out=spare)
-            if np.array_equal(spare, labels):
-                break
-            labels, spare = spare, labels
+        jumped = True
+        while jumped:  # pointer jumping
+            jumped = False
+            for start in range(0, len(labels), TAKE_ENTRIES):
+                part = labels[start:start + TAKE_ENTRIES]
+                up = labels.take(part, out=ends[:len(part)])
+                if not np.array_equal(up, part):
+                    jumped = True
+                    part[:] = up
 
 
-def _partition(labels: np.ndarray, narrow: bool = False):
+def _partition(labels: np.ndarray, number: np.ndarray,
+               narrow: bool = False):
     """(class of each item, smallest item per class) of root labels, classes
     numbered by their smallest item: a root's number is the count of roots
-    before it.  The numbers are int32, or with ``narrow`` in the smallest
-    dtype that holds the last one."""
-    roots = labels == np.arange(len(labels), dtype=labels.dtype)
-    reps = np.flatnonzero(roots)
-    number = np.cumsum(roots, dtype=np.int32)
-    number -= 1
-    dtype = np.min_scalar_type(len(reps) - 1) if narrow else np.int32
+    before it.  The roots are numbered ``TAKE_ENTRIES`` labels at a time
+    into ``number``, an int32 buffer as long as the labels, and each item
+    then reads its root's number.  The classes are int32, written over the
+    labels, or with ``narrow`` a new array in the smallest dtype that holds
+    the last number."""
+    reps, count = [], 0
+    for start in range(0, len(labels), TAKE_ENTRIES):
+        part = labels[start:start + TAKE_ENTRIES]
+        roots = part == np.arange(start, start + len(part),
+                                  dtype=labels.dtype)
+        chunk = np.cumsum(roots, dtype=np.int32,
+                          out=number[start:start + len(part)])
+        chunk += count - 1
+        found = np.flatnonzero(roots)
+        found += start
+        reps.append(found)
+        count += len(found)
+    out = np.empty(len(labels), np.min_scalar_type(count - 1)) if narrow \
+        else labels
     # np.take casts into an output of another dtype
-    return _take(number, labels, out=np.empty(len(labels), dtype)), reps
+    return _take(number, labels, out=out), np.concatenate(reps)
 
 
 class CosetSpace:
@@ -642,10 +700,12 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
         number[column[reps]] = np.arange(len(reps))
         return CosetSpace(_take(number, column), reps.tolist())
     labels = np.arange(G.order, dtype=np.int32)
+    image = np.empty(G.order, dtype=np.int32)
     for s in rows:
         labels = merge_labels(labels, _mapped(  # x o s
-            G, lambda x: x[:, s], "right multiplication by a subgroup generator"))
-    coset_of, reps = _partition(labels, narrow=True)
+            G, lambda x: x[:, s], "right multiplication by a subgroup generator",
+            out=image))
+    coset_of, reps = _partition(labels, image, narrow=True)
     return CosetSpace(coset_of, reps.tolist())
 
 
@@ -654,14 +714,19 @@ class ConjugacyPartition:
     smallest element index.
 
     ``class_of`` (int32 per element) and ``class_reps`` (the smallest element
-    index per class) define it; ``sizes`` are counted from ``class_of``.  No
-    member lists are kept: every reader goes through ``class_of``.
+    index per class) define it; ``sizes`` are counted from ``class_of``,
+    ``TAKE_ENTRIES`` elements at a time, so no full-size intp copy of it is
+    made.  No member lists are kept: every reader goes through ``class_of``.
     """
 
     def __init__(self, class_of, class_reps):
         self.class_of = class_of  # (order,) int32
         self.class_reps = class_reps  # minimal element index per class
-        self.sizes = np.bincount(class_of).tolist()
+        # np.add.at takes its fast path on intp counts, not int32
+        sizes = np.zeros(len(class_reps), dtype=np.intp)
+        for start in range(0, len(class_of), TAKE_ENTRIES):
+            np.add.at(sizes, class_of[start:start + TAKE_ENTRIES], 1)
+        self.sizes = sizes.tolist()
 
     @property
     def count(self) -> int:
@@ -670,8 +735,12 @@ class ConjugacyPartition:
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
     """Exact classes: the orbits of conjugation x -> s o x o s^-1 by the
-    elements s of ``G.orbit_generators``, which generate G."""
+    elements s of ``G.orbit_generators``, which generate G.  The labels and
+    one map buffer, refilled for each s and then holding the class numbers,
+    are the only full-size arrays it allocates; ``class_of`` is written over
+    the labels."""
     labels = np.arange(G.order, dtype=np.int32)
+    image = np.empty(G.order, dtype=np.int32)
     for g in G.orbit_generators:
         s = G.images[g]
         s_inv = np.argsort(s)
@@ -679,8 +748,9 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
             rows = x.take(s_inv, axis=1)  # x o s^-1
             return _take(s, rows, out=rows)  # s o x o s^-1, in place
 
-        labels = merge_labels(labels, _mapped(G, conjugate, "conjugation map"))
-    class_of, reps = _partition(labels)
+        labels = merge_labels(labels, _mapped(
+            G, conjugate, "conjugation map", out=image))
+    class_of, reps = _partition(labels, image)
     return ConjugacyPartition(class_of, reps.tolist())
 
 
@@ -754,14 +824,19 @@ def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     SubsetCapExceeded when the subsets number over ``SUBSET_CAP``.
 
     The weight of a_i counts the subsets that agree before position i and
-    exceed a_i there (the combinatorial number system on n - 1 - a).
+    exceed a_i there (the combinatorial number system on n - 1 - a).  The
+    weights are gathered ``TAKE_ENTRIES`` rows at a time into one chunk
+    buffer, so the ranks are the only full-size array made.
     """
     count, eps = subsets.shape
     weights = _lex_weights(n, eps)
     ranks = np.full(count, math.comb(n, eps) - 1, dtype=np.int32)
-    weight = np.empty(count, dtype=np.int32)
-    for i in range(eps):
-        ranks -= _take(weights[i], subsets[:, i], out=weight)
+    weight = np.empty(min(count, TAKE_ENTRIES), dtype=np.int32)
+    for start in range(0, count, TAKE_ENTRIES):
+        part = ranks[start:start + TAKE_ENTRIES]
+        for i in range(eps):
+            part -= weights[i].take(subsets[start:start + TAKE_ENTRIES, i],
+                                    out=weight[:len(part)])
     return ranks
 
 

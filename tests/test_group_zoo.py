@@ -32,7 +32,13 @@ from cmred.group_zoo import (
     _unitary_generators,
     _zoo_action,
 )
-from cmred.permgroup import close_generators, conjugacy_classes, left_cosets
+from cmred import permgroup
+from cmred.permgroup import (
+    _take,
+    close_generators,
+    conjugacy_classes,
+    left_cosets,
+)
 from matrix_oracle import (
     as_tuples,
     close_matrices,
@@ -148,6 +154,30 @@ def test_every_zoo_enumeration_is_pinned():
         for array in (G.images, G._index_of_rank):
             digest.update(array.tobytes())
     assert digest.hexdigest() == ELEMENTS_DIGEST
+
+
+def test_sym9_has_a_level_wider_than_a_closure_chunk():
+    # one generator slot's products of sym:9's widest level pass a batch's
+    # 128 KiB (14,563 rows at degree 9), and the slot takes that level
+    # TAKE_ENTRIES rows at a time: the pinned enumeration above covers a
+    # level mapped in frontier chunks
+    G, _ = build("sym:9")
+    products = [G.index_elements(_take(G.images[g], G.images), "g o x")
+                for g in G.generators]
+    level = np.full(G.order, -1)
+    level[0] = 0
+    frontier, widths = np.zeros(1, dtype=np.intp), [1]
+    while True:
+        reached = np.unique(np.concatenate([p[frontier] for p in products]))
+        frontier = reached[level[reached] < 0]
+        if not len(frontier):
+            break
+        level[frontier] = len(widths)
+        widths.append(len(frontier))
+    assert (np.diff(level) >= 0).all()  # the elements are in level order
+    budget = permgroup.TAKE_ENTRIES * np.intp(0).itemsize // G.degree
+    assert (max(widths), budget, permgroup.TAKE_ENTRIES) == \
+        (27_766, 14_563, 16_384)
 
 
 def test_orders_match_derived_formulas():

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from cmred.galois_model import UnitaryGaloisModel
 from cmred.group_zoo import _zoo_action, build, parse_zoo_spec, zoo_order
 from cmred.permgroup import (
     ELEMENT_CAP,
+    ConjugacyPartition,
     StabChain,
+    _partition,
     _stabilized_point,
     check_subset_cap,
     close_generators,
@@ -448,21 +451,35 @@ def test_lex_subsets_are_the_combinations():
             assert np.array_equal(subsets, combos)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_merge_labels_matches_a_union_find(data):
-    m = data.draw(st.integers(min_value=1, max_value=40))
+def root_labels(data, m):
+    """Root labels of m items drawn into random classes: each item is
+    labelled by the smallest item of its class."""
     items = st.integers(min_value=0, max_value=m - 1)
     classes = data.draw(st.lists(items, min_size=m, max_size=m))
-    if data.draw(st.booleans()):
-        image = data.draw(st.permutations(range(m)))
-    else:
-        image = data.draw(st.lists(items, min_size=m, max_size=m))
-    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
     smallest = {}
     for x, c in enumerate(classes):
         smallest.setdefault(c, x)
-    labels = [smallest[c] for c in classes]  # root labels
+    return [smallest[c] for c in classes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_labels_matches_a_union_find(data):
+    # chunks of 3 edges: up to 40 items cross many chunk edges, and the
+    # hooks of one chunk change the labels a later chunk reads
+    m = data.draw(st.integers(min_value=1, max_value=40))
+    items = st.integers(min_value=0, max_value=m - 1)
+    labels = root_labels(data, m)
+    kind = data.draw(st.sampled_from(["permutation", "map", "sparse"]))
+    if kind == "permutation":
+        image = data.draw(st.permutations(range(m)))
+    elif kind == "map":
+        image = data.draw(st.lists(items, min_size=m, max_size=m))
+    else:  # mostly fixed points: few edges hook roots into long chains
+        moves = data.draw(st.lists(st.one_of(st.none(), items),
+                                   min_size=m, max_size=m))
+        image = [x if y is None else y for x, y in enumerate(moves)]
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
 
     parent = list(range(m))
 
@@ -475,11 +492,37 @@ def test_merge_labels_matches_a_union_find(data):
         for y in (labels[x], image[x]):
             a, b = find(x), find(y)
             parent[max(a, b)] = min(a, b)  # a root is its class's minimum
-    got = merge_labels(np.array(labels, dtype=dtype),
-                       np.array(image, dtype=data.draw(st.sampled_from(
-                           [np.uint8, np.int32, np.int64]))))
+    given_labels = np.array(labels, dtype=dtype)
+    with mock.patch.object(permgroup, "TAKE_ENTRIES", 3):
+        got = merge_labels(given_labels, np.array(image, dtype=data.draw(
+            st.sampled_from([np.uint8, np.int32, np.int64]))))
+    assert got is given_labels  # merged in place
     assert got.dtype == dtype
     assert got.tolist() == [find(x) for x in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partition_and_class_sizes_across_chunks(data):
+    # chunks of 3 labels: the roots are numbered across chunk edges, and
+    # the sizes counted a chunk at a time are np.bincount's
+    m = data.draw(st.integers(min_value=1, max_value=40))
+    labels = root_labels(data, m)
+    roots = sorted(set(labels))
+    number = {r: k for k, r in enumerate(roots)}
+    expected = [number[label] for label in labels]
+    with mock.patch.object(permgroup, "TAKE_ENTRIES", 3):
+        given_labels = np.array(labels, dtype=np.int32)
+        class_of, reps = _partition(given_labels, np.empty(m, np.int32))
+        assert class_of is given_labels  # written over the labels
+        narrow, narrow_reps = _partition(np.array(labels, dtype=np.int32),
+                                         np.empty(m, np.int32), narrow=True)
+        sizes = ConjugacyPartition(class_of, reps.tolist()).sizes
+    assert class_of.tolist() == narrow.tolist() == expected
+    assert reps.tolist() == narrow_reps.tolist() == roots
+    assert class_of.dtype == np.int32
+    assert narrow.dtype == np.min_scalar_type(len(roots) - 1)
+    assert sizes == np.bincount(class_of).tolist()
 
 
 def test_lex_rank_past_int64_binomials():
@@ -717,7 +760,10 @@ def test_conjugacy_classes_of_sym9_stay_small():
         tracemalloc.stop()
     assert P.count == 30
     assert "classes" not in vars(P)
-    assert peak <= 9 * 2 ** 20, peak / 2 ** 20
+    # the labels and one map buffer (1.4 MiB each) and chunk-sized
+    # temporaries: 3.1 MiB; full-size merge buffers and partition arrays
+    # peaked it at 5.9 MiB
+    assert peak <= 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_index_elements_at_the_block_edges():
