@@ -18,12 +18,12 @@ chain raises instead of giving a wrong group; it records no BFS words.
 ``FiniteGroup.mult_table`` spans G by its own breadth-first search in index
 space over the input generators' product rows.  A chain given the order the
 caller derived stops building once its orbit lengths multiply to it.
-``FiniteGroup.index_rows`` looks a block of image rows up by rank and reports
-a row outside the group, caught by a full-row compare with the element at its
-rank, as -1; ``FiniteGroup.index_elements``, for the rows of a map that must
-keep the group, compares the whole block with the rows found in one pass and
-raises BuildVerificationError on any difference.  A map of elements, such as
-conjugation by s, is looked up ``BLOCK_ROWS`` elements at a time
+``FiniteGroup.index_elements`` looks a block of image rows up by rank, for
+the rows of a map that must keep the group: it compares the whole block with
+the rows found at their ranks in one pass and raises BuildVerificationError
+on any difference.  Rows that may lie outside the group, a subgroup's
+generators, are sifted through the chain instead.  A map of elements, such
+as conjugation by s, is looked up ``BLOCK_ROWS`` elements at a time
 (``_mapped``), so no full-size copy of the element rows is made, into one
 int32 buffer that the merges over G refill for every generator.  A pass over
 all of G holds its live full-size arrays (the element rows, the labels and
@@ -56,8 +56,10 @@ under the coset action of one of them.  The closure and ``mult_table`` keep
 the input generators.  Left cosets of the stabilizer of a point p are
 read from column p of the element list (gH is fixed by g(p)); the cosets of
 any other subgroup are the classes of x ~ x o s for its generators s.
-Cosets are numbered in the smallest dtype that holds n - 1: uint8 for a
-point stabilizer (n <= degree <= 255), uint16 up to 65,536 cosets.
+Cosets are numbered in the smallest dtype that holds n - 1: uint8 up to 256
+cosets (every point stabilizer: n <= degree <= 255), uint16 up to 65,536 and
+uint32 past that; the merge path numbers them in int32 over its labels and
+narrows once.
 ``coset_action`` builds the action rows of the elements it is given only:
 the row of g holds the coset of each g o rep_i, looked up by rank, in the
 coset numbers' dtype.
@@ -357,17 +359,6 @@ class FiniteGroup:
         _take(self._index_of_rank, idx, out=idx)
         return rows, idx, _take(self.images, idx)
 
-    def index_rows(self, rows) -> np.ndarray:
-        """int32 element index of each row of an (m, degree) block of image
-        rows, -1 for a row that is not in the group."""
-        rows, idx, found = self._lookup(rows)
-        # every row is compared in every column; a column at a time is
-        # faster than a row-wise .all over (m, degree) uint8
-        hit = found[:, 0] == rows[:, 0]
-        for j in range(1, self.degree):
-            hit &= found[:, j] == rows[:, j]
-        return np.where(hit, idx, -1)
-
     def index_elements(self, rows, what: str) -> np.ndarray:
         """int32 element index of each row of a block that must hold
         elements only, the rows of the map ``what``.  The rows found at the
@@ -502,7 +493,8 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]], *,
                 # for now, index_of_rank at each new rank holds the first
                 # batch position with that rank
                 index_of_rank[rank[new]] = np.iinfo(np.int32).max
-                np.minimum.at(index_of_rank, rank[new], new)
+                # int32 values keep ufunc.at on its fast path
+                np.minimum.at(index_of_rank, rank[new], new.astype(np.int32))
                 new = new[_take(index_of_rank, rank[new]) == new]
             end = stop + len(new)
             if end > order:
@@ -609,15 +601,13 @@ def merge_labels(labels: np.ndarray, image: np.ndarray) -> np.ndarray:
                     part[:] = up
 
 
-def _partition(labels: np.ndarray, number: np.ndarray,
-               narrow: bool = False):
-    """(class of each item, smallest item per class) of root labels, classes
-    numbered by their smallest item: a root's number is the count of roots
-    before it.  The roots are numbered ``TAKE_ENTRIES`` labels at a time
-    into ``number``, an int32 buffer as long as the labels, and each item
-    then reads its root's number.  The classes are int32, written over the
-    labels, or with ``narrow`` a new array in the smallest dtype that holds
-    the last number."""
+def _partition(labels: np.ndarray, number: np.ndarray):
+    """(class of each item, smallest item per class) of int32 root labels,
+    classes numbered by their smallest item: a root's number is the count of
+    roots before it.  The roots are numbered ``TAKE_ENTRIES`` labels at a
+    time into ``number``, an int32 buffer as long as the labels, and each
+    item then reads its root's number.  The classes are int32, written over
+    the labels."""
     reps, count = [], 0
     for start in range(0, len(labels), TAKE_ENTRIES):
         part = labels[start:start + TAKE_ENTRIES]
@@ -630,10 +620,7 @@ def _partition(labels: np.ndarray, number: np.ndarray,
         found += start
         reps.append(found)
         count += len(found)
-    out = np.empty(len(labels), np.min_scalar_type(count - 1)) if narrow \
-        else labels
-    # np.take casts into an output of another dtype
-    return _take(number, labels, out=out), np.concatenate(reps)
+    return _take(number, labels, out=labels), np.concatenate(reps)
 
 
 class CosetSpace:
@@ -645,8 +632,8 @@ class CosetSpace:
     """
 
     def __init__(self, coset_of, reps):
-        # (order,) uint8 or uint16, the smallest dtype that holds n - 1:
-        # element index -> coset index
+        # (order,) uint8, uint16 or uint32, the smallest dtype that holds
+        # n - 1: element index -> coset index
         self.coset_of = coset_of
         self.reps = reps  # representative element index per coset
         # sorted element indices of H
@@ -678,15 +665,18 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
     a time, with no sort; otherwise they are the classes of x ~ x o s over
     the generators s.
 
-    Raises SubgroupNotContained if a generator is outside G (then so is the
-    subgroup; otherwise all of it lies in G).
+    The generators are sifted through G's chain, which is complete, so a
+    generator is in G exactly when it sifts to the identity.  Raises
+    SubgroupNotContained, naming the smallest generator outside G, if there
+    is one (then so is the subgroup; otherwise all of it lies in G).  The
+    cosets are numbered in the smallest dtype that holds n - 1.
     """
     rows = generator_rows(G.degree, H_gens)
-    missing = G.index_rows(rows) < 0
-    if missing.any():
+    if G.chain._sift(rows, 0) is not None:
+        outside = [tuple(row.tolist()) for row in rows
+                   if G.chain._sift(row[None], 0) is not None]
         raise SubgroupNotContained(
-            f"subgroup element {min(map(tuple, rows[missing].tolist()))} "
-            f"is not in the group")
+            f"subgroup element {min(outside)} is not in the group")
     point = _stabilized_point(G, rows)
     if point is not None:
         column = G.images[:, point]
@@ -705,8 +695,9 @@ def left_cosets(G: FiniteGroup, H_gens: Iterable[Sequence[int]]) -> CosetSpace:
         labels = merge_labels(labels, _mapped(  # x o s
             G, lambda x: x[:, s], "right multiplication by a subgroup generator",
             out=image))
-    coset_of, reps = _partition(labels, image, narrow=True)
-    return CosetSpace(coset_of, reps.tolist())
+    coset_of, reps = _partition(labels, image)
+    return CosetSpace(coset_of.astype(np.min_scalar_type(len(reps) - 1)),
+                      reps.tolist())
 
 
 class ConjugacyPartition:

@@ -8,6 +8,8 @@ coset action that ``cmred.cm_engine.pair_tensor`` tallies.
 
 import numpy as np
 
+from perm_oracle import lookup
+
 
 def pair_tensor_by_lookup(model):
     G = model.group
@@ -19,7 +21,7 @@ def pair_tensor_by_lookup(model):
     for i in range(n):
         # [eta, j]: sigma_i o eta o sigma_j^-1, one lookup per i
         block = G.images[reps[i]][h_rows[:, inv_reps]].reshape(-1, G.degree)
-        index = G.index_rows(block)
+        index = lookup(G, block)
         assert (index >= 0).all()
         cls = model.classes.class_of[index].reshape(-1, n).astype(np.int64)
         P[i] = np.bincount((np.arange(n) * k + cls).ravel(),

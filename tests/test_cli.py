@@ -163,6 +163,25 @@ def test_file_group_over_the_element_cap_exits_2(capsys, tmp_path):
     assert "ElementCapExceeded" in err
 
 
+def test_file_group_past_65536_cosets(capsys):
+    # S9 over <(0 1)(2 3)>: 181,440 cosets, numbered in uint32.  orbits of
+    # size 1 runs; verify and certify need the C(n, 2) pairs and exit 2
+    spec = f"file:{Path(__file__).parent / 'fixtures' / 's9_over_c2.json'}"
+    code, out, err = run_main(capsys, "orbits", spec, "--eps-max", "1",
+                              "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["group"] == {"classes": 30, "h": 2, "n": 181_440,
+                               "order": 362_880}
+    assert report["orbits"]["1"]["full"] == {
+        "count": 1, "reps": [[0]], "sizes": [181_440]}
+    for command in ("verify", "certify"):
+        code, out, err = run_main(capsys, command, spec)
+        assert (code, out) == (2, "")
+        assert err == ("error: SubsetCapExceeded: C(181440,2) = 16460146080 "
+                       "exceeds cap 5000000\n")
+
+
 def test_unknown_family_exits_2(capsys):
     code, _, err = run_main(capsys, "verify", "wat:7")
     assert code == 2 and "ParseError" in err

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 import types
@@ -62,6 +63,7 @@ from perm_oracle import (
     index_of,
     inv,
     inverse_perm,
+    lookup,
     mul,
     perm,
     zoo_specs,
@@ -210,6 +212,48 @@ def test_subgroup_not_contained():
     G = close_generators(3, [(1, 2, 0)])  # cyclic of order 3
     with pytest.raises(SubgroupNotContained):
         left_cosets(G, [(1, 0, 2)])
+
+
+def past_63_key_bits():
+    """Eight disjoint transpositions on 200 points, whose basic orbits are
+    {0, 1}, {2, 3}, ..., {14, 15}, and a row that fixes every base point
+    but is not the identity: it ranks onto an element without being one."""
+    degree = 200
+    gens = []
+    for t in range(8):
+        img = list(range(degree))
+        img[2 * t], img[2 * t + 1] = 2 * t + 1, 2 * t
+        gens.append(tuple(img))
+    G = close_generators(degree, gens)
+    odd = list(range(degree))
+    odd[1], odd[199] = 199, 1
+    return G, tuple(odd)
+
+
+@pytest.mark.parametrize("case", ["a4", "past-63-key-bits", "past-table-cap"])
+def test_subgroup_not_contained_names_the_smallest_outside_generator(case):
+    # the generators are sifted through G's chain as one block; the message
+    # names the smallest of those outside G, whatever their order
+    if case == "a4":
+        G = close_generators(5, [(1, 2, 0, 3, 4), (0, 2, 3, 1, 4)])
+        inside = [(1, 2, 0, 3, 4), (0, 2, 3, 1, 4)]
+        outside = [(4, 1, 2, 3, 0), (1, 0, 2, 3, 4), (0, 1, 2, 4, 3)]
+    elif case == "past-63-key-bits":
+        G, odd = past_63_key_bits()
+        inside = [perm(G, 255), perm(G, 3)]
+        outside = [odd, tuple(odd[:3]) + (4, 3) + tuple(odd[5:])]
+    else:
+        G = build("alt:8")[0]
+        assert G.order > permgroup.TABLE_CAP
+        inside = [(1, 0, 3, 2, 4, 5, 6, 7), (1, 2, 0, 3, 4, 5, 6, 7)]
+        outside = [(0, 1, 2, 3, 4, 5, 7, 6), (1, 0, 2, 3, 4, 5, 6, 7)]
+    assert all(contains(G, p) for p in inside)
+    assert not any(contains(G, p) for p in outside)
+    assert left_cosets(G, inside).h == len(element_set(G.degree, inside))
+    message = re.escape(f"subgroup element {min(outside)} is not in the group")
+    for gens in ([inside[0], *outside, inside[1]], outside[::-1] + inside):
+        with pytest.raises(SubgroupNotContained, match=f"^{message}$"):
+            left_cosets(G, gens)
 
 
 def test_conjugacy_s3():
@@ -515,13 +559,10 @@ def test_partition_and_class_sizes_across_chunks(data):
         given_labels = np.array(labels, dtype=np.int32)
         class_of, reps = _partition(given_labels, np.empty(m, np.int32))
         assert class_of is given_labels  # written over the labels
-        narrow, narrow_reps = _partition(np.array(labels, dtype=np.int32),
-                                         np.empty(m, np.int32), narrow=True)
         sizes = ConjugacyPartition(class_of, reps.tolist()).sizes
-    assert class_of.tolist() == narrow.tolist() == expected
-    assert reps.tolist() == narrow_reps.tolist() == roots
+    assert class_of.tolist() == expected
+    assert reps.tolist() == roots
     assert class_of.dtype == np.int32
-    assert narrow.dtype == np.min_scalar_type(len(roots) - 1)
     assert sizes == np.bincount(class_of).tolist()
 
 
@@ -651,45 +692,50 @@ def test_coset_action_matches_dict_cosets(case):
         assert coset_action(G, C, range(G.order)).tolist() == oracle
 
 
-def test_index_rows_identity_and_generators():
+def test_index_elements_identity_and_generators():
     G = sym_group(5)
-    assert G.index_rows(np.arange(5)[None]).tolist() == [0]
+    assert G.index_elements(np.arange(5)[None], "identity").tolist() == [0]
     gens = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
-    assert G.index_rows(gens).tolist() == G.generators
-    assert G.index_rows(G.images).tolist() == list(range(G.order))
+    assert G.index_elements(gens, "generators").tolist() == G.generators
+    assert G.index_elements(G.images, "elements").tolist() == \
+        list(range(G.order))
     assert index_of(G, (1, 2, 3, 4, 0)) == G.generators[1]
+    assert lookup(G, G.images).tolist() == list(range(G.order))
 
 
-def test_index_rows_outside_group():
+def test_rows_outside_the_group():
+    # index_elements raises on them, the chain's sift leaves a residue and
+    # the test-side lookup gives -1
     G = close_generators(5, [(1, 2, 0, 3, 4), (0, 2, 3, 1, 4)])  # A4 on 0..3
     assert G.order == 12
     outside = [(1, 0, 2, 3, 4), (0, 1, 2, 4, 3), (4, 1, 2, 3, 0)]
-    assert G.index_rows(outside).tolist() == [-1, -1, -1]
-    assert G.index_rows(outside + [(0, 1, 2, 3, 4)]).tolist() == [-1] * 3 + [0]
+    for row in outside:
+        with pytest.raises(BuildVerificationError,
+                           match="^lookup: a row outside the group$"):
+            G.index_elements([(0, 1, 2, 3, 4), row], "lookup")
+        assert G.chain._sift(np.array([row], np.uint8), 0) is not None
+    assert G.chain._sift(G.images, 0) is None
+    assert lookup(G, outside + [(0, 1, 2, 3, 4)]).tolist() == [-1] * 3 + [0]
     with pytest.raises(KeyError):
         index_of(G, (1, 0, 2, 3, 4))
     assert not contains(G, (1, 0, 2, 3, 4))
     assert not contains(G, (0, 1, 2)) and not contains(G, (0, 1, 2, 3, 300))
     with pytest.raises(ValueError):
-        G.index_rows([(0, 1, 2)])
+        G.index_elements([(0, 1, 2)], "lookup")
 
 
-def test_index_rows_past_63_key_bits():
-    # eight disjoint transpositions on 200 points: the basic orbits are
-    # {0, 1}, {2, 3}, ..., {14, 15}
-    degree = 200
-    gens = []
-    for t in range(8):
-        img = list(range(degree))
-        img[2 * t], img[2 * t + 1] = 2 * t + 1, 2 * t
-        gens.append(tuple(img))
-    G = close_generators(degree, gens)
+def test_index_elements_past_63_key_bits():
+    G, odd = past_63_key_bits()
     assert G.order == 256
-    assert G.index_rows(G.images).tolist() == list(range(256))
-    # fixes every base point but is not the identity
-    odd = list(range(degree))
-    odd[1], odd[199] = 199, 1
-    assert G.index_rows([odd, G.images[255]]).tolist() == [-1, 255]
+    assert G.index_elements(G.images, "elements").tolist() == list(range(256))
+    # odd ranks onto an element, and only the full-row compare and the
+    # chain's sift see that it is none
+    _, idx, found = G._lookup(np.array([odd], np.uint8))
+    assert 0 <= idx[0] < G.order and found[0].tolist() != list(odd)
+    with pytest.raises(BuildVerificationError):
+        G.index_elements([odd, G.images[255]], "lookup")
+    assert G.chain._sift(np.array([odd], np.uint8), 0) is not None
+    assert lookup(G, [odd, G.images[255]]).tolist() == [-1, 255]
 
 
 def cycle_type(images):
@@ -735,17 +781,22 @@ def test_sym8_general_cosets_across_blocks():
     assert C.reps == [min(cosets[c]) for c in range(C.n)]
 
 
-def test_index_rows_at_the_block_edges():
+def test_index_elements_of_a_whole_block_at_the_block_edges():
+    # one lookup of all of G, past the rank chunks, in int32; a row that is
+    # no permutation on either side of a block edge raises
     G = sym_group(8)
     edge = permgroup.BLOCK_ROWS
-    rows = G.images.copy()
-    rows[edge - 1] = 0  # not a permutation
-    rows[edge] = np.arange(8)[::-1] % 7  # 0 twice, no 7
-    idx = G.index_rows(rows)
+    idx = G.index_elements(G.images, "elements")
     assert idx.dtype == np.int32
-    assert np.flatnonzero(idx < 0).tolist() == [edge - 1, edge]
-    keep = idx >= 0
-    assert np.array_equal(idx[keep], np.arange(G.order)[keep])
+    assert np.array_equal(idx, np.arange(G.order))
+    for at, bad in ((edge - 1, 0),  # not a permutation
+                    (edge, np.arange(8)[::-1] % 7)):  # 0 twice, no 7
+        rows = G.images.copy()
+        rows[at] = bad
+        with pytest.raises(BuildVerificationError,
+                           match="^elements: a row outside the group$"):
+            G.index_elements(rows, "elements")
+        assert np.flatnonzero(lookup(G, rows) < 0).tolist() == [at]
 
 
 def test_conjugacy_classes_of_sym9_stay_small():
@@ -769,7 +820,7 @@ def test_conjugacy_classes_of_sym9_stay_small():
 def test_index_elements_at_the_block_edges():
     # one row outside G on either side of a block edge raises, naming the
     # map, through _mapped and through coset_action; valid blocks give
-    # index_rows' indices
+    # the test-side lookup's indices
     G = sym_group(8)
     edge = permgroup.BLOCK_ROWS
     s = G.images[G.generators[1]]
@@ -779,7 +830,7 @@ def test_index_elements_at_the_block_edges():
         return s[x[:, s_inv]]
 
     rows = conjugate(G.images)
-    expected = G.index_rows(rows)
+    expected = lookup(G, rows)
     assert (expected >= 0).all()
     assert np.array_equal(G.index_elements(rows, "conjugation map"), expected)
     assert np.array_equal(
@@ -788,7 +839,7 @@ def test_index_elements_at_the_block_edges():
     elements = np.arange(2 * edge) % G.order
     products = G.images[elements][:, G.images[C.reps]].reshape(-1, 8)
     assert np.array_equal(coset_action(G, C, elements).ravel(),
-                          C.coset_of[G.index_rows(products)])
+                          C.coset_of[lookup(G, products)])
 
     whole = permgroup.CosetSpace(np.zeros(G.order, dtype=np.int32), [0])
     outside = copy.copy(G)  # one more image row, past the elements
@@ -1057,7 +1108,28 @@ def test_coset_numbers_are_narrow():
     G = model.group
     products = G.images[G.orbit_generators][:, G.images[C.reps]]
     assert np.array_equal(rows, C.coset_of.astype(np.int64)[
-        G.index_rows(products.reshape(-1, degree))].reshape(rows.shape))
+        lookup(G, products.reshape(-1, degree))].reshape(rows.shape))
+
+
+def test_coset_numbers_past_65536_cosets():
+    # S9 over <(0 1)(2 3)>, no point stabilizer: 181,440 cosets on the merge
+    # path, numbered in uint32.  Each coset is {x, x o h}, numbered by its
+    # smallest element, which is its representative
+    _, degree, gens, subgroup_gens = parse_spec(
+        f"file:{FIXTURES / 's9_over_c2.json'}")
+    G = close_generators(degree, gens)
+    (h,) = subgroup_gens
+    C = left_cosets(G, subgroup_gens)
+    assert C.coset_of.dtype == np.uint32
+    assert (C.n, C.h) == (181_440, 2)
+    partner = lookup(G, G.images[:, list(h)])  # x o h
+    assert (partner >= 0).all() and (partner != np.arange(G.order)).all()
+    first = np.minimum(np.arange(G.order), partner)
+    reps = np.unique(first)
+    assert C.reps == reps.tolist()
+    assert np.array_equal(C.coset_of, np.searchsorted(reps, first))
+    assert np.bincount(C.coset_of).tolist() == [2] * C.n
+    assert C.subgroup_elements.tolist() == [0, index_of(G, h)]
 
 
 def check_orbit_generators(G):
@@ -1248,8 +1320,8 @@ def test_k_transitive_of_s9_over_s6_stays_small():
     (lambda m: pair_tensor(m), "inverses of the coset representatives"),
 ])
 def test_a_map_that_leaves_the_group_raises(monkeypatch, read, name):
-    # a -1 from index_rows used as an index would read the last element:
-    # merge_labels(arange(5), [1, 0, -1, 3, 4]) merges 2 with 4
+    # a -1 for a row outside the group, used as an index, would read the
+    # last element: merge_labels(arange(5), [1, 0, -1, 3, 4]) merges 2 with 4
     assert permgroup.merge_labels(
         np.arange(5), np.array([1, 0, -1, 3, 4])).tolist() == [0, 0, 2, 3, 2]
     m = build_zoo_model("sym:4")
@@ -1257,8 +1329,9 @@ def test_a_map_that_leaves_the_group_raises(monkeypatch, read, name):
     lookup = permgroup.FiniteGroup._lookup
 
     def last_row_leaves(self, rows):
-        # every map reads at least n = 4 rows; left_cosets' check of its
-        # one subgroup generator reads one.  A zero row is no permutation
+        # every map reads at least n = 4 rows; left_cosets sifts its
+        # subgroup generator through the chain and reads none here.  A zero
+        # row is no permutation
         rows = np.array(rows)
         if len(rows) >= 4:
             rows[-1] = 0
