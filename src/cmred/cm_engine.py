@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BruteCapExceeded, IntegerBoundExceeded
 from .galois_model import UnitaryGaloisModel
 from .group_algebra import BRUTE_CAP, indicator_reflex_class_sums
-from .permgroup import coset_action
+from .permgroup import TAKE_ENTRIES, _take, coset_action
 
 SAMPLE_EXHAUSTIVE_LIMIT = 500  # enumerate all size-eps subsets up to this count
 SAMPLE_SIZE = 100  # seeded sample size above the limit
@@ -233,7 +233,8 @@ def pair_tensor(model: UnitaryGaloisModel) -> tuple[np.ndarray, np.ndarray]:
     """The (n, n, k) tensor P[i, j, c] = #{eta in H : sigma_i eta sigma_j^-1
     in class c} for i != j, with P[i, i] = 0, as (L, W) with P = W[L]: an
     (n, n) label matrix L (uint8 up to 256 labels) over the (d, k) int64
-    table W of P's distinct rows.
+    table W of P's distinct rows.  L is the transposed view of label[J],
+    gathered a chunk at a time, so besides J and L no (n, n) array is made.
 
     eta -> g = sigma_i eta sigma_j^-1 is a bijection from H onto the g with
     g sigma_j H = sigma_i H.  Conjugation by sigma_j keeps every class and
@@ -259,7 +260,7 @@ def pair_tensor(model: UnitaryGaloisModel) -> tuple[np.ndarray, np.ndarray]:
     rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
     J = coset_action(G, C, G.index_elements(
         np.argsort(rep_rows, axis=1), "inverses of the coset representatives"))
-    return label.astype(np.min_scalar_type(len(W) - 1))[J.T], W
+    return _take(label.astype(np.min_scalar_type(len(W) - 1)), J).T, W
 
 
 def closed_block(subsets, model: UnitaryGaloisModel, L: np.ndarray,
@@ -466,6 +467,23 @@ def check_cm0_suite(sweep: SubsetSweep) -> IdentityReport:
     return IdentityReport("cm0-membership", False, witness)
 
 
+def _label_sums(L: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The row sums and the column sums of P = W[L], stacked as (2, n, k)
+    int64: the label counts of each row of L, and of L^T, times W.  The
+    counts are taken over row blocks of about ``TAKE_ENTRIES`` entries, so
+    no (n, n) key or count array is made."""
+    n, d = len(L), len(W)
+    step = max(1, TAKE_ENTRIES // n)
+    sums = np.empty((2, n, W.shape[1]), dtype=np.int64)
+    for M, out in zip((L, L.T), sums):
+        for start in range(0, n, step):
+            block = M[start:start + step]
+            keys = np.arange(len(block))[:, None] * d + block  # int64
+            out[start:start + step] = np.bincount(
+                keys.ravel(), minlength=len(block) * d).reshape(-1, d) @ W
+    return sums
+
+
 def check_galois_invariance(sweep: SubsetSweep) -> IdentityReport:
     """Equivalent CM types have equal closed functions, for every (gamma,
     phi): ``closed_block`` reads S only through eps = |S| and T(S), the sum
@@ -478,11 +496,13 @@ def check_galois_invariance(sweep: SubsetSweep) -> IdentityReport:
     3. ``total``: the sum of P is (n - chi(c)) |c|.  The bit-1 numerators
        2 (eps h |c| (n - chi) - |G| T) of S^c and S then differ by
        2 (n - 2 eps) h ((n - chi) |c| - n R_c) = 0: closed(S^c) = closed(S).
-    W's rows are distinct, so identity 1 compares labels; the sums are the
-    label counts of each row of L and of L^T times W.  Cosets are 1-based.
+    W's rows are distinct, so identity 1 compares labels, a block of about
+    ``TAKE_ENTRIES`` entries of L at a time; the sums are ``_label_sums``.
+    Besides L and the (n, k) sums only block-sized arrays are made.  Cosets
+    are 1-based.
     """
     model, L, W = sweep.model, sweep.L, sweep.W
-    n, k, d = model.n, model.classes.count, len(W)
+    n, k = model.n, model.classes.count
     size = np.asarray(model.classes.sizes, dtype=np.int64)
     R = np.broadcast_to(size - _subgroup_class_tally(model), (n, k))
     rows = model.generator_action_rows
@@ -495,17 +515,17 @@ def check_galois_invariance(sweep: SubsetSweep) -> IdentityReport:
                    "lhs": str(lhs[c]), "rhs": str(rhs[c])}
         return IdentityReport("galois-invariance", False, witness, detail)
 
+    step = max(1, TAKE_ENTRIES // n)  # rows of L per block
     for g, r in enumerate(rows):
-        moved = L[r[:, None], r]
-        bad = np.argwhere(moved != L)
-        if len(bad):
-            i, j = bad[0]
-            return failure(f"generator {g}", (i, j), W[moved[i, j]],
-                           W[L[i, j]])
-    keys = np.arange(n)[:, None] * d  # i d + label, in int64
-    row_sums, column_sums = (
-        np.bincount((keys + M).ravel(), minlength=n * d).reshape(n, d) @ W
-        for M in (L, L.T))
+        for start in range(0, n, step):
+            block = L[start:start + step]
+            moved = L[r[start:start + step, None], r]
+            bad = np.argwhere(moved != block)
+            if len(bad):
+                i, j = bad[0]
+                return failure(f"generator {g}", (start + i, j),
+                               W[moved[i, j]], W[block[i, j]])
+    row_sums, column_sums = _label_sums(L, W)
     for identity, lhs, rhs in (
             ("rows", row_sums, R), ("columns", column_sums, R),
             ("total", row_sums.sum(axis=0), (n - sweep.chi) * size)):

@@ -27,7 +27,12 @@ as conjugation by s, is looked up ``BLOCK_ROWS`` elements at a time
 (``_mapped``), so no full-size copy of the element rows is made, into one
 int32 buffer that the merges over G refill for every generator.  A pass over
 all of G holds its live full-size arrays (the element rows, the labels and
-that buffer) and otherwise only block- or chunk-sized temporaries.
+that buffer) and otherwise only block- or chunk-sized temporaries.  So do
+the passes over ordered k-tuples, over subsets and over coset products:
+``is_k_transitive`` and ``orbits_on_subsets`` hold their labels and one
+int32 map, filled ``TAKE_ENTRIES`` tuples or subsets at a time (and the
+subsets themselves), and ``coset_action`` holds its output and looks the
+products up ``BLOCK_ROWS`` rows at a time.
 
 Gathers by an integer index array (the closure's gen o x, label merges,
 conjugates, rank lookups, subset images and ranks) go through ``_take``:
@@ -61,16 +66,17 @@ cosets (every point stabilizer: n <= degree <= 255), uint16 up to 65,536 and
 uint32 past that; the merge path numbers them in int32 over its labels and
 narrows once.
 ``coset_action`` builds the action rows of the elements it is given only:
-the row of g holds the coset of each g o rep_i, looked up by rank, in the
-coset numbers' dtype.
+the row of g holds the coset of each g o rep_i, looked up by rank a block of
+products at a time, in the coset numbers' dtype.
 
 Orbits on size-eps subsets of the n points are indexed by lexicographic rank
 (``itertools.combinations`` order): ``labels[r]`` is the rank of the smallest
 member of the orbit of subset r, so the canonical representative of an orbit
 is its minimum rank.  The subsets are built in that order directly
-(``lex_subsets``).  Each generator's image of every subset is ranked once
-and dropped before the next, so memory stays at a few arrays of C(n, eps)
-entries; the only size limit is ``SUBSET_CAP``.
+(``lex_subsets``).  Each generator's image of every subset is ranked once,
+a chunk at a time, into one map that the next generator refills, so memory
+stays at the subsets, the labels and that map; the only size limit is
+``SUBSET_CAP``.
 """
 
 from __future__ import annotations
@@ -746,12 +752,36 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyPartition:
 
 
 def coset_action(G: FiniteGroup, C: CosetSpace, elements) -> np.ndarray:
-    """(len(elements), n) rows of the action on cosets: the row of g maps
-    coset i to the coset of g o rep_i."""
+    """(len(elements), n) rows of the action on cosets, in the coset
+    numbers' dtype: the row of g maps coset i to the coset of g o rep_i.
+
+    The products g o rep_i are gathered and looked up in blocks of at most
+    ``BLOCK_ROWS`` rows: ``BLOCK_ROWS // n`` elements (at least one) times
+    every representative, or one element times ``BLOCK_ROWS``
+    representatives when n is larger, so only the output is full-size."""
+    elements = np.asarray(elements, dtype=np.int64)
     rep_rows = G.images[np.asarray(C.reps, dtype=np.int64)]
-    products = G.images[np.asarray(elements, dtype=np.int64)][:, rep_rows]
-    return C.coset_of[G.index_elements(products.reshape(-1, G.degree),
-                                       "coset action")].reshape(-1, C.n)
+    out = np.empty(len(elements) * C.n, dtype=C.coset_of.dtype)
+    per = max(1, BLOCK_ROWS // C.n)  # elements per block
+    for low, first in itertools.product(range(0, len(elements), per),
+                                        range(0, C.n, BLOCK_ROWS)):
+        products = G.images[elements[low:low + per]][
+            :, rep_rows[first:first + BLOCK_ROWS]].reshape(-1, G.degree)
+        # whole rows, or part of one row when n > BLOCK_ROWS: a run of out
+        at = low * C.n + first
+        _take(C.coset_of, G.index_elements(products, "coset action"),
+              out=out[at:at + len(products)])
+    return out.reshape(-1, C.n)
+
+
+def _tuple_digits(start: int, n: int, digits: np.ndarray) -> np.ndarray:
+    """The base-n digits of the ranks start, start + 1, ..., one rank per
+    column of the int32 (k, m) ``digits``, most significant first, written
+    in place."""
+    rest = np.arange(start, start + digits.shape[1], dtype=np.int32)
+    for digit in digits[::-1]:
+        np.divmod(rest, n, out=(rest, digit))
+    return digits
 
 
 def is_k_transitive(action_rows, n: int, k: int) -> tuple[bool, int]:
@@ -760,30 +790,38 @@ def is_k_transitive(action_rows, n: int, k: int) -> tuple[bool, int]:
 
     ``action_rows`` may be any family of action permutations whose closure is
     the acting group, such as the rows of a generating set.
-    Every ordered k-tuple is ranked in mixed radix n, and each row's image of
-    the n**k ranks is merged into the labels before the next row's is built.
+    Every ordered k-tuple is ranked in mixed radix n.  Each row's image of
+    the n**k ranks is written into one map ``TAKE_ENTRIES`` ranks at a time,
+    from the digits of those ranks, and merged into the labels before the
+    next row's is built; the orbits of distinct tuples are then counted a
+    chunk at a time.  The labels and the map are the only full-size arrays.
     Ranks, digits and images are int32: ValueError unless n**k < 2^31.
     """
     if not 1 <= k <= n or n ** k >= 2 ** 31:
         raise ValueError(f"need 1 <= k <= n and n**k < 2^31, got k={k}, n={n}")
-    labels = np.arange(n ** k, dtype=np.int32)
-    digits = [labels // n ** (k - 1 - i) % n for i in range(k)]
-    image = np.empty(n ** k, dtype=np.int32)
-    digit = np.empty(n ** k, dtype=np.int32)
+    size = n ** k
+    labels = np.arange(size, dtype=np.int32)
+    image = np.empty(size, dtype=np.int32)
+    digits = np.empty((k, min(size, TAKE_ENTRIES)), dtype=np.int32)
     for row in action_rows:
         row = np.asarray(row, dtype=np.int32)
-        image[:] = 0
-        for d in digits:
-            image *= n
-            image += _take(row, d, out=digit)
+        for start in range(0, size, TAKE_ENTRIES):
+            part = image[start:start + TAKE_ENTRIES]
+            part[:] = 0
+            for digit in _tuple_digits(start, n, digits[:, :len(part)]):
+                part *= n
+                part += row.take(digit)
         labels = merge_labels(labels, image)
-    distinct = np.ones(n ** k, dtype=bool)
-    for a, b in itertools.combinations(digits, 2):
-        distinct &= a != b
     # an orbit of distinct tuples is labelled by its smallest member, itself
     # a tuple of distinct points
-    roots = np.flatnonzero(distinct)
-    orbit_count = int(np.count_nonzero(labels[roots] == roots))
+    orbit_count = 0
+    for start in range(0, size, TAKE_ENTRIES):
+        part = labels[start:start + TAKE_ENTRIES]
+        roots = part == np.arange(start, start + len(part), dtype=np.int32)
+        for a, b in itertools.combinations(
+                _tuple_digits(start, n, digits[:, :len(part)]), 2):
+            roots &= a != b
+        orbit_count += int(np.count_nonzero(roots))
     return (orbit_count == 1, orbit_count)
 
 
@@ -797,16 +835,21 @@ def check_subset_cap(n: int, eps: int) -> None:
             f"C({n},{eps}) = {math.comb(n, eps)} exceeds cap {SUBSET_CAP}")
 
 
+@functools.lru_cache(maxsize=1)
 def _lex_weights(n: int, eps: int) -> np.ndarray:
     """(eps, n) int32 table: entry (i, a) is C(n - 1 - a, eps - i), capped
     at C(n, eps) <= SUBSET_CAP so that it fits; SubsetCapExceeded past the
     cap.  No subset's rank uses an entry over C(n, eps), so the cap changes
-    no rank."""
+    no rank.  The last table built is kept, read-only: ``orbits_on_subsets``
+    ranks a stratum's images a chunk at a time, and would otherwise rebuild
+    its eps n binomials for every chunk of every row."""
     check_subset_cap(n, eps)
     total = math.comb(n, eps)
-    return np.array([[min(math.comb(n - 1 - a, eps - i), total)
-                      for a in range(n)] for i in range(eps)],
-                    dtype=np.int32).reshape(eps, n)
+    weights = np.array([[min(math.comb(n - 1 - a, eps - i), total)
+                         for a in range(n)] for i in range(eps)],
+                       dtype=np.int32).reshape(eps, n)
+    weights.flags.writeable = False
+    return weights
 
 
 def lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
@@ -879,20 +922,25 @@ def orbits_on_subsets(action_rows, n: int, eps: int) -> np.ndarray:
     (lexicographically smallest) orbit representatives in report order, and
     their multiplicities are the orbit sizes.
 
-    One pass per row of ``action_rows``: the row maps every subset, the image
-    is sorted in place and ranked, and ``merge_labels`` merges it into the
-    labels.  Only one row's image (a rank per subset) is held at a time.
-    Labels and ranks are int32; SubsetCapExceeded, before any subset is
-    built, when the subsets number over ``SUBSET_CAP``.
+    One pass per row of ``action_rows``: the row maps the subsets
+    ``TAKE_ENTRIES`` at a time, each chunk of images is sorted in place and
+    ranked into one int32 map, a rank per subset, and ``merge_labels``
+    merges the map into the labels.  The subsets, the labels and that map
+    are the only full-size arrays; every chunk reads the one cached
+    ``_lex_weights`` table.  Labels and ranks are int32; SubsetCapExceeded,
+    before any subset is built, when the subsets number over ``SUBSET_CAP``.
     """
     check_subset_cap(n, eps)
     subsets = lex_subsets(n, eps)
     labels = np.arange(subsets.shape[0], dtype=np.int32)
+    image = np.empty_like(labels)
     for row in action_rows:
         # images in the subsets' own dtype, the smallest that holds n - 1
-        image = _take(np.asarray(row, dtype=subsets.dtype), subsets)
-        image.sort(axis=1)
-        image = lex_rank(image, n)  # the point rows are freed here
+        row = np.asarray(row, dtype=subsets.dtype)
+        for start in range(0, len(labels), TAKE_ENTRIES):
+            part = _take(row, subsets[start:start + TAKE_ENTRIES])
+            part.sort(axis=1)
+            image[start:start + TAKE_ENTRIES] = lex_rank(part, n)
         labels = merge_labels(labels, image)
     return labels
 

@@ -59,6 +59,7 @@ from perm_oracle import build_zoo_model, index_of, inv, mul, zoo_specs
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 S9_OVER_S6 = Path(__file__).parent / "fixtures" / "s9_over_s6.json"
 S5_OVER_C2 = Path(__file__).parent / "fixtures" / "s5_over_c2.json"
+S7_OVER_C2 = Path(__file__).parent / "fixtures" / "s7_over_c2.json"
 
 
 def s3_model():
@@ -681,6 +682,31 @@ def test_brute_functions_agree_on_inverse_classes(spec):
     assert real == (spec in ("sym:4", "sp4f2:-"))
 
 
+def test_galois_invariance_across_row_blocks(monkeypatch):
+    # S5 over <(0 1)(2 3)>, n = 60: blocks of one, two and seven rows (the
+    # last block of four) give the label sums and the first failing entry,
+    # (28, 29) in the middle of L, of one block of all 60 rows
+    m = file_model(S5_OVER_C2)
+    L, W = pair_tensor(m)
+    bad = L.copy()
+    bad[40, 41] = bad[40, 40]  # the diagonal's label: P[40, 41] = 0
+    sweeps = [types.SimpleNamespace(model=m, L=M, W=W,
+                                    chi=permutation_character(m))
+              for M in (L, bad)]
+
+    def outputs():
+        return (cm_engine._label_sums(L, W),
+                [check_galois_invariance(s).to_dict() for s in sweeps])
+
+    sums, reports = outputs()
+    assert reports[0]["status"] == "pass"
+    assert reports[1]["witness"]["entry"] == [28, 29]
+    for entries in (1, 2 * 60 + 1, 7 * 60):
+        monkeypatch.setattr(cm_engine, "TAKE_ENTRIES", entries)
+        got_sums, got_reports = outputs()
+        assert np.array_equal(got_sums, sums) and got_reports == reports
+
+
 def test_s9_over_s6_model_and_pair_tensor_stay_small():
     # |G| = 362,880 and n = 504: an action row for every element would be
     # 349 MiB on its own, and the (n, n, k) int64 pair tensor 58 MiB
@@ -711,6 +737,32 @@ def test_s9_over_s6_model_and_pair_tensor_stay_small():
     assert rep.to_dict() == {"name": "galois-invariance", "status": "pass",
                              "detail": {"generators": 2, "classes": 30}}
     assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+
+def test_pair_tensor_and_galois_invariance_of_s7_over_c2_stay_small():
+    # n = 2,520: the uint16 coset-action map J and the uint8 labels L,
+    # 18.2 MiB together, then row blocks of L.  Every coset product at once
+    # and an intp copy of J peaked pair_tensor at 164 MiB, and (n, n) int64
+    # keys the check at 103 MiB
+    m = file_model(S7_OVER_C2)
+    peaks = []
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            return call()
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            tracemalloc.stop()
+
+    L, W = traced(lambda: pair_tensor(m))
+    assert (m.n, len(W), L.dtype) == (2520, 28, np.uint8)
+    sweep = types.SimpleNamespace(model=m, L=L, W=W,
+                                  chi=permutation_character(m))
+    rep = traced(lambda: check_galois_invariance(sweep))
+    assert rep.to_dict() == {"name": "galois-invariance", "status": "pass",
+                             "detail": {"generators": 2, "classes": 15}}
+    assert peaks[0] <= 24 and peaks[1] <= 4, peaks
 
 
 def test_pair_reduction_of_every_size_stays_small():

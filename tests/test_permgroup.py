@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmred import permgroup
+from cmred import cm_engine, permgroup
 from cmred.certifier import certify, orbit_table
 from cmred.cli import parse_spec
 from cmred.errors import (
@@ -1240,32 +1240,41 @@ def group_layer_outputs(spec):
         subgroup_gens = stabilizer_generators(G)
     out = {"images": G.images, "index_of_rank": G._index_of_rank,
            "inverses": G.inverses, "mult_table": G.mult_table}
-    P = conjugacy_classes(G)
+    model = UnitaryGaloisModel(G, subgroup_gens)
+    P = model.classes
     out["class_of"], out["class_reps"] = P.class_of, P.class_reps
     # the subgroup, then the cyclic subgroup of the first generator, which
     # is no point stabilizer here: the merge path, whatever the subgroup's
     for name, H in (("H", subgroup_gens),
                     ("cyclic", [G.images[G.generators[0]].tolist()])):
-        C = left_cosets(G, H)
+        C = model.cosets if name == "H" else left_cosets(G, H)
         column = _stabilized_point(G, generator_rows(degree, H)) is not None
         out[f"{name}_path"] = "column" if column else "merge"
         out[f"{name}_coset_of"], out[f"{name}_reps"] = C.coset_of, C.reps
-    C = left_cosets(G, subgroup_gens)
-    rows = coset_action(G, C, G.orbit_generators)
-    out["orbits"] = orbits_on_subsets(rows, C.n, 2)
-    out["2-transitive"] = is_k_transitive(rows, C.n, 2)
+    rows, n = model.generator_action_rows, model.n
+    out["orbits"] = orbits_on_subsets(rows, n, 2)
+    out["2-transitive"] = is_k_transitive(rows, n, 2)
+    if n <= 10:  # n^3 tuples, each its own chunk at one entry a chunk
+        out["3-transitive"] = is_k_transitive(rows, n, 3)
+    out["L"], out["W"] = pair_tensor(model)
+    out["row_sums"], out["column_sums"] = cm_engine._label_sums(out["L"],
+                                                                out["W"])
     return out
 
 
 @pytest.mark.parametrize("spec", ["sym:5", "psu3:2", "sp4f2:-",
                                   "file:s5_over_c2.json"])
 def test_take_chunk_edges(spec, monkeypatch):
-    # a chunk of one index entry, then of one image row, gives every array
-    # of the default chunking
+    # chunks of one and of three index entries and blocks of one and three
+    # rows, then a chunk of one image row, give every array of the default
+    # chunking: tuple digits, subset ranks, coset products and the label
+    # counts of the pair tensor cross many chunk edges
     expected = group_layer_outputs(spec)
     degree = group_layer(spec)[0]
-    for entries in (1, degree):
+    for entries in (1, 3, degree):
         monkeypatch.setattr(permgroup, "TAKE_ENTRIES", entries)
+        monkeypatch.setattr(cm_engine, "TAKE_ENTRIES", entries)
+        monkeypatch.setattr(permgroup, "BLOCK_ROWS", entries)
         got = group_layer_outputs(spec)
         assert got.keys() == expected.keys()
         for name, value in expected.items():
@@ -1307,6 +1316,58 @@ def test_k_transitive_of_s9_over_s6_stays_small():
         tracemalloc.stop()
     assert m.n == 504 and result == (False, 33)
     assert peak <= 10 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.fixture(scope="module")
+def s7_over_c2():
+    """S7 over <(0 1)>: n = 2,520 cosets, so 6,350,400 ordered pairs of
+    cosets, 3,173,940 2-subsets (under SUBSET_CAP) and n^2 coset products."""
+    _, degree, gens, subgroup_gens = parse_spec(
+        f"file:{FIXTURES / 's7_over_c2.json'}")
+    return UnitaryGaloisModel(close_generators(degree, gens), subgroup_gens)
+
+
+def traced_peak(call):
+    """(the result of call(), its tracemalloc peak in MiB)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_k_transitive_of_s7_over_c2_stays_small(s7_over_c2):
+    # the labels and one int32 map, 24.2 MiB each, with the digits and the
+    # distinct-tuple roots a chunk at a time; full digit arrays, a full bool
+    # and intp roots peaked at 206 MiB
+    rows = s7_over_c2.generator_action_rows
+    result, peak = traced_peak(lambda: is_k_transitive(rows, 2520, 2))
+    assert result == (False, 1319)
+    assert peak <= 56, peak
+
+
+def test_orbits_on_subsets_of_s7_over_c2_stay_small(s7_over_c2):
+    # the uint16 subsets, the labels and one int32 map, 12.1 MiB each; a
+    # full image of every subset before its ranks peaked at 48.7 MiB
+    rows = s7_over_c2.generator_action_rows
+    labels, peak = traced_peak(lambda: orbits_on_subsets(rows, 2520, 2))
+    assert len(labels) == math.comb(2520, 2)
+    assert np.count_nonzero(labels == np.arange(len(labels))) == 717
+    assert peak <= 40, peak
+
+
+def test_coset_action_of_s7_over_c2_stays_small(s7_over_c2):
+    # the n^2 products pair_tensor looks up: the uint16 output, 12.1 MiB, and
+    # block-sized products; every product at once peaked at 164 MiB
+    G, C = s7_over_c2.group, s7_over_c2.cosets
+    inverses = G.index_elements(np.argsort(G.images[C.reps], axis=1),
+                                "inverses of the coset representatives")
+    J, peak = traced_peak(lambda: coset_action(G, C, inverses))
+    assert J.shape == (2520, 2520) and J.dtype == np.uint16
+    # sigma_j^-1 sigma_i lies in H exactly when i = j
+    assert np.array_equal(np.flatnonzero(J == 0), np.arange(2520) * 2521)
+    assert peak <= 14, peak
 
 
 @pytest.mark.parametrize("read, name", [
