@@ -2,7 +2,7 @@
 exact checkers for the structural identities relating them.
 
 The brute path counts the class sums of the CM-type indicator times its
-reflex on the indicator's support, through the multiplication table of G
+reflex on the indicator's support, through the class-of-product table of G
 (``group_algebra.indicator_reflex_class_sums``); the closed-form path
 assembles the same class function from the trace, the permutation
 character, and double-coset counts gathered by subset size from the pair
@@ -84,7 +84,7 @@ def cm_class_function_brute(phi, model: UnitaryGaloisModel,
     sum over a class c is the number of pairs (y, z) of G x G with
     y z^-1 in c whose indicator bits differ, which is exactly the sum of the
     convolution's coefficients over c.  The count reads only the
-    multiplication table, the inverses and the class partition of G; never
+    class-of-product table, the inverses and the class partition of G; never
     the cosets' action or any closed-form quantity, so the cross-check
     stays independent.
     """

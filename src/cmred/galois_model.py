@@ -13,8 +13,8 @@ import functools
 import numpy as np
 
 from .permgroup import (
+    TABLE_CAP,
     FiniteGroup,
-    _take,
     conjugacy_classes,
     coset_action,
     left_cosets,
@@ -38,15 +38,29 @@ class UnitaryGaloisModel:
 
     @functools.cached_property
     def product_class(self) -> np.ndarray | None:
-        """Class-of-product table: entry [a, b] is the class of a o b,
-        ``class_of[mult_table]`` in the smallest dtype that holds k - 1
-        (uint8 up to 256 classes); None above TABLE_CAP."""
-        table = self.group.mult_table
-        if table is None:
+        """Class-of-product table: entry [a, b] is the class of a o b, in
+        the smallest dtype that holds k - 1 (uint8 up to 256 classes); None
+        above TABLE_CAP.
+
+        The rows are filled over ``FiniteGroup.span`` from the identity's
+        row, ``class_of``, without the multiplication table.  A class is
+        closed under conjugation, so class(x o y) = class(y o x) (Isaacs,
+        Character Theory of Finite Groups, ch. 2), and for a child g o e of
+        a spanned e, class(g o e o b) = class(e o (b o g)): row g o e is row
+        e read through the right map R_g: b -> b o g.  The table holds the
+        same bytes as ``class_of[mult_table]``, so the brute count that
+        reads it stays definitional; the closed form never reads it."""
+        G = self.group
+        if G.order > TABLE_CAP:
             return None
         class_of = self.classes.class_of.astype(
             np.min_scalar_type(self.classes.count - 1))
-        return _take(class_of, table)
+        table = np.empty((G.order, G.order), dtype=class_of.dtype)
+        table[0] = class_of
+        right = G.generator_maps(right=True)
+        for slot, parent, child in G.span(G.generator_maps(right=False)):
+            table[child] = table[parent].take(right[slot], axis=1)
+        return table
 
     def __repr__(self):
         return (f"UnitaryGaloisModel(|G|={self.group.order}, "

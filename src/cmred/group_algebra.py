@@ -14,13 +14,15 @@ The brute path needs only the class sums of one product, the indicator e of
 a CM type times its reflex: ``indicator_reflex_class_sums`` counts them on
 the support of e (or of its complement) in min(|U|, |G| - |U|)^2 table
 reads.  It reads the class of each product y u^-1 from the model's
-class-of-product table ``class_of[mult_table]``, built once per model
-(``UnitaryGaloisModel.product_class``), rather than looking up the product
-and then its class.  The table composes the multiplication table with the
-class partition and reads nothing else, so the count stays definitional: it
-never reads the coset action or a closed-form quantity.  ``convolve``,
-``reflex`` and ``class_project`` compute the whole product and its
-projection; they are the reference the count is tested against.
+class-of-product table (``UnitaryGaloisModel.product_class``), built once
+per model, rather than looking up the product and then its class.  The
+table is spanned from the class partition and G's generator products alone,
+holds the bytes of ``class_of[mult_table]``, and is capped like the
+multiplication table, so the count stays definitional: it never reads the
+coset action or a closed-form quantity.  ``convolve``, ``reflex`` and
+``class_project`` compute the whole product and its projection through the
+multiplication table itself; they are the reference the count is tested
+against.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ import numpy as np
 from .galois_model import UnitaryGaloisModel
 from .permgroup import TABLE_CAP, ConjugacyPartition, FiniteGroup
 
-BRUTE_CAP = 2 * TABLE_CAP  # |Gamma| = 2|G|: the kernel needs G's mult_table
+# |Gamma| = 2|G|: the count reads G's class-of-product table, which is
+# capped with the multiplication table at TABLE_CAP
+BRUTE_CAP = 2 * TABLE_CAP
 CHUNK_ROWS = 64  # rows of the table gathered at once; bounds the temporaries
 
 

@@ -15,9 +15,12 @@ a single slot taking the frontier ``TAKE_ENTRIES`` rows at a time; it ranks
 a batch's products with one call, places each new element by its rank, and
 compares every product with the stored element by full row, so a wrong
 chain raises instead of giving a wrong group; it records no BFS words.
-``FiniteGroup.mult_table`` spans G by its own breadth-first search in index
-space over the input generators' product rows.  A chain given the order the
-caller derived stops building once its orbit lengths multiply to it.
+``FiniteGroup.span`` is a breadth-first search of G in index space over the
+input generators' product maps, in blocks of children; the model's
+class-of-product table and ``FiniteGroup.mult_table``, which only
+``group_algebra.convolve`` reads, fill their rows over it.  A chain given
+the order the caller derived stops building once its orbit lengths multiply
+to it.
 ``FiniteGroup.index_elements`` looks a block of image rows up by rank, for
 the rows of a map that must keep the group: it compares the whole block with
 the rows found at their ranks in one pass and raises BuildVerificationError
@@ -57,7 +60,7 @@ over ``FiniteGroup.orbit_generators``: the input generators when there are
 at most two, else a set no longer than they, picked once with chain checks.
 Conjugacy classes are the classes of x ~ s o x o s^-1 for those s, and orbits
 on ordered k-tuples and on subsets those of a tuple or a subset and its image
-under the coset action of one of them.  The closure and ``mult_table`` keep
+under the coset action of one of them.  The closure and ``span`` keep
 the input generators.  Left cosets of the stabilizer of a point p are
 read from column p of the element list (gH is fixed by g(p)); the cosets of
 any other subgroup are the classes of x ~ x o s for its generators s.
@@ -385,56 +388,88 @@ class FiniteGroup:
 
     @functools.cached_property
     def mult_table(self) -> np.ndarray | None:
-        """Dense table mul[a, b] = index(a o b); None above TABLE_CAP.
+        """Dense table mul[a, b] = index(a o b); None above TABLE_CAP.  Only
+        ``group_algebra.convolve`` reads it.
 
-        Row e is the left-regular map L_e: b -> e o b.  The rows are spanned
-        by a breadth-first search in index space from the identity's row:
-        each input generator g's row L_g is looked up once, and an element
-        g o e first reached from a frontier element e takes the row
-        L_{g o e} = L_g[L_e], since (g o e) o b = g o (e o b).  Each level
-        gathers the products of every generator with every frontier element
-        in one call; an element that several products reach keeps one of
-        them, any one giving the same row.  Each generator then gathers its
-        children's parent rows and maps them in place, so the rows held at
-        once are one generator's children's.  An element left unreached
-        raises BuildVerificationError."""
+        Row e is the left-regular map L_e: b -> e o b.  The rows are filled
+        over ``span`` from the identity's row: a child g o e of a spanned e
+        takes the row L_{g o e} = L_g[L_e], since (g o e) o b = g o (e o b);
+        each block of children gathers its parents' rows and maps them in
+        place."""
         if self.order > TABLE_CAP:
             return None
         # uint16 holds every index: order <= TABLE_CAP < 2^16
         n = self.order
         table = np.empty((n, n), dtype=np.uint16)
         table[0] = np.arange(n)
-        gen_rows = np.empty((len(self.generators), n), dtype=np.uint16)
-        for row, g in zip(gen_rows, self.generators):  # g o b
-            row[:] = self.index_elements(_take(self.images[g], self.images),
-                                         "generator product map")
+        left = self.generator_maps(right=False)
+        for slot, parent, child in self.span(left):
+            rows = table[parent]  # the parents' rows
+            table[child] = _take(left[slot], rows, out=rows)
+        return table
+
+    def generator_maps(self, right: bool) -> np.ndarray:
+        """(generators, order) uint16 index maps of the input generators
+        (order <= TABLE_CAP < 2^16): row i is L_g: b -> g o b for the i-th
+        generator g, or R_g: b -> b o g when ``right``.  Each is one
+        ``index_elements`` lookup of the products' rows, every row compared
+        in full."""
+        maps = np.empty((len(self.generators), self.order), dtype=np.uint16)
+        for row, g in zip(maps, self.generators):
+            if right:  # b o g: row b is images[b][images[g]]
+                row[:] = self.index_elements(self.images[:, self.images[g]],
+                                             "generator right product map")
+            else:  # g o b: row b is images[g][images[b]]
+                row[:] = self.index_elements(_take(self.images[g],
+                                                   self.images),
+                                             "generator product map")
+        return maps
+
+    def span(self, left: np.ndarray):
+        """Breadth-first search of G in index space from the identity over
+        the input generators' left maps ``left`` (``generator_maps``).
+
+        Yields (slot, parents, children), int arrays with children[j] =
+        g o parents[j] for g the generator in ``slot``: every element but
+        the identity is a child exactly once, and every parent is the
+        identity or a child of an earlier level, so a table whose rows are
+        spanned from their parents' rows can be filled in the order given.
+        Each level gathers the products of every generator with every
+        frontier element in one call; an element that several products
+        reach keeps one of them.  A level's children come generator by
+        generator, at most max(1, ``TAKE_ENTRIES`` // order) at a time, so a
+        caller that fills an order-long row per child holds about
+        ``TAKE_ENTRIES`` entries at once.  An element left unreached raises
+        BuildVerificationError once the search is done."""
+        n = self.order
+        step = max(1, TAKE_ENTRIES // n)  # children per block
         unreached = np.ones(n, dtype=bool)
         unreached[0] = False
-        slot = np.empty(n, dtype=np.intp)  # a product position per child
+        position = np.empty(n, dtype=np.intp)  # a product position per child
         frontier = np.zeros(1, dtype=np.intp)
-        runs = np.arange(len(gen_rows) + 1)  # gen is sorted: a run each
+        runs = np.arange(len(left) + 1)  # slot is sorted: a run each
         while len(frontier):
             # every product g o e, generator-major
-            child = gen_rows.take(frontier, axis=1).ravel()
+            child = left.take(frontier, axis=1).ravel()
             at = np.flatnonzero(unreached[child])
             child = child[at]
-            if len(gen_rows) > 1:  # keep one product per child
-                slot[child] = at
-                keep = slot[child] == at
+            if len(left) > 1:  # keep one product per child
+                position[child] = at
+                keep = position[child] == at
                 at, child = at[keep], child[keep]
             unreached[child] = False
-            gen, parent = np.divmod(at, len(frontier))
+            slot, parent = np.divmod(at, len(frontier))
             parent = frontier[parent]
-            bounds = np.searchsorted(gen, runs)
-            for row, low, high in zip(gen_rows, bounds, bounds[1:]):
-                rows = table[parent[low:high]]  # the parents' rows
-                table[child[low:high]] = _take(row, rows, out=rows)
+            bounds = np.searchsorted(slot, runs)
+            for g, (low, high) in enumerate(zip(bounds, bounds[1:])):
+                for start in range(low, high, step):
+                    stop = min(start + step, high)
+                    yield g, parent[start:stop], child[start:stop]
             frontier = child
         if unreached.any():
             raise BuildVerificationError(
                 "generator product map: the generators reach "
                 f"{n - np.count_nonzero(unreached)} of {n} elements")
-        return table
 
 
 def close_generators(degree: int, gens: Iterable[Sequence[int]], *,
@@ -464,7 +499,7 @@ def close_generators(degree: int, gens: Iterable[Sequence[int]], *,
     order, in one sort of int64 keys, each new element's rank above its
     position in the level.  A collision or an enumerated count other than
     the chain's order raises BuildVerificationError.  The level boundaries
-    are not kept: ``FiniteGroup.mult_table`` spans G by its own search.
+    are not kept: ``FiniteGroup.span`` spans G by its own search.
     """
     chain = StabChain(degree, generator_rows(degree, gens), order)
     if order is not None and chain.order != order:

@@ -13,6 +13,7 @@ from cmred.errors import ParseError
 from cmred.galois_model import UnitaryGaloisModel
 from cmred.group_algebra import BRUTE_CAP
 from cmred.group_zoo import ZooSpec, build
+from cmred.permgroup import FiniteGroup
 
 
 def run_main(capsys, *argv):
@@ -292,6 +293,20 @@ def test_verify_computes_the_coset_action_inputs_once(monkeypatch):
     calls.update(coset_action=0)
     assert check_galois_invariance(sweep).passed
     assert calls["coset_action"] == 0
+
+
+def test_verify_never_builds_the_multiplication_table(monkeypatch):
+    # the brute count reads the class-of-product table, which is spanned
+    # without G's multiplication table; only convolve, the tests' reference,
+    # reads that
+    def refuse(G):
+        raise AssertionError("the multiplication table was built")
+
+    monkeypatch.setattr(FiniteGroup, "mult_table", property(refuse))
+    report, code = run(RunConfig(command="verify", spec="sp4f2:-"))
+    assert code == 0
+    checks = {c["name"]: c["status"] for c in report["checks"]}
+    assert checks["closed-form"] == "pass", report["checks"]
 
 
 def test_skipped_cap_reported(capsys):

@@ -1,8 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cmred import permgroup
 
 from cmred.cm_engine import sample_subsets
 from cmred.errors import SubsetCapExceeded
@@ -128,19 +133,85 @@ def test_enumerate_counts_and_order():
         check_subset_cap(4, 9)
 
 
+def class_of_products(m):
+    """The test side's class-of-product table: the class of every product
+    read through the multiplication table, in the dtype ``product_class``
+    promises."""
+    class_of = m.classes.class_of.astype(
+        np.min_scalar_type(m.classes.count - 1))
+    return class_of[m.group.mult_table]
+
+
+def assert_same_table(got, expected, what):
+    assert got.dtype == expected.dtype, what
+    assert got.shape == expected.shape and got.tobytes() == \
+        expected.tobytes(), what
+
+
 def test_product_class_is_the_class_of_each_product():
     specs = [spec for spec in zoo_specs() if zoo_order(spec) <= TABLE_CAP]
     assert len(specs) == 162 and "alt:7" in specs and "sym:7" not in specs
     for spec in specs:
         m = UnitaryGaloisModel(*build(spec))
-        G, class_of = m.group, m.classes.class_of
         table = m.product_class
         assert table is m.product_class  # built once
         assert table.dtype == np.min_scalar_type(m.classes.count - 1)
-        # entry [y, u^-1] is the class of y u^-1
-        u_inv = G.inverses
-        assert np.array_equal(table[:, u_inv],
-                              class_of[G.mult_table[:, u_inv]]), spec
+        assert_same_table(table, class_of_products(m), spec)
+
+
+@st.composite
+def small_group(draw):
+    """(degree, generators) of a random group of degree at most 6."""
+    degree = draw(st.integers(min_value=1, max_value=6))
+    perm = st.permutations(list(range(degree)))
+    return degree, draw(st.lists(perm, min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_group())
+@example((6, [(1, 2, 3, 4, 5, 0)]))  # one generator: cyclic of order 6
+@example((5, [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)]))  # abelian, order 6
+@example((6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5),
+              (0, 1, 2, 3, 5, 4)]))  # abelian on three generators
+@example((1, [(0,)]))  # the trivial group
+def test_product_class_of_random_groups(group):
+    degree, gens = group
+    m = UnitaryGaloisModel(close_generators(degree, gens), [])
+    assert_same_table(m.product_class, class_of_products(m), group)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:6", "sym:4", "dihedral:12",
+                                  "psl3:2", "sp4f2:-"])
+def test_product_class_across_block_edges(spec, monkeypatch):
+    # blocks of one child (TAKE_ENTRIES of 1 and 3 index entries, which also
+    # cut the generator maps' gathers into chunks) and of three children
+    m = UnitaryGaloisModel(*build(spec))
+    expected = class_of_products(m)
+    for entries in (1, 3, 3 * m.group.order):
+        monkeypatch.setattr(permgroup, "TAKE_ENTRIES", entries)
+        step = max(1, entries // m.group.order)
+        left = m.group.generator_maps(right=False)
+        sizes = [len(child) for _, _, child in m.group.span(left)]
+        assert max(sizes) <= step and sum(sizes) == m.group.order - 1
+        monkeypatch.delitem(vars(m), "product_class", raising=False)
+        assert_same_table(m.product_class, expected, (spec, entries))
+
+
+@pytest.mark.parametrize("spec", ["alt:7", "pgl2:13"])
+def test_product_class_build_stays_near_its_table(spec):
+    # the uint8 table is |G|^2 bytes; composing the class partition with
+    # the uint16 multiplication table peaked at 2.9 |G|^2
+    m = UnitaryGaloisModel(*build(spec))
+    order = m.group.order
+    tracemalloc.start()
+    try:
+        table = m.product_class
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.uint8 and table.shape == (order, order)
+    assert peak <= 1.5 * order ** 2, peak / order ** 2
+    assert "mult_table" not in vars(m.group)
 
 
 def test_product_class_is_none_past_the_table_cap():

@@ -1020,14 +1020,45 @@ def test_mult_table_is_every_product():
 
 
 def test_mult_table_of_a_non_generating_set_raises():
-    # the transposition alone spans a group of order 2, not S4
-    G, _ = build("sym:4")
+    # the transposition alone spans a group of order 2, not S4; the table
+    # and the class-of-product table fill their rows over the same span
+    G, H = build("sym:4")
+    m = UnitaryGaloisModel(G, H)
     G.generators = [g for g in G.generators
                     if np.count_nonzero(G.images[g] != np.arange(4)) == 2]
     assert len(G.generators) == 1
-    with pytest.raises(BuildVerificationError,
-                       match="generator product map: .* 2 of 24"):
-        G.mult_table
+    for read in (lambda: G.mult_table, lambda: m.product_class):
+        with pytest.raises(BuildVerificationError,
+                           match="generator product map: .* 2 of 24"):
+            read()
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_group())
+def test_span_reaches_each_element_once_from_a_spanned_parent(G):
+    # children[j] = g o parents[j] for the slot's generator g, each element
+    # but the identity a child exactly once, after its parent
+    assume(G.order <= permgroup.TABLE_CAP)  # the maps are uint16
+    left = G.generator_maps(right=False)
+    right = G.generator_maps(right=True)
+    for maps in (left, right):
+        assert maps.shape == (len(G.generators), G.order)
+        assert maps.dtype == np.uint16
+    index = bytes_index(G)
+    for row, col, g in zip(left, right, G.generators):
+        assert row.tolist() == [index[G.images[g][G.images[b]].tobytes()]
+                                for b in range(G.order)]
+        assert col.tolist() == [index[G.images[b][G.images[g]].tobytes()]
+                                for b in range(G.order)]
+    spanned = np.zeros(G.order, dtype=bool)
+    spanned[0] = True
+    step = max(1, permgroup.TAKE_ENTRIES // G.order)
+    for slot, parents, children in G.span(left):
+        assert 1 <= len(children) <= step
+        assert spanned[parents].all() and not spanned[children].any()
+        assert np.array_equal(children, left[slot][parents])
+        spanned[children] = True
+    assert spanned.all()
 
 
 def random_words(degree, gen_rows, count, length=8, seed=0):
@@ -1373,6 +1404,7 @@ def test_coset_action_of_s7_over_c2_stays_small(s7_over_c2):
 @pytest.mark.parametrize("read, name", [
     (lambda m: m.group.inverses, "inverse map"),
     (lambda m: m.group.mult_table, "generator product map"),
+    (lambda m: m.product_class, "generator right product map"),
     (lambda m: conjugacy_classes(m.group), "conjugation map"),
     (lambda m: left_cosets(m.group, [(1, 0, 3, 2)]),
      "right multiplication by a subgroup generator"),

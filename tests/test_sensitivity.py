@@ -5,18 +5,31 @@ class-of-product table the brute count reads, pinned to the ``closed-form``
 subset it fails on.  Every mutation is applied with ``monkeypatch`` to one
 sweep, to ``pair_tensor`` when the closed functions must see it too, or to
 the model's ``product_class`` before the sweep; no file is edited.
+
+Mutations of the brute path's code (the count's terms, its normalization,
+its complement switch, and the span of the class-of-product table) are
+recompiled from the shipped source with one named text replaced
+(``mutant``), and each names the set of checks that fail on it; an
+equivalent mutant names none, with the reason it is equivalent.
 """
 
 import functools
+import inspect
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cmred.cm_engine as cm_engine
+import cmred.group_algebra as group_algebra
 from cmred.cli import parse_spec
 from cmred.cm_engine import (
     check_closed_form,
+    check_cm0_suite,
     check_galois_invariance,
+    check_induced_character,
+    check_pair_reduction_suite,
     subset_sweep,
 )
 from cmred.galois_model import UnitaryGaloisModel
@@ -179,3 +192,95 @@ def test_swapped_product_classes_in_one_coset_pass(spec, monkeypatch):
     monkeypatch.setattr(m, "product_class", swapped_product_classes(
         m, 0, m.cosets.subgroup_elements[1]))
     assert check_closed_form(subset_sweep(m, 3, 0)).passed
+
+
+def mutant(module, name, old, new):
+    """``module.name`` recompiled from its own source with the text ``old``,
+    which must occur there once, replaced by ``new``: a mutation of the
+    shipped code that fails here, not silently, when that text changes.
+    A decorated method gives its undecorated function."""
+    function = getattr(module, name)
+    function = getattr(function, "func", function)  # a cached_property's
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function),
+                 "exec"), namespace)
+    made = namespace[function.__name__]
+    return getattr(made, "func", made)
+
+
+def without_support_term(monkeypatch):
+    # bit 1 = 2 |U| |c| - 2 Q[c] loses its 2 |U| |c|
+    monkeypatch.setattr(cm_engine, "indicator_reflex_class_sums", mutant(
+        group_algebra, "indicator_reflex_class_sums",
+        "2 * (len(support) * size - pairs)", "2 * (0 * size - pairs)"))
+
+
+def without_normalization(monkeypatch):
+    # the class sums are not brought over D_c = n |Gamma| |c|
+    monkeypatch.setattr(cm_engine, "cm_class_function_brute", mutant(
+        cm_engine, "cm_class_function_brute", "return model.n * sums",
+        "return sums"))
+
+
+def larger_support(monkeypatch):
+    # the count runs on the larger of U and its complement
+    monkeypatch.setattr(cm_engine, "indicator_reflex_class_sums", mutant(
+        group_algebra, "indicator_reflex_class_sums",
+        "if 2 * len(support) > G.order:", "if 2 * len(support) < G.order:"))
+
+
+def rows_through_left_maps(monkeypatch):
+    # row g o e of the class-of-product table is row e read through
+    # L_g: b -> g o b, not R_g: b -> b o g
+    table = functools.cached_property(mutant(
+        UnitaryGaloisModel, "product_class",
+        "right = G.generator_maps(right=True)",
+        "right = G.generator_maps(right=False)"))
+    table.__set_name__(UnitaryGaloisModel, "product_class")
+    monkeypatch.setattr(UnitaryGaloisModel, "product_class", table)
+
+
+BRUTE_MUTATIONS = {"without-support-term": without_support_term,
+                   "without-normalization": without_normalization,
+                   "larger-support": larger_support,
+                   "rows-through-left-maps": rows_through_left_maps}
+
+CHECKS = {"closed-form": check_closed_form,
+          "induced-character": check_induced_character,
+          "pair-reduction": check_pair_reduction_suite,
+          "cm0-membership": check_cm0_suite,
+          "galois-invariance": check_galois_invariance}
+
+# (mutation, spec, the checks that fail; none for an equivalent mutant)
+BRUTE_CASES = (
+    [("without-support-term", spec, {"closed-form"})
+     for spec in ("sym:4", "sp4f2:-", "cyclic:6")]
+    # the brute functions are no longer rho-balanced at 1/2 either
+    + [("without-normalization", spec, {"closed-form", "cm0-membership"})
+       for spec in ("sym:4", "sp4f2:-", "cyclic:6")]
+    # equivalent: with V = G - U, each y in G has |c| partners u with
+    # y u^-1 in c, so |V| |c| - Q_V[c] = |U| |c| - Q_U[c] and the count is
+    # the same on either set; no check can see which one it ran on
+    + [("larger-support", spec, set())
+       for spec in ("sym:4", "sp4f2:-", "cyclic:6")]
+    + [("rows-through-left-maps", spec, {"closed-form"})
+       for spec in ("sym:4", "sp4f2:-", "psl3:2", "dihedral:12")]
+    # equivalent on an abelian group: L_g = R_g
+    + [("rows-through-left-maps", "cyclic:6", set())])
+
+
+@pytest.mark.parametrize("case", BRUTE_CASES, ids=map(case_id, BRUTE_CASES))
+def test_brute_mutation_names_its_checks(case, monkeypatch):
+    mutation, spec, failing = case
+    sweep = subset_sweep(model(spec), 3, 0)
+    assert all(check(sweep).passed for check in CHECKS.values())
+    BRUTE_MUTATIONS[mutation](monkeypatch)
+    # a fresh model, whose class-of-product table the mutation may build
+    mutated = subset_sweep(build_zoo_model(spec), 3, 0)
+    assert mutated.brute is not None
+    assert {name for name, check in CHECKS.items()
+            if not check(mutated).passed} == failing
+    if not failing:  # equivalent: every brute numerator is the same
+        assert np.array_equal(mutated.brute, sweep.brute)
